@@ -1,10 +1,13 @@
 """Projective-measurement simulation of sensor ensembles.
 
-One shot draws a single signal realization shared by all M sensors (they see
-the same field simultaneously) and then M independent projective outcomes,
-so the recorded excited count is binomial with the shot's probability. The
-population estimate p_hat = sum(k)/(N*M) is unbiased and its noise floor is
-the projection-noise variance p(1-p)/(N*M).
+One shot draws a single accrued phase shared by all M sensors (they see the
+same field simultaneously) and then M independent projective outcomes, so
+the recorded excited count is binomial with the shot's probability. The
+phase comes straight from its exact distribution (`signals.sample_phases`:
+one normal per shot, none for a constant signal), and a single sensor's
+outcome is one uniform compared with p. The population estimate
+p_hat = sum(k)/(N*M) is unbiased and its noise floor is the projection-noise
+variance p(1-p)/(N*M).
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from .signals import (
     SignalSpec,
     StochasticAmplitude,
     TwoToneStochastic,
-    accrued_phases,
-    sample_realizations,
+    sample_phases,
 )
 
 __all__ = [
@@ -82,12 +84,14 @@ def simulate_shots(
     rng: np.random.Generator,
     seed_path: tuple[int, ...] = (),
 ) -> ShotTable:
-    """Simulate N shots of M sensors; realization redrawn every shot."""
+    """Simulate N shots of M sensors; phase redrawn every shot.
+
+    The stream is consumed as N phases, then N uniforms (M = 1) or N
+    binomial counts (M > 1).
+    """
     n, m = ensemble.n_shots, ensemble.m_sensors
-    coeffs = sample_realizations(spec, n, rng)
-    phis = accrued_phases(spec, coeffs, t_i)
-    p = excitation_probability(sensor, t_i, phis)
-    counts = rng.binomial(m, p)
+    p = excitation_probability(sensor, t_i, sample_phases(spec, n, t_i, rng))
+    counts = rng.random(n) < p if m == 1 else rng.binomial(m, p)
     return ShotTable(counts, spec, sensor, ensemble, t_i, seed_path)
 
 
@@ -133,8 +137,8 @@ def excess_noise_channel(
     zero-mean Gaussian jitter (std qpn_err*sqrt(excess_factor^2-1), clamped
     to [0,1]). excess_factor=1 returns the plain estimate untouched.
     """
-    if excess_factor < 1:
-        raise ValueError("excess_factor must be >= 1")
+    if not (excess_factor >= 1 and math.isfinite(excess_factor)):
+        raise ValueError("excess_factor must be finite and >= 1")
     est = estimate_population(table)
     if excess_factor == 1.0:
         return est

@@ -54,6 +54,8 @@ class EnsembleConfig:
     m_sensors: int = 1  # sensors measured in parallel per shot
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n_shots, self.m_sensors)):
+            raise ValueError("n_shots and m_sensors must be integers")
         if self.n_shots < 1 or self.m_sensors < 1:
             raise ValueError("n_shots and m_sensors must be >= 1")
 

@@ -8,7 +8,10 @@ variant. The sensed quantity is always the accrued phase
 
 evaluated in closed form. Stochastic amplitudes are frozen within a shot and
 redrawn between shots, so phi is an exactly Gaussian variable for the
-two-tone classes and its variance has a closed form too.
+two-tone classes and its variance has a closed form too. The shot engine
+therefore draws phi directly, one normal per shot (`sample_phases`);
+`sample_realizations` and `accrued_phases` build the same phase from the
+four amplitudes and serve as its reference.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "signal_value",
     "accrued_phase",
     "accrued_phases",
+    "sample_phases",
     "phase_variance_exact",
     "small_g_curvature",
 ]
@@ -225,6 +229,23 @@ def phase_variance_exact(spec: TwoToneStochastic | IntermittentTwoTone, t_i: flo
     _check_ti(spec, t_i)
     w = _phase_weights(spec, t_i)
     return spec.sigma**2 * float(w @ w)
+
+
+def sample_phases(spec: SignalSpec, n: int, t_i: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw the accrued phases of n independent shots over [0, t_i].
+
+    Same distribution as accrued_phases(spec, sample_realizations(spec, n,
+    rng), t_i), with at most one normal per shot: g*t_i for Constant (no
+    draw), N(0, (g*t_i)^2) for StochasticAmplitude, and
+    N(0, phase_variance_exact) for the two-tone classes, whose phase is a
+    fixed linear combination of four i.i.d. normal amplitudes.
+    """
+    _check_ti(spec, t_i)
+    if isinstance(spec, Constant):
+        return np.full(n, spec.g * t_i)
+    if isinstance(spec, StochasticAmplitude):
+        return rng.normal(0.0, spec.g * t_i, n)
+    return rng.normal(0.0, math.sqrt(phase_variance_exact(spec, t_i)), n)
 
 
 def small_g_curvature(omega_s: float, sigma: float, convention: ToneConvention) -> float:

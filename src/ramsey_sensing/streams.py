@@ -16,10 +16,12 @@ def derive_stream(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator for a (master_seed, *path) key.
 
     Same key, same stream, always; distinct keys give statistically
-    independent Philox streams. Path components must be non-negative ints.
+    independent Philox streams. The seed and the path components must be
+    non-negative ints.
     """
-    if master_seed < 0 or master_seed > 0xFFFFFFFFFFFFFFFF:
-        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+    if not (isinstance(master_seed, (int, np.integer))
+            and 0 <= master_seed <= 0xFFFFFFFFFFFFFFFF):
+        raise ValueError("master_seed must be an integer that fits in an unsigned 64-bit integer")
     if any((not isinstance(p, (int, np.integer))) or p < 0 for p in path):
         raise ValueError("stream path components must be non-negative integers")
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))

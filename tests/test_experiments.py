@@ -26,7 +26,7 @@ REPLICA_SEED = 7
 FIG3_SEED = 42
 
 REPLICA_GMIN_HZ = 316.2277660168379
-REPLICA_GMIN_EXCESS_HZ = 630.957344480193
+REPLICA_GMIN_EXCESS_HZ = 999.9999999999999
 REPLICA_GMIN_ANALYTIC_HZ = 293.5471862857504
 
 
@@ -189,8 +189,8 @@ class TestDegradation:
 
     def test_frozen_residual_comparison(self, degrade_report):
         check = degrade_report.check("burst_scaling_beats_sqrt")
-        assert_allclose(check.measured, 16342.042367578437, rtol=1e-9)
-        assert_allclose(check.expected, 104593.53032917937, rtol=1e-9)
+        assert_allclose(check.measured, 403134.55634257506, rtol=1e-9)
+        assert_allclose(check.expected, 668075.7440206879, rtol=1e-9)
         assert check.measured < check.expected
 
     def test_zero_flip_row_reproduces_the_replica(self, degrade_report):

@@ -57,6 +57,20 @@ class TestSimulateShots:
         c = simulate_shots(spec, SENSOR, ens, 1e-3, derive_stream(41, 12))
         assert not np.array_equal(a.counts, c.counts)
 
+    @pytest.mark.parametrize("spec", [
+        Constant(1.0),
+        StochasticAmplitude(1.0),
+        TwoToneStochastic(TWO_PI * 1000, 1.0, 1.0),
+        IntermittentTwoTone(TWO_PI * 1000, 1.0, 1.0, 0.5e-3),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_integration_window_validation(self, spec):
+        bad = [0.0, -1e-3, math.nan, math.inf]
+        if isinstance(spec, IntermittentTwoTone):
+            bad.append(0.6e-3)  # beyond the burst
+        for t_i in bad:
+            with pytest.raises(ValueError):
+                simulate_shots(spec, SENSOR, EnsembleConfig(10, 1), t_i, derive_stream(41, 13))
+
     def test_table_validation(self):
         ens = EnsembleConfig(4, 2)
         with pytest.raises(ValueError):
@@ -167,6 +181,12 @@ class TestExcessNoiseChannel:
         table = _constant_table(n=10, seed_path=(41, 29))
         with pytest.raises(ValueError):
             excess_noise_channel(table, 0.9, derive_stream(41, 30))
+
+    def test_non_finite_factor_rejected(self):
+        table = _constant_table(n=10, seed_path=(41, 29))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                excess_noise_channel(table, bad, derive_stream(41, 30))
 
     def test_error_scales_and_population_jitters(self):
         table = _constant_table()

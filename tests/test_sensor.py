@@ -53,6 +53,12 @@ class TestSensorModel:
         with pytest.raises(ValueError):
             EnsembleConfig(10, 0)
 
+    def test_ensemble_counts_must_be_integers(self):
+        assert EnsembleConfig(np.int64(10), np.int64(2)).total == 20
+        for n, m in ((10.5, 1), (10, 1.5), (1000.0, 1), ("10", 1)):
+            with pytest.raises(ValueError):
+                EnsembleConfig(n, m)
+
 
 class TestContrast:
     def test_frozen_value(self):

@@ -2,7 +2,8 @@
 
 The accrued phase is checked against direct numerical integration of the
 waveform, and the closed-form variance against a Monte-Carlo variance and an
-independently coded tone-sum formula.
+independently coded tone-sum formula. The one-draw phase sampler is checked
+against the closed-form variance and the four-amplitude construction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ramsey_sensing.signals import (
     accrued_phase,
     accrued_phases,
     phase_variance_exact,
+    sample_phases,
     sample_realization,
     sample_realizations,
     signal_value,
@@ -227,6 +229,43 @@ class TestPhaseVariance:
     def test_rejects_non_two_tone_specs(self):
         with pytest.raises(TypeError):
             phase_variance_exact(Constant(1.0), 1.0)
+
+
+class TestSamplePhases:
+    N = 100_000
+    # a Gaussian sample variance has relative std sqrt(2/(N-1)); allow five
+    REL_TOL = 5 * math.sqrt(2 / (N - 1))
+
+    def test_constant_phase_is_exact_and_draws_nothing(self):
+        rng = derive_stream(31, 40)
+        assert np.array_equal(sample_phases(Constant(3.0), 4, 0.25, rng), np.full(4, 0.75))
+        assert rng.random() == derive_stream(31, 40).random()
+
+    def test_stochastic_amplitude_phase_is_g_t_gaussian(self):
+        spec, t_i = StochasticAmplitude(TWO_PI * 50), 2e-3
+        phis = sample_phases(spec, self.N, t_i, derive_stream(31, 41))
+        var = (spec.g * t_i) ** 2
+        assert abs(phis.mean()) < 5 * math.sqrt(var / self.N)
+        assert abs(phis.var() / var - 1) < self.REL_TOL
+
+    def test_two_tone_variance_matches_exact_and_four_amplitude_oracle(self):
+        cases = [
+            (TwoToneStochastic(TWO_PI * 1000, TWO_PI * 300, TWO_PI * 500), 0.37e-3),
+            (TwoToneStochastic(TWO_PI * 1000, TWO_PI * 300, TWO_PI * 500), 2.3e-3),
+            (TwoToneStochastic(TWO_PI * 2000, TWO_PI * 275, TWO_PI * 137,
+                               ToneConvention.HALF_SPLIT), 1e-3),
+            (IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 290, TWO_PI * 275, 0.5e-3), 0.5e-3),
+        ]
+        for k, (spec, t_i) in enumerate(cases):
+            var = phase_variance_exact(spec, t_i)
+            fast = sample_phases(spec, self.N, t_i, derive_stream(31, 42, k))
+            coeffs = sample_realizations(spec, self.N, derive_stream(31, 43, k))
+            oracle = accrued_phases(spec, coeffs, t_i)
+            assert abs(fast.mean()) < 5 * math.sqrt(var / self.N)
+            assert abs(fast.var() / var - 1) < self.REL_TOL
+            assert abs(oracle.var() / var - 1) < self.REL_TOL
+            # two independent sample variances: the ratio's std is sqrt(2) times larger
+            assert abs(fast.var() / oracle.var() - 1) < math.sqrt(2) * self.REL_TOL
 
 
 class TestSmallGCurvature:
