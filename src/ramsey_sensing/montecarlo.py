@@ -39,6 +39,9 @@ __all__ = [
     "read_shot_table",
 ]
 
+# shots per uniform draw in simulate_shots: a 64 kB block stays in cache
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class ShotTable:
@@ -87,11 +90,21 @@ def simulate_shots(
     """Simulate N shots of M sensors; phase redrawn every shot.
 
     The stream is consumed as N phases, then N uniforms (M = 1) or N
-    binomial counts (M > 1).
+    binomial counts (M > 1). For M = 1 the table allocates one N-element
+    buffer: it holds the phases, then block by block their probabilities,
+    then the counts drawn from them, so a large table costs no temporaries
+    and runs the same whatever the allocator does with freed memory.
     """
     n, m = ensemble.n_shots, ensemble.m_sensors
-    p = excitation_probability(sensor, t_i, sample_phases(spec, n, t_i, rng))
-    counts = rng.random(n) < p if m == 1 else rng.binomial(m, p)
+    phi = sample_phases(spec, n, t_i, rng)
+    if m > 1:
+        counts = rng.binomial(m, excitation_probability(sensor, t_i, phi, out=phi))
+        return ShotTable(counts, spec, sensor, ensemble, t_i, seed_path)
+    counts = phi.view(np.int64)
+    u = np.empty(min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        p = excitation_probability(sensor, t_i, phi[lo:lo + _BLOCK], out=phi[lo:lo + _BLOCK])
+        np.less(rng.random(out=u[:len(p)]), p, out=counts[lo:lo + _BLOCK])
     return ShotTable(counts, spec, sensor, ensemble, t_i, seed_path)
 
 

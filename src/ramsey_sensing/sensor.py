@@ -71,10 +71,23 @@ def contrast(sensor: SensorModel, t: float) -> float:
     return sensor.fidelity * math.exp(-(t**2) / (2 * sensor.t2**2))
 
 
-def excitation_probability(sensor: SensorModel, t_i: float, phi) -> float | np.ndarray:
-    """p = (1 - C(t_i) cos(theta + phi)) / 2; accepts scalar or array phi."""
+def excitation_probability(
+    sensor: SensorModel, t_i: float, phi, out: np.ndarray | None = None
+) -> float | np.ndarray:
+    """p = (1 - C(t_i) cos(theta + phi)) / 2; accepts scalar or array phi.
+
+    With ``out`` (a float64 array shaped like phi, which may be phi itself)
+    p is computed in place there, with the same operations and so the same
+    bits, and no temporary array is allocated.
+    """
     c = contrast(sensor, t_i)
-    return 0.5 * (1.0 - c * np.cos(sensor.theta + phi))
+    if out is None:
+        return 0.5 * (1.0 - c * np.cos(sensor.theta + phi))
+    np.cos(np.add(sensor.theta, phi, out=out), out=out)
+    out *= c
+    np.subtract(1.0, out, out=out)
+    out *= 0.5
+    return out
 
 
 def qpn_variance(p: float, ensemble: EnsembleConfig) -> float:

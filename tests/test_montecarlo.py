@@ -19,13 +19,20 @@ from ramsey_sensing.montecarlo import (
     simulate_shots,
     write_shot_table,
 )
-from ramsey_sensing.sensor import EnsembleConfig, SensorModel, contrast, mean_population
+from ramsey_sensing.sensor import (
+    EnsembleConfig,
+    SensorModel,
+    contrast,
+    excitation_probability,
+    mean_population,
+)
 from ramsey_sensing.signals import (
     Constant,
     IntermittentTwoTone,
     StochasticAmplitude,
     TwoToneStochastic,
     phase_variance_exact,
+    sample_phases,
 )
 from ramsey_sensing.streams import derive_stream
 
@@ -56,6 +63,18 @@ class TestSimulateShots:
         assert np.array_equal(a.counts, b.counts)
         c = simulate_shots(spec, SENSOR, ens, 1e-3, derive_stream(41, 12))
         assert not np.array_equal(a.counts, c.counts)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stream_holds_all_phases_then_all_outcomes(self, m):
+        # 20001 shots span several uniform blocks and end on a partial one
+        spec = TwoToneStochastic(TWO_PI * 1000, TWO_PI * 100, TWO_PI * 500)
+        n, t_i = 20_001, 1e-3
+        table = simulate_shots(spec, SENSOR, EnsembleConfig(n, m), t_i, derive_stream(41, 14))
+        rng = derive_stream(41, 14)
+        p = excitation_probability(SENSOR, t_i, sample_phases(spec, n, t_i, rng))
+        expected = rng.random(n) < p if m == 1 else rng.binomial(m, p)
+        assert table.counts.dtype == np.int64
+        assert np.array_equal(table.counts, expected)
 
     @pytest.mark.parametrize("spec", [
         Constant(1.0),
