@@ -1,91 +1,47 @@
 """Quantum sensing of constant, stochastic, and burst signals with
 finite-fidelity Ramsey sensors: analytic sensitivities, projective-measurement
-Monte Carlo, estimators, and reproducible study pipelines."""
+Monte Carlo, estimators, and reproducible study pipelines.
 
-from .estimators import (
-    BiasScan,
-    EstimateOutcome,
-    ExclusionReason,
-    GminEstimate,
-    empirical_gmin,
-    estimate_amplitude,
-    estimate_frequency_separation,
-    estimate_variance,
-    read_bias_scan,
-    write_bias_scan,
-)
+The package root carries the study pipelines, the signal and sensor
+models, the scenario sensitivity, the shot engine and the stream factory;
+everything else is imported from its submodule.
+"""
+
 from .experiments import (
-    Check,
-    PipelineReport,
     run_experiment_replica,
     run_fidelity_degradation,
     run_fig2,
     run_fig3,
     write_report,
 )
-from .montecarlo import (
-    PopulationEstimate,
-    ShotTable,
-    apply_readout_degradation,
-    estimate_population,
-    excess_noise_channel,
-    read_shot_table,
-    simulate_shots,
-    write_shot_table,
-)
-from .sensor import (
-    EnsembleConfig,
-    SensorModel,
-    contrast,
-    effective_coherence_time,
-    excitation_probability,
-    mean_population,
-    qpn_variance,
-)
-from .sensitivity import (
-    OptimalTime,
-    SensitivityResult,
-    compensation_sensors,
-    compensation_threshold,
-    continuous_optimal_u,
-    exact_snr,
-    excess_sensors,
-    gmin_constant,
-    gmin_continuous_kernel,
-    gmin_continuous_two_tone,
-    gmin_gaussian_kernel,
-    gmin_intermittent,
-    gmin_variance,
-    mc_gmin_crossing,
-    mc_snr,
-    optimal_integration_time,
-    root_found_gmin,
-    snr_curve,
-)
+from .montecarlo import simulate_shots
+from .sensitivity import gmin_at_optimum
+from .sensor import EnsembleConfig, SensorModel
 from .signals import (
     Constant,
     IntermittentTwoTone,
-    SignalRealization,
     StochasticAmplitude,
     ToneConvention,
     TwoToneStochastic,
-    accrued_phase,
-    accrued_phases,
-    phase_variance_exact,
-    sample_realization,
-    sample_realizations,
-    signal_value,
-    small_g_curvature,
-    tone_angular_frequencies,
 )
 from .streams import derive_stream
 
 __version__ = "0.1.0"
 
-import types as _types
-
-__all__ = sorted(
-    name
-    for name, value in list(globals().items())
-    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
-)
+__all__ = [
+    "Constant",
+    "EnsembleConfig",
+    "IntermittentTwoTone",
+    "SensorModel",
+    "StochasticAmplitude",
+    "ToneConvention",
+    "TwoToneStochastic",
+    "derive_stream",
+    "gmin_at_optimum",
+    "run_experiment_replica",
+    "run_fidelity_degradation",
+    "run_fig2",
+    "run_fig3",
+    "simulate_shots",
+    "write_report",
+]

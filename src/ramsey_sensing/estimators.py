@@ -28,8 +28,7 @@ __all__ = [
     "estimate_variance",
     "estimate_frequency_separation",
     "empirical_gmin",
-    "write_bias_scan",
-    "read_bias_scan",
+    "bias_scan_rows",
 ]
 
 TWO_PI = 2 * math.pi
@@ -178,8 +177,8 @@ def empirical_gmin(scan: BiasScan, rel_tol: float = 0.1) -> GminEstimate:
     """
     if len(scan.rows) < 4:
         raise ValueError("scan needs at least 4 grid points")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
+    if not (0 < rel_tol < math.inf):
+        raise ValueError("rel_tol must be finite and > 0")
     qualifying_from = None
     for g_applied, reps in reversed(scan.rows):
         if _row_qualifies(g_applied, reps, rel_tol):
@@ -201,28 +200,3 @@ def bias_scan_rows(scan: BiasScan) -> list[tuple]:
             else:
                 out.append((g_applied / TWO_PI, idx, outcome.reason.value, None))
     return out
-
-
-def write_bias_scan(scan: BiasScan, path) -> None:
-    from .io_utils import write_csv
-
-    write_csv(path, ("g_applied_hz", "rep_index", "status", "g_hat_hz"), bias_scan_rows(scan))
-
-
-def read_bias_scan(path) -> BiasScan:
-    groups: dict[float, list[EstimateOutcome]] = {}
-    with open(path) as fh:
-        next(fh)  # header
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            g_hz, _, status, g_hat_hz = line.split(",")
-            outcome = (
-                EstimateOutcome.of(float(g_hat_hz) * TWO_PI)
-                if status == "defined"
-                else EstimateOutcome.excluded(ExclusionReason(status))
-            )
-            groups.setdefault(float(g_hz) * TWO_PI, []).append(outcome)
-    rows = tuple((g, tuple(reps)) for g, reps in sorted(groups.items()))
-    return BiasScan(rows)

@@ -31,20 +31,17 @@ from .montecarlo import (
     excess_noise_channel,
     simulate_shots,
 )
-from .sensor import EnsembleConfig, SensorModel, contrast, mean_population, qpn_variance
+from .sensor import EnsembleConfig, SensorModel, mean_population, qpn_variance
 from .sensitivity import (
     compensation_sensors,
     compensation_threshold,
     excess_sensors,
-    gmin_constant,
-    gmin_continuous_kernel,
+    gmin_at_optimum,
     gmin_intermittent,
-    gmin_variance,
     mc_snr,
-    optimal_integration_time,
     snr_curve,
 )
-from .signals import IntermittentTwoTone, ToneConvention, TwoToneStochastic
+from .signals import IntermittentTwoTone, TwoToneStochastic
 from .streams import derive_stream
 
 __all__ = [
@@ -157,22 +154,16 @@ def run_fig2(
     f_grid = _fidelity_grid() if f_grid is None else sorted(f_grid)
     ensemble = EnsembleConfig(n_shots, 1)
 
-    def gmin_at(scenario: str, f: float) -> tuple[float, float]:
-        sensor = SensorModel(f, t2)
-        if scenario == "constant":
-            return gmin_constant(sensor, ensemble, t2).g_min, t2
-        t_opt = optimal_integration_time("variance", sensor, ensemble).t_opt
-        return gmin_variance(sensor, ensemble, t_opt).g_min, t_opt
-
     ratio_rows, comp_rows = [], []
     for scenario in scenarios:
-        g_unity, _ = gmin_at(scenario, 1.0)
+        g_unity = gmin_at_optimum(scenario, SensorModel(1.0, t2), ensemble).g_min
         for f in f_grid:
-            g, t_opt = gmin_at(scenario, f)
-            ratio_rows.append((scenario, f, t_opt, g, g / g_unity))
-            m_int = compensation_sensors(scenario, f, n_shots=n_shots, t2=t2)
+            result = gmin_at_optimum(scenario, SensorModel(f, t2), ensemble)
+            ratio_rows.append((scenario, f, result.inputs["t_i"], result.g_min,
+                               result.g_min / g_unity))
+            # compensation_sensors is this threshold's ceiling; take it without a second solve
             m_real = compensation_threshold(scenario, f, n_shots=n_shots, t2=t2)
-            comp_rows.append((scenario, f, m_int, m_real))
+            comp_rows.append((scenario, f, math.ceil(m_real), m_real))
 
     report = PipelineReport(
         "fig2",
@@ -297,24 +288,16 @@ def run_fig3(
         note="max |MC - analytic| SNR over the coarse grid"))
 
     # (b) g_min versus fidelity, all four scenarios at their optimal times
-    def scenario_gmin(scenario: str, f: float) -> float:
-        s = SensorModel(f, t2)
-        if scenario == "constant":
-            return gmin_constant(s, ensemble, t2).g_min
-        if scenario == "variance":
-            t_opt = optimal_integration_time("variance", s, ensemble).t_opt
-            return gmin_variance(s, ensemble, t_opt).g_min
-        if scenario == "continuous_two_tone":
-            # kernel form: the root-found variant saturates below F ~ 0.07
-            # at this ensemble size and cannot cover the full fidelity grid
-            return gmin_continuous_kernel(s, ensemble, omega_s, sigma_amp).g_min
-        return gmin_intermittent(s, ensemble, omega_s, sigma_amp).g_min
+    tones = {"omega_s": omega_s, "sigma": sigma_amp}
+
+    def gmin(scenario: str, f: float) -> float:
+        return gmin_at_optimum(scenario, SensorModel(f, t2), ensemble, **tones).g_min
 
     scenarios = ("constant", "variance", "continuous_two_tone", "intermittent")
     rows_b = []
     for scenario in scenarios:
-        unity = scenario_gmin(scenario, 1.0)
-        values = _pmap(lambda f, sc=scenario: scenario_gmin(sc, f), f_grid, threads)
+        unity = gmin(scenario, 1.0)
+        values = _pmap(lambda f, sc=scenario: gmin(sc, f), f_grid, threads)
         for f, g in zip(f_grid, values):
             rows_b.append((scenario, f, g, g / unity))
     report.tables["fig3b_gmin_vs_fidelity"] = (
@@ -329,8 +312,8 @@ def run_fig3(
         report.checks.append(Check(
             f"{scenario}_fidelity_slope", abs(slopes[scenario] - expected) < 0.05,
             slopes[scenario], expected, 0.05))
-    g_09 = scenario_gmin("intermittent", 0.9)
-    g_10 = scenario_gmin("intermittent", 1.0)
+    g_09 = gmin("intermittent", 0.9)
+    g_10 = gmin("intermittent", 1.0)
     slope_near_1 = (math.log(g_10) - math.log(g_09)) / (math.log(1.0) - math.log(0.9))
     report.checks.append(Check(
         "intermittent_slope_near_unity_steeper", slope_near_1 < -0.5,
@@ -340,11 +323,8 @@ def run_fig3(
     # (c) integer compensation counts
     rows_c = []
     for scenario in ("constant", "variance", "intermittent"):
-        kwargs = {"n_shots": ensemble.n_shots, "t2": t2}
-        if scenario == "intermittent":
-            kwargs.update(omega_s=omega_s, sigma=sigma_amp)
-        values = _pmap(lambda f, kw=kwargs, sc=scenario: compensation_sensors(sc, f, **kw),
-                       f_grid, threads)
+        values = _pmap(lambda f, sc=scenario: compensation_sensors(
+            sc, f, n_shots=ensemble.n_shots, t2=t2, **tones), f_grid, threads)
         rows_c.extend((scenario, f, m) for f, m in zip(f_grid, values))
     report.tables["fig3c_compensation"] = (("scenario", "fidelity", "m_sensors"), rows_c)
 

@@ -3,9 +3,11 @@ compensation counts.
 
 Closed forms cover the constant signal, the linearized Gaussian-kernel
 family (variance and burst frequency-separation estimation), and the
-asymptotic compensation/excess-sensor ratios. A numeric root-finder on the
-exact SNR expression, with no small-signal expansion, backs every closed
-form; Monte-Carlo crossings back the root-finder.
+asymptotic compensation/excess-sensor ratios. `gmin_at_optimum` is the one
+place that maps a scenario name to its g_min at its optimal integration
+time; the pipelines and the compensation counts go through it. A numeric
+root-finder on the exact SNR expression, with no small-signal expansion,
+backs every closed form; Monte-Carlo crossings back the root-finder.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .montecarlo import simulate_shots
 from .sensor import EnsembleConfig, SensorModel, contrast, mean_population, qpn_variance
 from .signals import (
     Constant,
-    IntermittentTwoTone,
     SignalSpec,
     ToneConvention,
     TwoToneStochastic,
@@ -36,6 +37,7 @@ __all__ = [
     "gmin_intermittent",
     "gmin_continuous_two_tone",
     "gmin_continuous_kernel",
+    "gmin_at_optimum",
     "exact_snr",
     "root_found_gmin",
     "mc_snr",
@@ -69,6 +71,18 @@ class OptimalTime:
     at_bracket_edge: bool  # True when the optimum saturated the search window
 
 
+def _closed_form(
+    g: float, small_arg: float, sensor: SensorModel, ensemble: EnsembleConfig, **inputs
+) -> SensitivityResult:
+    """A closed-form result, valid while its expansion argument at g_min
+    ((g t)^2 or kappa g^2) stays below VALIDITY_LIMIT."""
+    return SensitivityResult(
+        g, "closed_form", validity=small_arg < VALIDITY_LIMIT,
+        inputs={**inputs, "fidelity": sensor.fidelity, "t2": sensor.t2,
+                "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors},
+    )
+
+
 def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Golden-section argmin of a unimodal f on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -92,13 +106,7 @@ def gmin_constant(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
     if t_i <= 0:
         raise ValueError("t_i must be > 0")
     g = 1.0 / (math.sqrt(ensemble.total) * t_i * contrast(sensor, t_i))
-    return SensitivityResult(
-        g,
-        "closed_form",
-        validity=(g * t_i) ** 2 < VALIDITY_LIMIT,
-        inputs={"t_i": t_i, "fidelity": sensor.fidelity, "t2": sensor.t2,
-                "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors},
-    )
+    return _closed_form(g, (g * t_i) ** 2, sensor, ensemble, t_i=t_i)
 
 
 def _kernel_x(c: float, nm: float) -> float:
@@ -113,8 +121,8 @@ def _kernel_x(c: float, nm: float) -> float:
 
 def gmin_gaussian_kernel(c: float, ensemble: EnsembleConfig, kappa: float) -> float:
     """g_min for any estimator whose signal enters as C e^{-kappa g^2}."""
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
+    if not (0 < kappa < math.inf):
+        raise ValueError("kappa must be finite and > 0")
     return math.sqrt(_kernel_x(c, ensemble.total) / kappa)
 
 
@@ -124,13 +132,7 @@ def gmin_variance(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
         raise ValueError("t_i must be > 0")
     kappa = t_i * t_i / 2.0
     g = gmin_gaussian_kernel(contrast(sensor, t_i), ensemble, kappa)
-    return SensitivityResult(
-        g,
-        "closed_form",
-        validity=kappa * g * g < VALIDITY_LIMIT,
-        inputs={"t_i": t_i, "fidelity": sensor.fidelity, "t2": sensor.t2,
-                "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors},
-    )
+    return _closed_form(g, kappa * g * g, sensor, ensemble, t_i=t_i)
 
 
 def gmin_intermittent(
@@ -141,32 +143,29 @@ def gmin_intermittent(
     convention: ToneConvention = ToneConvention.FULL_SPLIT,
 ) -> SensitivityResult:
     """Minimum detectable tone separation for a one-period burst measurement."""
-    t1 = 2 * math.pi / omega_s
     kappa = small_g_curvature(omega_s, sigma, convention)
+    t1 = 2 * math.pi / omega_s
     g = gmin_gaussian_kernel(contrast(sensor, t1), ensemble, kappa)
-    return SensitivityResult(
-        g,
-        "closed_form",
-        validity=kappa * g * g < VALIDITY_LIMIT,
-        inputs={"t1": t1, "omega_s": omega_s, "sigma": sigma,
-                "fidelity": sensor.fidelity, "t2": sensor.t2,
-                "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors,
-                "convention": convention.value},
-    )
+    return _closed_form(g, kappa * g * g, sensor, ensemble, t1=t1, omega_s=omega_s,
+                        sigma=sigma, convention=convention.value)
 
 
 def _with_g(spec: SignalSpec, g: float) -> SignalSpec:
     return replace(spec, g=g)
 
 
+def _snr(p: float, p_0: float, ensemble: EnsembleConfig) -> float:
+    """Signed SNR (p - p_0) / sqrt(QPN at p) of a population against its baseline."""
+    var = qpn_variance(p, ensemble)
+    if var == 0.0:
+        return math.copysign(math.inf, p - p_0) if p != p_0 else 0.0
+    return (p - p_0) / math.sqrt(var)
+
+
 def exact_snr(spec: SignalSpec, sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> float:
     """|mean_population(g) - mean_population(0)| / sqrt(QPN at g), no expansion."""
-    p_g = mean_population(spec, sensor, t_i)
     p_0 = mean_population(_with_g(spec, 0.0), sensor, t_i)
-    var = qpn_variance(p_g, ensemble)
-    if var == 0.0:
-        return math.inf if p_g != p_0 else 0.0
-    return abs(p_g - p_0) / math.sqrt(var)
+    return abs(_snr(mean_population(spec, sensor, t_i), p_0, ensemble))
 
 
 def root_found_gmin(
@@ -217,8 +216,7 @@ def mc_snr(
     probe = EnsembleConfig(n_shots, ensemble.m_sensors)
     table = simulate_shots(spec, sensor, probe, t_i, rng)
     p_hat = float(table.counts.mean()) / ensemble.m_sensors
-    p_0 = mean_population(_with_g(spec, 0.0), sensor, t_i)
-    return (p_hat - p_0) / math.sqrt(qpn_variance(p_hat, ensemble))
+    return _snr(p_hat, mean_population(_with_g(spec, 0.0), sensor, t_i), ensemble)
 
 
 def mc_gmin_crossing(
@@ -261,29 +259,20 @@ def snr_curve(
     ensemble: EnsembleConfig,
     g: float,
     t_grid,
-    rng=None,
-    shots_per_point: int = 200_000,
-    stream_factory: Callable[[int], object] | None = None,
 ) -> list[tuple[float, float]]:
-    """SNR vs integration time for a two-tone signal at separation g.
+    """Signed exact SNR vs integration time for a two-tone signal at separation g.
 
-    Analytic by default. Passing rng (sequential) or stream_factory
-    (per-point streams, safe to parallelize) switches to the Monte-Carlo
-    variant, which estimates the signal-on population from shots.
+    Its magnitude is exact_snr. The sign is kept: between rephasing times
+    the g = 0 baseline can sit above the signal-on population, and the
+    curve dips below zero there. The Monte-Carlo counterpart is mc_snr,
+    called per point.
     """
-    spec_g = _with_g(spec, g)
-    out = []
-    for idx, t_i in enumerate(t_grid):
-        if stream_factory is not None:
-            snr = mc_snr(spec_g, sensor, ensemble, t_i, stream_factory(idx), shots_per_point)
-        elif rng is not None:
-            snr = mc_snr(spec_g, sensor, ensemble, t_i, rng, shots_per_point)
-        else:
-            p_g = mean_population(spec_g, sensor, t_i)
-            p_0 = mean_population(_with_g(spec, 0.0), sensor, t_i)
-            snr = (p_g - p_0) / math.sqrt(qpn_variance(p_g, ensemble))
-        out.append((t_i, snr))
-    return out
+    spec_g, spec_0 = _with_g(spec, g), _with_g(spec, 0.0)
+    return [
+        (t_i, _snr(mean_population(spec_g, sensor, t_i),
+                   mean_population(spec_0, sensor, t_i), ensemble))
+        for t_i in t_grid
+    ]
 
 
 def optimal_integration_time(
@@ -385,8 +374,8 @@ def gmin_continuous_kernel(
     this extends to arbitrarily small contrast (the linearization ignores
     saturation), which is also where its validity flag turns False.
     """
-    period = 2 * math.pi / omega_s
     kappa_1 = small_g_curvature(omega_s, sigma, convention)
+    period = 2 * math.pi / omega_s
     n_max = max(1, int(5.0 * sensor.t2 / period))
 
     def g_at(n: int) -> float:
@@ -395,41 +384,41 @@ def gmin_continuous_kernel(
 
     best_n = min(range(1, n_max + 1), key=g_at)
     g = g_at(best_n)
-    kappa = best_n * best_n * kappa_1
-    return SensitivityResult(
-        g,
-        "closed_form",
-        validity=kappa * g * g < VALIDITY_LIMIT,
-        inputs={"t_opt": best_n * period, "n_periods": best_n,
-                "omega_s": omega_s, "sigma": sigma,
-                "fidelity": sensor.fidelity, "t2": sensor.t2,
-                "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors,
-                "convention": convention.value},
-    )
+    return _closed_form(g, best_n * best_n * kappa_1 * g * g, sensor, ensemble,
+                        t_opt=best_n * period, n_periods=best_n, omega_s=omega_s,
+                        sigma=sigma, convention=convention.value)
 
 
-def _scenario_gmin(
+def gmin_at_optimum(
     scenario: str,
-    fidelity: float,
-    m_sensors: int,
-    n_shots: int,
-    t2: float,
-    omega_s: float | None,
-    sigma: float | None,
-    convention: ToneConvention,
-) -> float:
-    """g_min at a scenario's own optimal time for the compensation searches."""
-    sensor = SensorModel(fidelity, t2)
-    ensemble = EnsembleConfig(n_shots, m_sensors)
+    sensor: SensorModel,
+    ensemble: EnsembleConfig,
+    *,
+    omega_s: float | None = None,
+    sigma: float | None = None,
+    convention: ToneConvention = ToneConvention.FULL_SPLIT,
+) -> SensitivityResult:
+    """g_min of a scenario at its own optimal integration time.
+
+    constant: at T2, the argmin of 1/(t C(t)) for every fidelity;
+    variance: at optimal_integration_time; continuous_two_tone: the kernel
+    form at its best period multiple (the root-found variant saturates at
+    low contrast and cannot cover a whole fidelity grid); intermittent:
+    pinned to one center period. The two-tone scenarios need omega_s and
+    sigma.
+    """
     if scenario == "constant":
-        # argmin of 1/(t C(t)) is t = T2 regardless of fidelity
-        return gmin_constant(sensor, ensemble, t2).g_min
+        return gmin_constant(sensor, ensemble, sensor.t2)
     if scenario == "variance":
         t_opt = optimal_integration_time("variance", sensor, ensemble).t_opt
-        return gmin_variance(sensor, ensemble, t_opt).g_min
-    if scenario == "intermittent":
-        return gmin_intermittent(sensor, ensemble, omega_s, sigma, convention).g_min
-    raise ValueError(f"unknown scenario: {scenario}")
+        return gmin_variance(sensor, ensemble, t_opt)
+    two_tone = {"continuous_two_tone": gmin_continuous_kernel,
+                "intermittent": gmin_intermittent}
+    if scenario not in two_tone:
+        raise ValueError(f"unknown scenario: {scenario}")
+    if omega_s is None or sigma is None:
+        raise ValueError(f"scenario {scenario} needs omega_s and sigma")
+    return two_tone[scenario](sensor, ensemble, omega_s, sigma, convention)
 
 
 def compensation_sensors(
@@ -444,31 +433,13 @@ def compensation_sensors(
 ) -> int:
     """Smallest sensor count matching one unity-fidelity sensor's g_min.
 
-    Both sides use the same N and their scenario-optimal integration time
-    (the burst scenario is pinned to t1 = one center period on both sides).
-    Doubling search then binary search on the closed forms.
+    The ceiling of compensation_threshold: both sides use the same N and
+    their scenario-optimal integration time (the burst scenario is pinned
+    to t1 = one center period on both sides).
     """
-    if not (0 < fidelity <= 1):
-        raise ValueError("fidelity must be in (0, 1]")
-    target = _scenario_gmin(scenario, 1.0, 1, n_shots, t2, omega_s, sigma, convention)
-
-    def meets(m: int) -> bool:
-        return _scenario_gmin(scenario, fidelity, m, n_shots, t2,
-                              omega_s, sigma, convention) <= target
-
-    hi = 1
-    while not meets(hi):
-        hi *= 2
-        if hi > 10**15:
-            raise ValueError("compensation count exceeds search bound")
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi if hi > 1 or meets(1) else 1
+    return math.ceil(compensation_threshold(
+        scenario, fidelity, n_shots=n_shots, t2=t2, omega_s=omega_s, sigma=sigma,
+        convention=convention))
 
 
 def compensation_threshold(
@@ -487,10 +458,12 @@ def compensation_threshold(
     threshold separates the physics (how close M*F^2 sits to 1) from integer
     rounding, which dominates when the count is small.
     """
-    target = _scenario_gmin(scenario, 1.0, 1, n_shots, t2, omega_s, sigma, convention)
-    kernel_scenarios = {"variance", "intermittent"}
-    if scenario not in kernel_scenarios and scenario != "constant":
+    if scenario not in ("constant", "variance", "intermittent"):
         raise ValueError(f"unknown scenario: {scenario}")
+    if not (0 < fidelity <= 1):
+        raise ValueError("fidelity must be in (0, 1]")
+    target = gmin_at_optimum(scenario, SensorModel(1.0, t2), EnsembleConfig(n_shots, 1),
+                             omega_s=omega_s, sigma=sigma, convention=convention).g_min
     if scenario == "constant":
         return 1.0 / fidelity**2
 

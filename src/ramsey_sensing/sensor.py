@@ -29,7 +29,6 @@ __all__ = [
     "excitation_probability",
     "qpn_variance",
     "mean_population",
-    "effective_coherence_time",
 ]
 
 
@@ -109,13 +108,3 @@ def mean_population(spec: SignalSpec, sensor: SensorModel, t_i: float) -> float:
     else:
         raise TypeError(f"unknown signal spec {type(spec).__name__}")
     return 0.5 * (1.0 - c * math.cos(sensor.theta) * damping)
-
-
-def effective_coherence_time(sensor: SensorModel, g: float) -> float:
-    """Coherence time with a stochastic shift of std g folded in.
-
-    1/T_eff^2 = 1/T2^2 + g^2.
-    """
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    return (1.0 / sensor.t2**2 + g**2) ** -0.5

@@ -11,14 +11,15 @@ redrawn between shots, so phi is an exactly Gaussian variable for the
 two-tone classes and its variance has a closed form too. The shot engine
 therefore draws phi directly, one normal per shot (`sample_phases`);
 `sample_realizations` and `accrued_phases` build the same phase from the
-four amplitudes and serve as its reference.
+four amplitudes, and `signal_value` evaluates the waveform of one
+coefficient row; they serve as its reference.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +29,9 @@ __all__ = [
     "StochasticAmplitude",
     "TwoToneStochastic",
     "IntermittentTwoTone",
-    "SignalRealization",
     "tone_angular_frequencies",
-    "sample_realization",
     "sample_realizations",
     "signal_value",
-    "accrued_phase",
     "accrued_phases",
     "sample_phases",
     "phase_variance_exact",
@@ -122,35 +120,18 @@ class IntermittentTwoTone:
 SignalSpec = Constant | StochasticAmplitude | TwoToneStochastic | IntermittentTwoTone
 
 
-@dataclass(frozen=True)
-class SignalRealization:
-    """Sampled per-shot coefficients.
-
-    Empty for Constant; [B_s] for StochasticAmplitude; [A1, B1, A2, B2] for
-    the two-tone classes.
-    """
-
-    coefficients: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("realization coefficients must be finite")
-
-
 def tone_angular_frequencies(spec: TwoToneStochastic | IntermittentTwoTone) -> tuple[float, float]:
     """(omega_1, omega_2) = omega_s +/- delta under the spec's convention."""
     delta = spec.g if spec.convention is ToneConvention.FULL_SPLIT else spec.g / 2.0
     return spec.omega_s + delta, spec.omega_s - delta
 
 
-def sample_realization(spec: SignalSpec, rng: np.random.Generator) -> SignalRealization:
-    """Draw one realization; frozen within a shot, independent across shots."""
-    return SignalRealization(sample_realizations(spec, 1, rng)[0])
-
-
 def sample_realizations(spec: SignalSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n realizations at once; rows are coefficient vectors."""
+    """Draw n realizations, frozen within a shot and independent across shots.
+
+    Rows are coefficient vectors: empty for Constant, [B_s] for
+    StochasticAmplitude, [A1, B1, A2, B2] for the two-tone classes.
+    """
     if isinstance(spec, Constant):
         return np.empty((n, 0))
     if isinstance(spec, StochasticAmplitude):
@@ -158,9 +139,8 @@ def sample_realizations(spec: SignalSpec, n: int, rng: np.random.Generator) -> n
     return rng.normal(0.0, spec.sigma, size=(n, 4))
 
 
-def signal_value(spec: SignalSpec, realization: SignalRealization, t: float) -> float:
-    """B(t) for one realization. For bursts, defined only inside the burst."""
-    c = realization.coefficients
+def signal_value(spec: SignalSpec, c: np.ndarray, t: float) -> float:
+    """B(t) for one coefficient row. For bursts, defined only inside the burst."""
     if isinstance(spec, Constant):
         return spec.g
     if isinstance(spec, StochasticAmplitude):
@@ -197,18 +177,8 @@ def _check_ti(spec: SignalSpec, t_i: float) -> None:
         raise ValueError("t_i exceeds the burst duration t_sig")
 
 
-def accrued_phase(spec: SignalSpec, realization: SignalRealization, t_i: float) -> float:
-    """Exact phi = integral of B over [0, t_i] for one realization."""
-    _check_ti(spec, t_i)
-    if isinstance(spec, Constant):
-        return spec.g * t_i
-    if isinstance(spec, StochasticAmplitude):
-        return float(realization.coefficients[0]) * t_i
-    return float(realization.coefficients @ _phase_weights(spec, t_i))
-
-
 def accrued_phases(spec: SignalSpec, coefficients: np.ndarray, t_i: float) -> np.ndarray:
-    """Vectorized accrued_phase over realization rows."""
+    """Exact phi = integral of B over [0, t_i] for each realization row."""
     _check_ti(spec, t_i)
     if isinstance(spec, Constant):
         return np.full(len(coefficients), spec.g * t_i)
@@ -254,6 +224,8 @@ def small_g_curvature(omega_s: float, sigma: float, convention: ToneConvention) 
     4*pi^2*sigma^2/omega_s^4 under FULL_SPLIT, a quarter of that under
     HALF_SPLIT.
     """
+    if not (0 < omega_s < math.inf and 0 < sigma < math.inf):
+        raise ValueError("omega_s and sigma must be finite and > 0")
     kappa = 4 * math.pi**2 * sigma**2 / omega_s**4
     if convention is ToneConvention.HALF_SPLIT:
         kappa /= 4.0

@@ -89,6 +89,16 @@ class TestAnalytic:
     def test_unknown_scenario_is_a_usage_error(self):
         assert run_cli(["analytic", "--scenario", "nope"]) == 2
 
+    @pytest.mark.parametrize("source", [["--fidelity", "0.9", "--t2", "0.008"],
+                                        ["--contrast", "0.903"]])
+    @pytest.mark.parametrize("omega_s_hz, sigma_hz", [("0", "275"), ("nan", "275"),
+                                                      ("2000", "0"), ("2000", "inf")])
+    def test_bad_tones_are_usage_errors(self, capsys, source, omega_s_hz, sigma_hz):
+        rc = run_cli(["analytic", "--scenario", "intermittent", "--omega-s-hz", omega_s_hz,
+                      "--sigma-hz", sigma_hz, *source])
+        assert rc == 2
+        assert "omega_s and sigma must be finite and > 0" in capsys.readouterr().err
+
     def test_threads_must_be_positive(self, capsys):
         rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "1",
                       "--t2", "1", "--ti", "1", "--threads", "0"])

@@ -23,9 +23,8 @@ from ramsey_sensing.estimators import (
     estimate_amplitude,
     estimate_frequency_separation,
     estimate_variance,
-    read_bias_scan,
-    write_bias_scan,
 )
+from ramsey_sensing.io_utils import write_csv
 from ramsey_sensing.montecarlo import PopulationEstimate
 from ramsey_sensing.sensor import SensorModel, contrast, mean_population
 from ramsey_sensing.signals import IntermittentTwoTone, StochasticAmplitude
@@ -206,6 +205,11 @@ class TestEmpiricalGmin:
         with pytest.raises(ValueError):
             empirical_gmin(self._clean_scan(), rel_tol=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tolerance_rejected(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            empirical_gmin(self._clean_scan(), rel_tol=rel_tol)
+
     def test_qualification_must_be_contiguous_from_the_top(self):
         rows = [_defined_row(g, [g, g, g]) for g in self.GRID]
         rows[2] = _defined_row(40.0, [80.0, 90.0, 100.0])  # badly biased row
@@ -268,16 +272,17 @@ class TestBiasScanIO:
         assert rows[4] == (40.0, 0, "out_of_domain", None)
 
     def test_csv_round_trip(self, tmp_path):
-        scan = self._mixed_scan()
+        # the pipelines write their estimate tables as bias_scan_rows through
+        # write_csv; every cell must parse back to the same value
+        rows = bias_scan_rows(self._mixed_scan())
+        header = ("g_applied_hz", "rep_index", "status", "g_hat_hz")
         path = tmp_path / "scan.csv"
-        write_bias_scan(scan, path)
-        back = read_bias_scan(path)
-        assert len(back.rows) == len(scan.rows)
-        for (g_a, reps_a), (g_b, reps_b) in zip(scan.rows, back.rows):
-            assert_allclose(g_b, g_a, rtol=1e-14)
-            for oa, ob in zip(reps_a, reps_b):
-                assert oa.defined == ob.defined
-                if oa.defined:
-                    assert_allclose(ob.g_hat, oa.g_hat, rtol=1e-14)
-                else:
-                    assert ob.reason is oa.reason
+        write_csv(path, header, rows)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        back = []
+        for line in lines[1:]:
+            g_hz, rep, status, g_hat_hz = line.split(",")
+            back.append((float(g_hz), int(rep), status,
+                         float(g_hat_hz) if g_hat_hz else None))
+        assert back == rows

@@ -22,6 +22,7 @@ from ramsey_sensing.sensitivity import (
     continuous_optimal_u,
     exact_snr,
     excess_sensors,
+    gmin_at_optimum,
     gmin_constant,
     gmin_continuous_kernel,
     gmin_continuous_two_tone,
@@ -29,6 +30,7 @@ from ramsey_sensing.sensitivity import (
     gmin_intermittent,
     gmin_variance,
     mc_gmin_crossing,
+    mc_snr,
     optimal_integration_time,
     root_found_gmin,
     snr_curve,
@@ -108,6 +110,11 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gmin_gaussian_kernel(0.5, EnsembleConfig(10, 1), 0.0)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_nonfinite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            gmin_gaussian_kernel(0.5, EnsembleConfig(10, 1), kappa)
+
 
 class TestVarianceClosedForm:
     def test_reduces_to_kernel_with_time_squared_curvature(self):
@@ -145,6 +152,62 @@ class TestIntermittentClosedForm:
         half = gmin_intermittent(
             sensor, ens, self.OMEGA_S, self.SIGMA, ToneConvention.HALF_SPLIT)
         assert_allclose(half.g_min, 2.0 * full.g_min, rtol=1e-12)
+
+
+BAD_TONES = [
+    (0.0, TWO_PI * 275.0),
+    (-TWO_PI * 2000.0, TWO_PI * 275.0),
+    (math.nan, TWO_PI * 275.0),
+    (math.inf, TWO_PI * 275.0),
+    (TWO_PI * 2000.0, 0.0),
+    (TWO_PI * 2000.0, -1.0),
+    (TWO_PI * 2000.0, math.nan),
+    (TWO_PI * 2000.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("solver", [gmin_intermittent, gmin_continuous_kernel])
+@pytest.mark.parametrize("omega_s, sigma", BAD_TONES)
+def test_two_tone_closed_forms_reject_bad_tones(solver, omega_s, sigma):
+    with pytest.raises(ValueError, match="omega_s and sigma"):
+        solver(SensorModel(0.9, 8e-3), EnsembleConfig(1000, 1), omega_s, sigma)
+
+
+class TestGminAtOptimum:
+    SENSOR = SensorModel(0.7, 10e-3)
+    ENS = EnsembleConfig(1000, 1)
+    TONES = dict(omega_s=TWO_PI * 1000.0, sigma=TWO_PI * 500.0)
+
+    def test_dispatches_each_scenario_at_its_optimal_time(self):
+        s, ens = self.SENSOR, self.ENS
+        t_var = optimal_integration_time("variance", s, ens).t_opt
+        w, sig = self.TONES["omega_s"], self.TONES["sigma"]
+        expected = {
+            "constant": gmin_constant(s, ens, s.t2),
+            "variance": gmin_variance(s, ens, t_var),
+            "continuous_two_tone": gmin_continuous_kernel(s, ens, w, sig),
+            "intermittent": gmin_intermittent(s, ens, w, sig),
+        }
+        for scenario, direct in expected.items():
+            assert gmin_at_optimum(scenario, s, ens, **self.TONES) == direct
+        assert gmin_at_optimum("variance", s, ens).inputs["t_i"] == t_var
+
+    def test_convention_reaches_the_two_tone_forms(self):
+        full = gmin_at_optimum("intermittent", self.SENSOR, self.ENS, **self.TONES)
+        half = gmin_at_optimum("intermittent", self.SENSOR, self.ENS, **self.TONES,
+                               convention=ToneConvention.HALF_SPLIT)
+        assert_allclose(half.g_min, 2.0 * full.g_min, rtol=1e-12)
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            gmin_at_optimum("ramp", self.SENSOR, self.ENS)
+
+    @pytest.mark.parametrize("scenario", ["continuous_two_tone", "intermittent"])
+    @pytest.mark.parametrize("missing", ["omega_s", "sigma"])
+    def test_two_tone_scenarios_need_their_tones(self, scenario, missing):
+        tones = {k: v for k, v in self.TONES.items() if k != missing}
+        with pytest.raises(ValueError, match="needs omega_s and sigma"):
+            gmin_at_optimum(scenario, self.SENSOR, self.ENS, **tones)
 
 
 class TestRootFinder:
@@ -186,11 +249,14 @@ class TestSnrCurve:
     SPEC = TwoToneStochastic(TWO_PI * 1000, TWO_PI * 10, TWO_PI * 500)
 
     def test_analytic_curve_matches_exact_snr(self):
-        t_grid = [0.5e-3, 1e-3, 2e-3]
+        # on the fig3 panel (a) grid the signed curve dips below zero between
+        # rephasing times; its magnitude is exact_snr bit for bit
+        spec = TwoToneStochastic(self.SPEC.omega_s, TWO_PI * 10, self.SPEC.sigma)
+        t_grid = [round(k * 5e-5, 10) for k in range(1, 601)]
         curve = snr_curve(self.SPEC, self.SENSOR, self.ENS, TWO_PI * 10, t_grid)
-        for (t_i, snr) in curve:
-            spec = TwoToneStochastic(self.SPEC.omega_s, TWO_PI * 10, self.SPEC.sigma)
-            assert_allclose(snr, exact_snr(spec, self.SENSOR, self.ENS, t_i), rtol=1e-12)
+        assert min(snr for _, snr in curve) < -0.5
+        for t_i, snr in curve:
+            assert abs(snr) == exact_snr(spec, self.SENSOR, self.ENS, t_i)
 
     def test_rephasing_times_beat_the_midpoints(self):
         period = TWO_PI / self.SPEC.omega_s
@@ -200,12 +266,16 @@ class TestSnrCurve:
         assert curve[2 * period] > curve[1.5 * period]
 
     def test_mc_variant_is_deterministic_and_concordant(self):
+        # the Monte-Carlo SNR curve is mc_snr per point, one stream per point
         t_grid = [1e-3, 2e-3, 3e-3]
-        factory = lambda idx: derive_stream(11, 1, idx)
-        a = snr_curve(self.SPEC, self.SENSOR, self.ENS, TWO_PI * 10, t_grid,
-                      stream_factory=factory, shots_per_point=50_000)
-        b = snr_curve(self.SPEC, self.SENSOR, self.ENS, TWO_PI * 10, t_grid,
-                      stream_factory=factory, shots_per_point=50_000)
+
+        def mc_curve():
+            return [(t_i, mc_snr(self.SPEC, self.SENSOR, self.ENS, t_i,
+                                 derive_stream(11, 1, idx), 50_000))
+                    for idx, t_i in enumerate(t_grid)]
+
+        a = mc_curve()
+        b = mc_curve()
         assert a == b
         analytic = snr_curve(self.SPEC, self.SENSOR, self.ENS, TWO_PI * 10, t_grid)
         sigma = math.sqrt(self.ENS.total / 50_000)
@@ -316,6 +386,26 @@ class TestCompensation:
             compensation_sensors("ramp", 0.5, n_shots=10, t2=1.0)
         with pytest.raises(ValueError):
             compensation_threshold("ramp", 0.5, n_shots=10, t2=1.0)
+
+    @pytest.mark.parametrize("solver", [compensation_sensors, compensation_threshold])
+    @pytest.mark.parametrize("scenario", ["constant", "variance", "intermittent"])
+    @pytest.mark.parametrize("fidelity", [0.0, 1.5, math.nan])
+    def test_fidelity_outside_unit_interval_rejected(self, solver, scenario, fidelity):
+        kwargs = dict(n_shots=1000, t2=7.97e-3, omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
+        with pytest.raises(ValueError, match="fidelity"):
+            solver(scenario, fidelity, **kwargs)
+
+    @pytest.mark.parametrize("solver", [compensation_sensors, compensation_threshold])
+    def test_intermittent_needs_its_tones(self, solver):
+        with pytest.raises(ValueError, match="needs omega_s and sigma"):
+            solver("intermittent", 0.5, n_shots=1000, t2=7.97e-3)
+        with pytest.raises(ValueError, match="needs omega_s and sigma"):
+            solver("intermittent", 0.5, n_shots=1000, t2=7.97e-3, omega_s=TWO_PI * 2000)
+
+    def test_continuous_two_tone_has_no_compensation_count(self):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            compensation_threshold("continuous_two_tone", 0.5, n_shots=1000, t2=10e-3,
+                                   omega_s=TWO_PI * 1000, sigma=TWO_PI * 500)
 
 
 class TestContinuousOptimum:

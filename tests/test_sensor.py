@@ -14,7 +14,6 @@ from ramsey_sensing.sensor import (
     EnsembleConfig,
     SensorModel,
     contrast,
-    effective_coherence_time,
     excitation_probability,
     mean_population,
     qpn_variance,
@@ -168,17 +167,3 @@ class TestMeanPopulation:
         with pytest.raises(TypeError):
             mean_population(object(), SensorModel(0.9, 1.0), 0.1)
 
-
-class TestEffectiveCoherenceTime:
-    def test_frozen_value(self):
-        t_eff = effective_coherence_time(SensorModel(0.91, 7.97e-3), TWO_PI * 275)
-        assert_allclose(t_eff, 5.772253921606001e-4, rtol=1e-12)
-
-    def test_quadrature_combination(self):
-        s = SensorModel(1.0, 2.0)
-        assert effective_coherence_time(s, 0.0) == 2.0
-        assert_allclose(effective_coherence_time(s, 0.5), 1.0 / math.sqrt(0.5), rtol=1e-15)
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(ValueError):
-            effective_coherence_time(SensorModel(0.9, 1.0), -0.1)

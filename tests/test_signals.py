@@ -17,15 +17,12 @@ from numpy.testing import assert_allclose
 from ramsey_sensing.signals import (
     Constant,
     IntermittentTwoTone,
-    SignalRealization,
     StochasticAmplitude,
     ToneConvention,
     TwoToneStochastic,
-    accrued_phase,
     accrued_phases,
     phase_variance_exact,
     sample_phases,
-    sample_realization,
     sample_realizations,
     signal_value,
     small_g_curvature,
@@ -62,10 +59,6 @@ class TestSpecValidation:
         spec = IntermittentTwoTone(omega, 1.0, 1.0, 2.0 * period)
         assert spec.period == pytest.approx(1e-3, rel=1e-12)
 
-    def test_realization_rejects_nonfinite_coefficients(self):
-        with pytest.raises(ValueError):
-            SignalRealization(np.array([1.0, math.inf, 0.0, 0.0]))
-
 
 class TestToneFrequencies:
     def test_full_split_places_tones_at_omega_plus_minus_g(self):
@@ -90,8 +83,8 @@ class TestSampling:
         assert sample_realizations(Constant(1.0), 5, rng).shape == (5, 0)
         assert sample_realizations(StochasticAmplitude(1.0), 5, rng).shape == (5, 1)
         assert sample_realizations(TwoToneStochastic(10.0, 1.0, 1.0), 5, rng).shape == (5, 4)
-        one = sample_realization(IntermittentTwoTone(10.0, 1.0, 1.0, 0.3), rng)
-        assert one.coefficients.shape == (4,)
+        one = sample_realizations(IntermittentTwoTone(10.0, 1.0, 1.0, 0.3), 1, rng)
+        assert one.shape == (1, 4)
 
     def test_same_stream_key_reproduces_draws(self):
         spec = TwoToneStochastic(10.0, 1.0, 2.0)
@@ -116,25 +109,28 @@ class TestSignalValue:
         spec = TwoToneStochastic(TWO_PI * 50, TWO_PI * 7, 1.0)
         w1, w2 = tone_angular_frequencies(spec)
         c = np.array([0.3, -1.2, 2.0, 0.7])
-        r = SignalRealization(c)
         for t in (0.0, 0.013, 0.4):
             expected = (
                 c[0] * math.sin(w1 * t) + c[1] * math.cos(w1 * t)
                 + c[2] * math.sin(w2 * t) + c[3] * math.cos(w2 * t)
             )
-            assert_allclose(signal_value(spec, r, t), expected, rtol=1e-15)
+            assert_allclose(signal_value(spec, c, t), expected, rtol=1e-15)
 
     def test_constant_and_stochastic_values(self):
-        assert signal_value(Constant(4.2), SignalRealization(), 0.9) == 4.2
-        r = SignalRealization(np.array([-1.3]))
-        assert signal_value(StochasticAmplitude(2.0), r, 0.1) == -1.3
+        assert signal_value(Constant(4.2), np.empty(0), 0.9) == 4.2
+        assert signal_value(StochasticAmplitude(2.0), np.array([-1.3]), 0.1) == -1.3
 
     def test_burst_signal_undefined_past_burst_end(self):
         spec = IntermittentTwoTone(TWO_PI * 1000, 1.0, 1.0, 0.5e-3)
-        r = SignalRealization(np.ones(4))
-        signal_value(spec, r, 0.5e-3)  # inside, fine
+        c = np.ones(4)
+        signal_value(spec, c, 0.5e-3)  # inside, fine
         with pytest.raises(ValueError):
-            signal_value(spec, r, 0.6e-3)
+            signal_value(spec, c, 0.6e-3)
+
+
+def _phase_of_row(spec, row, t_i: float) -> float:
+    """accrued_phases of a single coefficient row."""
+    return float(accrued_phases(spec, np.asarray(row, dtype=float)[None, :], t_i)[0])
 
 
 class TestAccruedPhase:
@@ -144,34 +140,32 @@ class TestAccruedPhase:
         spec = TwoToneStochastic(TWO_PI * 1000, TWO_PI * 180, TWO_PI * 500)
         rng = derive_stream(31, 20)
         for t_i in (0.21e-3, 1e-3, 2.7e-3):
-            r = sample_realization(spec, rng)
+            row = sample_realizations(spec, 1, rng)[0]
             ts = np.linspace(0.0, t_i, 20_001)
-            vals = [signal_value(spec, r, float(t)) for t in ts]
+            vals = [signal_value(spec, row, float(t)) for t in ts]
             oracle = float(np.trapezoid(vals, ts))
-            assert_allclose(accrued_phase(spec, r, t_i), oracle, rtol=0, atol=5e-7 * abs(oracle) + 1e-12)
+            assert_allclose(_phase_of_row(spec, row, t_i), oracle, rtol=0,
+                            atol=5e-7 * abs(oracle) + 1e-12)
 
     def test_burst_integral_matches_too(self):
         spec = IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 300, TWO_PI * 275, 0.5e-3)
-        r = sample_realization(spec, derive_stream(31, 21))
+        row = sample_realizations(spec, 1, derive_stream(31, 21))[0]
         t_i = spec.period
         ts = np.linspace(0.0, t_i, 20_001)
-        oracle = float(np.trapezoid([signal_value(spec, r, float(t)) for t in ts], ts))
-        assert_allclose(accrued_phase(spec, r, t_i), oracle, rtol=5e-7)
+        oracle = float(np.trapezoid([signal_value(spec, row, float(t)) for t in ts], ts))
+        assert_allclose(_phase_of_row(spec, row, t_i), oracle, rtol=5e-7)
 
     def test_constant_and_stochastic_phases_are_linear_in_time(self):
-        assert accrued_phase(Constant(3.0), SignalRealization(), 0.25) == 0.75
-        r = SignalRealization(np.array([1.7]))
-        assert accrued_phase(StochasticAmplitude(1.0), r, 2.0) == 3.4
+        assert _phase_of_row(Constant(3.0), [], 0.25) == 0.75
+        assert _phase_of_row(StochasticAmplitude(1.0), [1.7], 2.0) == 3.4
 
     def test_phase_is_linear_in_coefficients(self):
         spec = TwoToneStochastic(TWO_PI * 100, TWO_PI * 11, 1.0)
         c1 = np.array([1.0, 0.5, -0.25, 2.0])
         c2 = np.array([-0.7, 0.1, 1.1, 0.0])
         t_i = 3.3e-3
-        lhs = accrued_phase(spec, SignalRealization(2.0 * c1 - 3.0 * c2), t_i)
-        rhs = 2.0 * accrued_phase(spec, SignalRealization(c1), t_i) - 3.0 * accrued_phase(
-            spec, SignalRealization(c2), t_i
-        )
+        lhs = _phase_of_row(spec, 2.0 * c1 - 3.0 * c2, t_i)
+        rhs = 2.0 * _phase_of_row(spec, c1, t_i) - 3.0 * _phase_of_row(spec, c2, t_i)
         assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_batch_matches_per_row_evaluation(self):
@@ -179,17 +173,16 @@ class TestAccruedPhase:
         coeffs = sample_realizations(spec, 50, derive_stream(31, 22))
         t_i = 0.8e-3
         batch = accrued_phases(spec, coeffs, t_i)
-        loop = [accrued_phase(spec, SignalRealization(row), t_i) for row in coeffs]
-        # summation order differs between the matrix product and the dot
+        loop = [_phase_of_row(spec, row, t_i) for row in coeffs]
+        # a batch and a one-row matrix product may order their sums differently
         assert_allclose(batch, loop, rtol=5e-15)
 
     def test_integration_window_validation(self):
         spec = IntermittentTwoTone(TWO_PI * 1000, 1.0, 1.0, 0.5e-3)
-        r = SignalRealization(np.ones(4))
         with pytest.raises(ValueError):
-            accrued_phase(spec, r, 0.0)
+            _phase_of_row(spec, np.ones(4), 0.0)
         with pytest.raises(ValueError):
-            accrued_phase(spec, r, 0.6e-3)  # beyond the burst
+            _phase_of_row(spec, np.ones(4), 0.6e-3)  # beyond the burst
         with pytest.raises(ValueError):
             accrued_phases(Constant(1.0), np.empty((3, 0)), -1.0)
 
