@@ -213,7 +213,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         if args.contrast is not None:
             # direct-contrast path: the burst closed form needs only C(t1)
             kappa = small_g_curvature(omega_s, sigma, convention)
-            g = gmin_gaussian_kernel(args.contrast, ensemble, kappa)
+            g = gmin_gaussian_kernel(args.contrast, ensemble.total, kappa)
             result = SensitivityResult(
                 g, "closed_form", validity=kappa * g * g < VALIDITY_LIMIT,
                 inputs={"contrast": args.contrast})

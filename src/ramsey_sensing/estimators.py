@@ -1,11 +1,14 @@
 """Inversion of population estimates to signal-parameter estimates.
 
-Each estimator inverts the exact forward map of its signal class, so it
-stays valid over the whole scan range instead of only in the linearized
-small-signal regime. Measurements that cannot be inverted (below the g=0
-baseline, or past the fringe turnover) are excluded as values, not errors;
-repetitions aggregate by the median of the defined estimates, which is
-robust to the heavy upper tail the exclusion rule creates.
+The amplitude and variance estimators invert the exact forward map of their
+signal class, so they stay valid over the whole scan range.
+estimate_frequency_separation inverts the small-g model of the burst
+signal, so it reads large separations low: its noiseless g_hat/g on the
+replica grid is 0.996 at 316 Hz and 0.949 at 1000 Hz. Measurements that
+cannot be inverted (below the g=0 baseline, or past the fringe turnover)
+are excluded as values, not errors; repetitions aggregate by the median of
+the defined estimates, which is robust to the heavy upper tail the
+exclusion rule creates.
 """
 
 from __future__ import annotations

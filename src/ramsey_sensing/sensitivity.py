@@ -5,18 +5,19 @@ Closed forms cover the constant signal, the linearized Gaussian-kernel
 family (variance and burst frequency-separation estimation), and the
 asymptotic compensation/excess-sensor ratios. `gmin_at_optimum` is the one
 place that maps a scenario name to its g_min at its optimal integration
-time; the pipelines and the compensation counts go through it. A numeric
-root-finder on the exact SNR expression, with no small-signal expansion,
-backs every closed form; Monte-Carlo crossings back the root-finder.
+time; the pipelines and the compensation counts go through it. The
+compensation threshold inverts the linearized kernel in closed form. A
+root-finder on the exact SNR expression (`root_found_gmin`, by the
+in-package Brent solver `brentq`), with no small-signal expansion, backs
+every closed form; Monte-Carlo crossings back the root-finder.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
-
-from scipy.optimize import brentq
 
 from .montecarlo import simulate_shots
 from .sensor import EnsembleConfig, SensorModel, contrast, mean_population, qpn_variance
@@ -101,6 +102,66 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return 0.5 * (a + b)
 
 
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    *,
+    xtol: float = 2e-12,
+    rtol: float = 4 * sys.float_info.epsilon,
+    maxiter: int = 100,
+) -> float:
+    """Root of f on a bracket [a, b] where f changes sign, by Brent's method.
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
+    secant or inverse-quadratic steps, with a bisection whenever the step
+    would not shrink the bracket fast enough. Stops once the bracket half
+    width is below (xtol + rtol |x|)/2. The loop follows scipy.optimize.brentq
+    step for step, with its defaults, so both return the same float.
+    perfbench counts calls to this function under the name brentq.
+    """
+    if not (xtol > 0 and rtol >= 4 * sys.float_info.epsilon):
+        raise ValueError("xtol must be > 0 and rtol >= 4 machine epsilons")
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre  # the contrapoint keeps the sign change
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry
+                bisect = False
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+
+
 def gmin_constant(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> SensitivityResult:
     """Minimum detectable constant shift, 1/(sqrt(NM) t_i C(t_i))."""
     if t_i <= 0:
@@ -109,21 +170,34 @@ def gmin_constant(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
     return _closed_form(g, (g * t_i) ** 2, sensor, ensemble, t_i=t_i)
 
 
-def _kernel_x(c: float, nm: float) -> float:
-    """Positive root x = kappa*g_min^2 of the linearized SNR=1 quadratic.
+def gmin_gaussian_kernel(c: float, nm: float, kappa: float) -> float:
+    """g_min for any estimator whose signal enters as C e^{-kappa g^2}.
 
-    Model: delta_p = C(1-e^{-kappa g^2})/2, sigma^2 = (1-C^2 e^{-2 kappa g^2})/(4NM).
+    x = kappa*g_min^2 is the positive root (C + sqrt(C^2 + NM(1-C^2)))/(NM C)
+    of the linearized SNR=1 quadratic, with delta_p = C(1-e^{-x})/2 and
+    sigma^2 = (1-C^2 e^{-2x})/(4NM). The kernel depends on N and M only
+    through nm = N*M, which may be real.
     """
     if not (0 < c <= 1):
         raise ValueError("contrast must be in (0, 1]")
-    return (c + math.sqrt(c * c + nm * (1.0 - c * c))) / (nm * c)
-
-
-def gmin_gaussian_kernel(c: float, ensemble: EnsembleConfig, kappa: float) -> float:
-    """g_min for any estimator whose signal enters as C e^{-kappa g^2}."""
+    if not (0 < nm < math.inf):
+        raise ValueError("nm must be finite and > 0")
     if not (0 < kappa < math.inf):
         raise ValueError("kappa must be finite and > 0")
-    return math.sqrt(_kernel_x(c, ensemble.total) / kappa)
+    x = (c + math.sqrt(c * c + nm * (1.0 - c * c))) / (nm * c)
+    return math.sqrt(x / kappa)
+
+
+def _kernel_nm(c: float, x: float) -> float:
+    """Inverse of the kernel root: the N*M at which kappa*g_min^2 = x.
+
+    NM = (1 - C^2 + 2x C^2)/(x^2 C^2) = (1 - C^2)/(x C)^2 + 2/x, with 1 - C^2
+    rounded as in gmin_gaussian_kernel, so a round trip is exact up to
+    rounding even where C is close to 1. x C stays finite where C^2 would
+    underflow; a count past the float range comes back as inf.
+    """
+    xc = x * c
+    return (1.0 - c * c) / xc / xc + 2.0 / x if xc > 0 else math.inf
 
 
 def gmin_variance(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> SensitivityResult:
@@ -131,7 +205,7 @@ def gmin_variance(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
     if t_i <= 0:
         raise ValueError("t_i must be > 0")
     kappa = t_i * t_i / 2.0
-    g = gmin_gaussian_kernel(contrast(sensor, t_i), ensemble, kappa)
+    g = gmin_gaussian_kernel(contrast(sensor, t_i), ensemble.total, kappa)
     return _closed_form(g, kappa * g * g, sensor, ensemble, t_i=t_i)
 
 
@@ -145,7 +219,7 @@ def gmin_intermittent(
     """Minimum detectable tone separation for a one-period burst measurement."""
     kappa = small_g_curvature(omega_s, sigma, convention)
     t1 = 2 * math.pi / omega_s
-    g = gmin_gaussian_kernel(contrast(sensor, t1), ensemble, kappa)
+    g = gmin_gaussian_kernel(contrast(sensor, t1), ensemble.total, kappa)
     return _closed_form(g, kappa * g * g, sensor, ensemble, t1=t1, omega_s=omega_s,
                         sigma=sigma, convention=convention.value)
 
@@ -175,11 +249,12 @@ def root_found_gmin(
     t_i: float,
     g_upper: float | None = None,
 ) -> SensitivityResult:
-    """SNR(g)=1 crossing of the exact SNR by bracketing and brentq.
+    """SNR(g)=1 crossing of the exact SNR, bracketed, then solved by brentq.
 
     The bracket grows geometrically from a small start until the SNR exceeds
     1; for the constant signal the search is capped at the first fringe
-    turnover g = pi/(2 t_i), beyond which the response folds back.
+    turnover g = pi/(2 t_i), beyond which the response folds back. The
+    in-package Brent solver then refines the crossing to rtol 1e-14.
     """
     f = lambda g: exact_snr(_with_g(spec, g), sensor, ensemble, t_i) - 1.0
     if g_upper is None:
@@ -380,7 +455,7 @@ def gmin_continuous_kernel(
 
     def g_at(n: int) -> float:
         c = contrast(sensor, n * period)
-        return gmin_gaussian_kernel(c, ensemble, n * n * kappa_1)
+        return gmin_gaussian_kernel(c, ensemble.total, n * n * kappa_1)
 
     best_n = min(range(1, n_max + 1), key=g_at)
     g = g_at(best_n)
@@ -456,7 +531,12 @@ def compensation_threshold(
 
     The integer compensation count is the ceiling of this; exposing the real
     threshold separates the physics (how close M*F^2 sits to 1) from integer
-    rounding, which dominates when the count is small.
+    rounding, which dominates when the count is small. The Gaussian-kernel
+    scenarios invert the kernel root in closed form: intermittent at t1 with
+    x* = kappa g_1^2, variance as the golden-section minimum over t of the
+    N*M needed for x*(t) = t^2 g_1^2/2, where g_1 is the unity sensor's
+    g_min. The kernel root falls strictly as N*M grows, so at F = 1 the only
+    solution is M = 1, returned exactly.
     """
     if scenario not in ("constant", "variance", "intermittent"):
         raise ValueError(f"unknown scenario: {scenario}")
@@ -466,29 +546,20 @@ def compensation_threshold(
                              omega_s=omega_s, sigma=sigma, convention=convention).g_min
     if scenario == "constant":
         return 1.0 / fidelity**2
-
-    def excess(log_m: float) -> float:
-        # the kernel depends on N and M only through N*M, so real M is fine
-        nm = n_shots * math.exp(log_m)
-        sensor = SensorModel(fidelity, t2)
-        if scenario == "variance":
-            def g_at(t: float) -> float:
-                return math.sqrt(_kernel_x(contrast(sensor, t), nm) / (t * t / 2.0))
-            g = g_at(_golden_min(g_at, 1e-6 * t2, 5.0 * t2, 1e-5 * t2))
-        else:
-            t1 = 2 * math.pi / omega_s
-            kappa = small_g_curvature(omega_s, sigma, convention)
-            g = math.sqrt(_kernel_x(contrast(sensor, t1), nm) / kappa)
-        return g - target
-
-    lo, hi = 0.0, math.log(2.0)
-    while excess(hi) > 0:
-        hi += math.log(2.0)
-        if hi > 40:
-            raise ValueError("compensation threshold exceeds search bound")
-    while excess(lo) < 0 and lo > -40:
-        lo -= math.log(2.0)
-    return math.exp(brentq(excess, lo, hi, rtol=1e-12))
+    if fidelity == 1.0:
+        return 1.0
+    sensor = SensorModel(fidelity, t2)
+    if scenario == "variance":
+        def nm_at(t: float) -> float:
+            return _kernel_nm(contrast(sensor, t), t * t * target * target / 2.0)
+        # the minimum's error is second order in the argmin's: about 1e-15 here
+        nm = nm_at(_golden_min(nm_at, 1e-6 * t2, 5.0 * t2, 1e-7 * t2))
+    else:
+        kappa = small_g_curvature(omega_s, sigma, convention)
+        nm = _kernel_nm(contrast(sensor, 2 * math.pi / omega_s), kappa * target * target)
+    if not math.isfinite(nm):
+        raise ValueError("compensation threshold overflows a float")
+    return nm / n_shots
 
 
 def continuous_optimal_u(fidelity: float) -> float:

@@ -161,12 +161,17 @@ def _phase_weights(spec: TwoToneStochastic | IntermittentTwoTone, t_i: float) ->
 
     A sin(wt) integrates to A*(1-cos(w t_i))/w and B cos(wt) to
     B*sin(w t_i)/w; 1-cos is evaluated as 2 sin^2 for small-angle accuracy.
+    A tone at w = 0 (g = omega_s under FULL_SPLIT, 2 omega_s under
+    HALF_SPLIT) takes the w -> 0 limit of both weights, (0, t_i).
     """
     w1, w2 = tone_angular_frequencies(spec)
     out = np.empty(4)
     for k, w in enumerate((w1, w2)):
-        out[2 * k] = 2.0 * math.sin(0.5 * w * t_i) ** 2 / w
-        out[2 * k + 1] = math.sin(w * t_i) / w
+        if w == 0.0:
+            out[2 * k], out[2 * k + 1] = 0.0, t_i
+        else:
+            out[2 * k] = 2.0 * math.sin(0.5 * w * t_i) ** 2 / w
+            out[2 * k + 1] = math.sin(w * t_i) / w
     return out
 
 

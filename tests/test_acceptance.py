@@ -133,7 +133,7 @@ def test_contrast_loss_inversion_root_is_positive_branch():
                 hi *= 2.0
             x_root = brentq(snr_gap, 1e-18 / nm, hi, rtol=1e-14)
             g_oracle = math.sqrt(x_root / kappa)
-            g_kernel = gmin_gaussian_kernel(c, EnsembleConfig(nm, 1), kappa)
+            g_kernel = gmin_gaussian_kernel(c, nm, kappa)
             worst = max(worst, abs(g_kernel - g_oracle) / g_oracle)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f} s"
@@ -225,7 +225,7 @@ def test_burst_two_tone_sensitivity_reproduces_290_hz():
     start = time.perf_counter()
     kappa = small_g_curvature(TWO_PI * 2000, TWO_PI * 275,
                               ToneConvention.FULL_SPLIT)
-    g_analytic = gmin_gaussian_kernel(0.903, EnsembleConfig(1000, 1), kappa)
+    g_analytic = gmin_gaussian_kernel(0.903, 1000, kappa)
     report = run_experiment_replica(7)
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0, f"runtime budget exceeded: {elapsed:.1f} s"

@@ -185,6 +185,13 @@ class TestSimulate:
         assert float(meta["t_sig_s"]) == pytest.approx(5e-4, rel=1e-12)
         assert counts.shape == (400,)
 
+    def test_tone_at_zero_frequency_simulates(self, capsys, tmp_path):
+        # g = omega_s puts one FULL_SPLIT tone at 0 rad/s
+        args = [a if a != "120" else "2000" for a in self.ARGS]
+        rc = run_cli(args + ["--seed", "5", "--out", str(tmp_path / "sim")])
+        assert rc == 0
+        assert 0.0 <= float(kv_output(capsys)["p_hat"]) <= 1.0
+
     def test_same_seed_reproduces_the_file(self, capsys, tmp_path):
         a, b, c = (tmp_path / k for k in "abc")
         run_cli(self.ARGS + ["--seed", "5", "--out", str(a)])

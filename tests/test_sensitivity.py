@@ -11,12 +11,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq as scipy_brentq
+from scipy.optimize import minimize_scalar
 
 from ramsey_sensing.sensor import EnsembleConfig, SensorModel, contrast, mean_population, qpn_variance
 from ramsey_sensing.sensitivity import (
     VALIDITY_LIMIT,
     SensitivityResult,
+    brentq,
     compensation_sensors,
     compensation_threshold,
     continuous_optimal_u,
@@ -40,6 +45,7 @@ from ramsey_sensing.signals import (
     StochasticAmplitude,
     ToneConvention,
     TwoToneStochastic,
+    small_g_curvature,
 )
 from ramsey_sensing.streams import derive_stream
 
@@ -92,28 +98,28 @@ class TestGaussianKernel:
         kappa = 0.5
         for c in (0.05, 0.3, 0.9, 1.0):
             for nm in (10, 1000, 10**6):
-                g = gmin_gaussian_kernel(c, EnsembleConfig(nm, 1), kappa)
+                g = gmin_gaussian_kernel(c, nm, kappa)
                 x = kappa * g * g
                 residual = nm * c * c * x * x - 2 * c * c * x - (1 - c * c)
                 assert abs(residual) < 1e-12 * max(1.0, nm * c * c * x * x)
 
     def test_perfect_contrast_limit(self):
         for nm in (1000, 10**6):
-            g = gmin_gaussian_kernel(1.0, EnsembleConfig(nm, 1), 2.0)
+            g = gmin_gaussian_kernel(1.0, nm, 2.0)
             assert_allclose(g, math.sqrt((2.0 / nm) / 2.0), rtol=1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            gmin_gaussian_kernel(0.0, EnsembleConfig(10, 1), 1.0)
+            gmin_gaussian_kernel(0.0, 10, 1.0)
         with pytest.raises(ValueError):
-            gmin_gaussian_kernel(1.1, EnsembleConfig(10, 1), 1.0)
+            gmin_gaussian_kernel(1.1, 10, 1.0)
         with pytest.raises(ValueError):
-            gmin_gaussian_kernel(0.5, EnsembleConfig(10, 1), 0.0)
+            gmin_gaussian_kernel(0.5, 10, 0.0)
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf])
     def test_nonfinite_kappa_rejected(self, kappa):
         with pytest.raises(ValueError, match="kappa"):
-            gmin_gaussian_kernel(0.5, EnsembleConfig(10, 1), kappa)
+            gmin_gaussian_kernel(0.5, 10, kappa)
 
 
 class TestVarianceClosedForm:
@@ -121,7 +127,7 @@ class TestVarianceClosedForm:
         sensor = SensorModel(0.9, 10e-3)
         ens = EnsembleConfig(1000, 1)
         t_i = 4e-3
-        direct = gmin_gaussian_kernel(contrast(sensor, t_i), ens, t_i * t_i / 2.0)
+        direct = gmin_gaussian_kernel(contrast(sensor, t_i), ens.total, t_i * t_i / 2.0)
         assert gmin_variance(sensor, ens, t_i).g_min == direct
 
     def test_root_finder_agreement_in_validity_regime(self):
@@ -406,6 +412,103 @@ class TestCompensation:
         with pytest.raises(ValueError, match="unknown scenario"):
             compensation_threshold("continuous_two_tone", 0.5, n_shots=1000, t2=10e-3,
                                    omega_s=TWO_PI * 1000, sigma=TWO_PI * 500)
+
+
+class TestBrentq:
+    # increasing functions with one root r: smooth, saturating, steep, and
+    # a cube-root cusp that forces the bisection fallback
+    FAMILIES = (
+        lambda r, s: lambda x: math.tanh(s * (x - r)),
+        lambda r, s: lambda x: s * (x - r) ** 3 + (x - r),
+        lambda r, s: lambda x: s * math.atan(x - r) + 1e-3 * (x - r) ** 5,
+        lambda r, s: lambda x: s * math.copysign(abs(x - r) ** (1 / 3), x - r),
+    )
+    TOLERANCES = ({}, {"rtol": 1e-12}, {"xtol": 1e-300, "rtol": 1e-14})
+
+    @settings(max_examples=400, deadline=None)
+    @given(family=st.integers(0, len(FAMILIES) - 1),
+           root=st.floats(-100, 100),
+           log_scale=st.floats(-3, 2),
+           log_below=st.floats(-6, 1),
+           log_above=st.floats(-6, 1),
+           decreasing=st.booleans(),
+           tolerances=st.sampled_from(TOLERANCES))
+    def test_matches_scipy_bit_for_bit(self, family, root, log_scale, log_below, log_above,
+                                       decreasing, tolerances):
+        rising = self.FAMILIES[family](root, 10.0**log_scale)
+        f = (lambda x: -rising(x)) if decreasing else rising
+        a, b = root - 10.0**log_below, root + 10.0**log_above
+
+        def outcome(solver):
+            # a root at 0 with xtol 1e-300 outlasts maxiter: both must then raise
+            try:
+                return solver(f, a, b, **tolerances)
+            except RuntimeError:
+                return "no convergence"
+
+        assert outcome(brentq) == outcome(scipy_brentq)
+
+    def test_rejects_a_bracket_without_a_sign_change(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_reports_non_convergence(self):
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(lambda x: math.copysign(abs(x - 0.3) ** (1 / 3), x - 0.3), 0.0, 1.0,
+                   maxiter=3)
+
+
+FIDELITIES = st.floats(1e-3, 1.0, exclude_max=True)
+N_SHOTS = st.integers(1, 10**6)
+T2S = st.floats(1e-4, 1.0)
+
+
+class TestCompensationThresholdProperties:
+    """At N*M = N * threshold, the kernel g_min of the F < 1 sensor equals
+    the unity sensor's g_min at M = 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fidelity=FIDELITIES, n_shots=N_SHOTS, t2=T2S)
+    def test_variance_threshold_reproduces_the_unity_target(self, fidelity, n_shots, t2):
+        th = compensation_threshold("variance", fidelity, n_shots=n_shots, t2=t2)
+        target = gmin_at_optimum("variance", SensorModel(1.0, t2),
+                                 EnsembleConfig(n_shots, 1)).g_min
+        sensor = SensorModel(fidelity, t2)
+        # independent optimizer over the same window: the F-side g_min at its best time
+        best = minimize_scalar(
+            lambda t: gmin_gaussian_kernel(contrast(sensor, t), n_shots * th, t * t / 2.0),
+            bounds=(1e-6 * t2, 5.0 * t2), method="bounded", options={"xatol": 1e-9 * t2})
+        assert best.fun == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fidelity=FIDELITIES, n_shots=N_SHOTS, t2=T2S,
+           omega_s_hz=st.floats(300.0, 3e4), sigma_hz=st.floats(1.0, 1e4),
+           convention=st.sampled_from(list(ToneConvention)))
+    def test_intermittent_threshold_reproduces_the_unity_target(
+            self, fidelity, n_shots, t2, omega_s_hz, sigma_hz, convention):
+        omega_s, sigma = TWO_PI * omega_s_hz, TWO_PI * sigma_hz
+        th = compensation_threshold("intermittent", fidelity, n_shots=n_shots, t2=t2,
+                                    omega_s=omega_s, sigma=sigma, convention=convention)
+        target = gmin_intermittent(SensorModel(1.0, t2), EnsembleConfig(n_shots, 1),
+                                   omega_s, sigma, convention).g_min
+        c = contrast(SensorModel(fidelity, t2), TWO_PI / omega_s)
+        g = gmin_gaussian_kernel(c, n_shots * th, small_g_curvature(omega_s, sigma, convention))
+        assert g == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=st.sampled_from(["constant", "variance", "intermittent"]),
+           n_shots=N_SHOTS, t2=T2S)
+    def test_unity_fidelity_needs_exactly_one_sensor(self, scenario, n_shots, t2):
+        th = compensation_threshold(scenario, 1.0, n_shots=n_shots, t2=t2,
+                                    omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
+        assert th == 1.0
+
+    @pytest.mark.parametrize("scenario", ["variance", "intermittent"])
+    @pytest.mark.parametrize("fidelity", [1e-200, 5e-324])  # count ~1e400; contrast 0
+    def test_count_past_the_float_range_is_rejected(self, scenario, fidelity):
+        with pytest.raises(ValueError, match="overflows"):
+            compensation_sensors(scenario, fidelity, n_shots=1000, t2=7.97e-3,
+                                 omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
 
 
 class TestContinuousOptimum:

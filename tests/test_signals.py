@@ -224,6 +224,48 @@ class TestPhaseVariance:
             phase_variance_exact(Constant(1.0), 1.0)
 
 
+class TestZeroFrequencyTone:
+    # one tone sits at w = 0: g = omega_s under FULL_SPLIT, 2 omega_s under
+    # HALF_SPLIT; its weights take the w -> 0 limit (0, t_i)
+    OMEGA_S, SIGMA = TWO_PI * 2000, TWO_PI * 275
+    CASES = [(ToneConvention.FULL_SPLIT, 1.0), (ToneConvention.HALF_SPLIT, 2.0)]
+
+    @pytest.mark.parametrize("convention, g_over_omega_s", CASES)
+    @pytest.mark.parametrize("cls", [TwoToneStochastic, IntermittentTwoTone])
+    def test_variance_is_finite_and_the_limit_of_nearby_tones(
+            self, cls, convention, g_over_omega_s):
+        t_i = 0.37e-3  # inside the one-period burst
+
+        def spec(g):
+            if cls is IntermittentTwoTone:
+                return cls(self.OMEGA_S, g, self.SIGMA, TWO_PI / self.OMEGA_S, convention)
+            return cls(self.OMEGA_S, g, self.SIGMA, convention)
+
+        def variance(g):
+            return phase_variance_exact(spec(g), t_i)
+
+        g_0 = g_over_omega_s * self.OMEGA_S
+        assert 0.0 in tone_angular_frequencies(spec(g_0))
+        v = variance(g_0)
+        assert math.isfinite(v) and v > 0
+        # the other tone moves too, so nearby values differ at first order
+        for eps in (1e-5, -1e-5, 1e-8, -1e-8, 1e-11, -1e-11):
+            assert_allclose(variance(g_0 * (1 + eps)), v, rtol=abs(eps))
+
+    @pytest.mark.parametrize("convention, g_over_omega_s", CASES)
+    def test_accrued_phase_integrates_the_zero_tone_as_constant(
+            self, convention, g_over_omega_s):
+        spec = TwoToneStochastic(self.OMEGA_S, g_over_omega_s * self.OMEGA_S,
+                                 self.SIGMA, convention)
+        t_i = 0.37e-3
+        w1, _ = tone_angular_frequencies(spec)
+        # the w = 0 tone contributes B2 * t_i; A2 multiplies sin(0) = 0
+        row = np.array([[0.3, -1.1, 2.0, 0.7]])
+        expected = (0.3 * (1 - math.cos(w1 * t_i)) / w1 + -1.1 * math.sin(w1 * t_i) / w1
+                    + 0.7 * t_i)
+        assert_allclose(accrued_phases(spec, row, t_i), [expected], rtol=1e-12)
+
+
 class TestSamplePhases:
     N = 100_000
     # a Gaussian sample variance has relative std sqrt(2/(N-1)); allow five
