@@ -15,7 +15,6 @@ every closed form; Monte-Carlo crossings back the root-finder.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -102,26 +101,23 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return 0.5 * (a + b)
 
 
-def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    xtol: float = 2e-12,
-    rtol: float = 4 * sys.float_info.epsilon,
-    maxiter: int = 100,
-) -> float:
+# Brent tolerances: stop once the bracket half width is below
+# (xtol + rtol |x|)/2, i.e. at 1e-14 relative for any root away from 0.
+BRENT_XTOL = 1e-300
+BRENT_RTOL = 1e-14
+BRENT_MAXITER = 100
+
+
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of f on a bracket [a, b] where f changes sign, by Brent's method.
 
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
     secant or inverse-quadratic steps, with a bisection whenever the step
-    would not shrink the bracket fast enough. Stops once the bracket half
-    width is below (xtol + rtol |x|)/2. The loop follows scipy.optimize.brentq
-    step for step, with its defaults, so both return the same float.
-    perfbench counts calls to this function under the name brentq.
+    would not shrink the bracket fast enough. The loop follows
+    scipy.optimize.brentq step for step, so at the same tolerances both
+    return the same float. perfbench counts calls to this function under
+    the name brentq.
     """
-    if not (xtol > 0 and rtol >= 4 * sys.float_info.epsilon):
-        raise ValueError("xtol must be > 0 and rtol >= 4 machine epsilons")
     xpre, xcur = float(a), float(b)
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0:
@@ -131,14 +127,14 @@ def brentq(
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre  # the contrapoint keeps the sign change
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -159,7 +155,7 @@ def brentq(
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+    raise RuntimeError(f"brentq did not converge in {BRENT_MAXITER} iterations")
 
 
 def gmin_constant(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> SensitivityResult:
@@ -268,7 +264,7 @@ def root_found_gmin(
         hi = min(hi * 2.0, g_upper)
     else:
         raise ValueError("SNR never reaches 1 inside the search range")
-    g = brentq(f, 0.0, hi, xtol=1e-300, rtol=1e-14)
+    g = brentq(f, 0.0, hi)
     return SensitivityResult(
         float(g), "root_found", validity=True,
         inputs={"t_i": t_i, "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors},
@@ -536,7 +532,10 @@ def compensation_threshold(
     x* = kappa g_1^2, variance as the golden-section minimum over t of the
     N*M needed for x*(t) = t^2 g_1^2/2, where g_1 is the unity sensor's
     g_min. The kernel root falls strictly as N*M grows, so at F = 1 the only
-    solution is M = 1, returned exactly.
+    solution is M = 1. F = 1 is returned as a special case, not computed:
+    the variance target comes from optimal_integration_time at 1e-4 T2,
+    coarser than the 1e-7 T2 search here, and the closed form rounds, so a
+    computed value would sit just off 1.0 and its ceiling could become 2.
     """
     if scenario not in ("constant", "variance", "intermittent"):
         raise ValueError(f"unknown scenario: {scenario}")
