@@ -44,8 +44,8 @@ ensemble = EnsembleConfig(400, 1)
 rng = derive_stream(SEED, 1)
 jit = derive_stream(SEED, 2)
 p_hats = [
-    excess_noise_channel(simulate_shots(spec, sensor, ensemble, t_i, rng),
-                         factor, jit).p_hat
+    excess_noise_channel(
+        estimate_population(simulate_shots(spec, sensor, ensemble, t_i, rng)), factor, jit).p_hat
     for _ in range(REPS)
 ]
 measured = float(np.std(p_hats, ddof=1))

@@ -25,7 +25,7 @@ print(f"{'F':>5} {'constant g_min/2pi [Hz]':>24} {'variance g_min/2pi [Hz]':>24}
 for f in (1.0, 0.8, 0.5, 0.2, 0.1):
     sensor = SensorModel(f, T2)
     g_c = gmin_constant(sensor, ENSEMBLE, T2).g_min
-    t_opt = optimal_integration_time("variance", sensor, ENSEMBLE).t_opt
+    t_opt = optimal_integration_time("variance", sensor, ENSEMBLE)
     g_v = gmin_variance(sensor, ENSEMBLE, t_opt).g_min
     print(f"{f:5.2f} {g_c / (2 * math.pi):24.3f} {g_v / (2 * math.pi):24.2f}")
 
@@ -36,8 +36,8 @@ g5 = gmin_constant(SensorModel(0.5, T2), ENSEMBLE, T2).g_min
 print(f"\nconstant-signal ratio g_min(F=0.5)/g_min(F=1) = {g5 / g1:.6f} (expect 2)")
 
 print("\noptimal integration times (F=1)")
-t_c = optimal_integration_time("constant", SensorModel(1.0, T2), ENSEMBLE).t_opt
-t_v = optimal_integration_time("variance", SensorModel(1.0, T2), ENSEMBLE).t_opt
+t_c = optimal_integration_time("constant", SensorModel(1.0, T2), ENSEMBLE)
+t_v = optimal_integration_time("variance", SensorModel(1.0, T2), ENSEMBLE)
 print(f"  constant: t_opt = {t_c / T2:.4f} T2")
 print(f"  variance: t_opt = {t_v / T2:.4f} T2  "
       f"(large-NM limit sqrt(u) T2 = {math.sqrt(continuous_optimal_u(1.0)):.4f} T2; "

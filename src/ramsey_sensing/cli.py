@@ -214,9 +214,8 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             # direct-contrast path: the burst closed form needs only C(t1)
             kappa = small_g_curvature(omega_s, sigma, convention)
             g = gmin_gaussian_kernel(args.contrast, ensemble.total, kappa)
-            result = SensitivityResult(
-                g, "closed_form", validity=kappa * g * g < VALIDITY_LIMIT,
-                inputs={"contrast": args.contrast})
+            result = SensitivityResult(g, "closed_form", kappa * g * g < VALIDITY_LIMIT,
+                                       t_i=TWO_PI / omega_s)
             echo.append(("contrast", args.contrast))
         else:
             _require(args, "fidelity", "t2")

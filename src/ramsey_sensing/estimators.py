@@ -1,7 +1,6 @@
-"""Inversion of population estimates to signal-parameter estimates.
+"""Inversion of burst-signal population estimates to frequency-separation
+estimates, and the empirical detection threshold of a scan of them.
 
-The amplitude and variance estimators invert the exact forward map of their
-signal class, so they stay valid over the whole scan range.
 estimate_frequency_separation inverts the small-g model of the burst
 signal, so it reads large separations low: its noiseless g_hat/g on the
 replica grid is 0.996 at 316 Hz and 0.949 at 1000 Hz. Measurements that
@@ -27,8 +26,6 @@ __all__ = [
     "EstimateOutcome",
     "BiasScan",
     "GminEstimate",
-    "estimate_amplitude",
-    "estimate_variance",
     "estimate_frequency_separation",
     "empirical_gmin",
     "bias_scan_rows",
@@ -66,76 +63,33 @@ class EstimateOutcome:
         return cls(reason=reason)
 
 
-def estimate_amplitude(
-    est: PopulationEstimate, sensor: SensorModel, t_i: float
-) -> EstimateOutcome:
-    """Invert p = (1 + C sin(g t_i))/2 at bias theta = pi/2.
-
-    Defined while |2p-1| <= C. The sign of the estimate is kept: noise can
-    push p_hat below 1/2, and a clamped estimator would bias small-signal
-    medians upward.
-    """
-    if not math.isclose(sensor.theta, math.pi / 2, rel_tol=0, abs_tol=1e-12):
-        raise ValueError("amplitude estimation requires bias theta = pi/2")
-    c = contrast(sensor, t_i)
-    arg = (2.0 * est.p_hat - 1.0) / c
-    if abs(arg) > 1.0:
-        return EstimateOutcome.excluded(ExclusionReason.OUT_OF_DOMAIN)
-    return EstimateOutcome.of(math.asin(arg) / t_i)
-
-
-def _contrast_loss_inversion(p_hat: float, c: float) -> tuple[float | None, ExclusionReason | None]:
-    """Shared exclusion logic for estimators that sense contrast loss at theta=0.
-
-    Returns (x, None) with x = -ln((1-2p)/C) >= 0, or (None, reason).
-    """
-    baseline = (1.0 - c) / 2.0
-    if p_hat < baseline:
-        return None, ExclusionReason.BELOW_BASELINE
-    if p_hat >= 0.5:
-        return None, ExclusionReason.OUT_OF_DOMAIN
-    if p_hat == baseline:
-        return 0.0, None
-    x = -math.log((1.0 - 2.0 * p_hat) / c)
-    # rounding can push the ratio one ulp above 1 when p_hat hugs the baseline
-    return (0.0 if x < 0.0 else x), None
-
-
-def _fold_theta(p_hat: float, theta: float) -> float:
-    """Map a theta=pi measurement onto the theta=0 form; reject other biases."""
-    if math.isclose(theta, 0.0, rel_tol=0, abs_tol=1e-12):
-        return p_hat
-    if math.isclose(theta, math.pi, rel_tol=0, abs_tol=1e-12):
-        return 1.0 - p_hat
-    raise ValueError("contrast-loss estimation requires bias theta in {0, pi}")
-
-
-def estimate_variance(
-    est: PopulationEstimate, sensor: SensorModel, t_i: float
-) -> EstimateOutcome:
-    """Invert p = (1 - C e^{-g^2 t^2/2})/2 for the stochastic-amplitude std g."""
-    p = _fold_theta(est.p_hat, sensor.theta)
-    x, reason = _contrast_loss_inversion(p, contrast(sensor, t_i))
-    if reason is not None:
-        return EstimateOutcome.excluded(reason)
-    return EstimateOutcome.of(math.sqrt(2.0 * x) / t_i)
-
-
 def estimate_frequency_separation(
     est: PopulationEstimate, sensor: SensorModel, spec: IntermittentTwoTone
 ) -> EstimateOutcome:
     """Invert the small-g population model at one center period.
 
     p = (1 - C_t e^{-kappa g^2})/2 with kappa the small-g curvature of half
-    the phase variance under the spec's tone convention.
+    the phase variance under the spec's tone convention. The model holds at
+    bias theta = 0; a theta = pi measurement is mirrored (p -> 1 - p) onto
+    it, and any other bias raises. p below the g = 0 baseline (1 - C_t)/2
+    is excluded as BELOW_BASELINE, p >= 1/2 as OUT_OF_DOMAIN.
     """
-    t1 = spec.period
-    p = _fold_theta(est.p_hat, sensor.theta)
-    x, reason = _contrast_loss_inversion(p, contrast(sensor, t1))
-    if reason is not None:
-        return EstimateOutcome.excluded(reason)
+    if math.isclose(sensor.theta, 0.0, rel_tol=0, abs_tol=1e-12):
+        p = est.p_hat
+    elif math.isclose(sensor.theta, math.pi, rel_tol=0, abs_tol=1e-12):
+        p = 1.0 - est.p_hat
+    else:
+        raise ValueError("frequency-separation estimation requires bias theta in {0, pi}")
+    c = contrast(sensor, spec.period)
+    baseline = (1.0 - c) / 2.0
+    if p < baseline:
+        return EstimateOutcome.excluded(ExclusionReason.BELOW_BASELINE)
+    if p >= 0.5:
+        return EstimateOutcome.excluded(ExclusionReason.OUT_OF_DOMAIN)
+    x = 0.0 if p == baseline else -math.log((1.0 - 2.0 * p) / c)
     kappa = small_g_curvature(spec.omega_s, spec.sigma, spec.convention)
-    return EstimateOutcome.of(math.sqrt(x / kappa))
+    # rounding can push the ratio one ulp above 1 when p hugs the baseline
+    return EstimateOutcome.of(math.sqrt(max(x, 0.0) / kappa))
 
 
 @dataclass(frozen=True)
@@ -151,15 +105,11 @@ class BiasScan:
         if any(len(reps) < 2 for _, reps in self.rows):
             raise ValueError("each row needs at least 2 repetitions")
 
-    def applied(self) -> list[float]:
-        return [g for g, _ in self.rows]
-
 
 @dataclass(frozen=True)
 class GminEstimate:
     g_min: float  # rad/s
     resolved: bool  # False: no grid point qualified, g_min is the scan's top
-    rel_tol: float
 
 
 def _row_qualifies(g_applied: float, reps: tuple[EstimateOutcome, ...], rel_tol: float) -> bool:
@@ -189,8 +139,8 @@ def empirical_gmin(scan: BiasScan, rel_tol: float = 0.1) -> GminEstimate:
         else:
             break
     if qualifying_from is None:
-        return GminEstimate(scan.rows[-1][0], resolved=False, rel_tol=rel_tol)
-    return GminEstimate(qualifying_from, resolved=True, rel_tol=rel_tol)
+        return GminEstimate(scan.rows[-1][0], resolved=False)
+    return GminEstimate(qualifying_from, resolved=True)
 
 
 def bias_scan_rows(scan: BiasScan) -> list[tuple]:

@@ -159,8 +159,7 @@ def run_fig2(
         g_unity = gmin_at_optimum(scenario, SensorModel(1.0, t2), ensemble).g_min
         for f in f_grid:
             result = gmin_at_optimum(scenario, SensorModel(f, t2), ensemble)
-            ratio_rows.append((scenario, f, result.inputs["t_i"], result.g_min,
-                               result.g_min / g_unity))
+            ratio_rows.append((scenario, f, result.t_i, result.g_min, result.g_min / g_unity))
             # compensation_sensors is this threshold's ceiling; take it without a second solve
             m_real = compensation_threshold(scenario, f, n_shots=n_shots, t2=t2)
             comp_rows.append((scenario, f, math.ceil(m_real), m_real))
@@ -428,16 +427,16 @@ def run_experiment_replica(
     t1 = REPLICA_PARAMS["t1"]
 
     pop_rows = []
+    estimates = {key: estimate_population(table) for key, table in tables.items()}
     outcomes_qpn: dict[tuple[int, int], EstimateOutcome] = {}
     outcomes_exc: dict[tuple[int, int], EstimateOutcome] = {}
     for gi, g in enumerate(grid):
         spec = _replica_spec(g)
         p_model = mean_population(spec, sensor, t1)
         for rep in range(reps):
-            table = tables[(gi, rep)]
-            est = estimate_population(table)
+            est = estimates[(gi, rep)]
             est_x = excess_noise_channel(
-                table, excess_factor, derive_stream(seed, _NS_REPLICA, 1, gi, rep))
+                est, excess_factor, derive_stream(seed, _NS_REPLICA, 1, gi, rep))
             outcomes_qpn[(gi, rep)] = estimate_frequency_separation(est, sensor, spec)
             outcomes_exc[(gi, rep)] = estimate_frequency_separation(est_x, sensor, spec)
             pop_rows.append((g / TWO_PI, rep, est_x.p_hat, est_x.std_err, est_x.qpn_err,
@@ -485,7 +484,7 @@ def run_experiment_replica(
         note="mean p_hat at g=0 vs model, 3 sigma of the rep average"))
 
     # empirical error vs projection noise at g=0 (projection-limited data)
-    emp_errs = [estimate_population(tables[(0, rep)]).std_err for rep in range(reps)]
+    emp_errs = [estimates[(0, rep)].std_err for rep in range(reps)]
     qpn_err = math.sqrt(qpn_variance(p0_model, ensemble))
     err_ratio = (sum(emp_errs) / reps) / qpn_err
     report.checks.append(Check(

@@ -36,7 +36,6 @@ __all__ = [
     "apply_readout_degradation",
     "excess_noise_channel",
     "write_shot_table",
-    "read_shot_table",
 ]
 
 # shots per uniform draw in simulate_shots: a 64 kB block stays in cache
@@ -142,17 +141,17 @@ def apply_readout_degradation(
 
 
 def excess_noise_channel(
-    table: ShotTable, excess_factor: float, rng: np.random.Generator
+    est: PopulationEstimate, excess_factor: float, rng: np.random.Generator
 ) -> PopulationEstimate:
     """Emulate uncorrelated noise above the projection-noise floor.
 
-    The reported error grows by excess_factor and p_hat picks up matching
-    zero-mean Gaussian jitter (std qpn_err*sqrt(excess_factor^2-1), clamped
-    to [0,1]). excess_factor=1 returns the plain estimate untouched.
+    The reported error of the estimate grows by excess_factor and p_hat
+    picks up matching zero-mean Gaussian jitter (std
+    qpn_err*sqrt(excess_factor^2-1), clamped to [0,1]). excess_factor=1
+    returns the estimate untouched.
     """
     if not (excess_factor >= 1 and math.isfinite(excess_factor)):
         raise ValueError("excess_factor must be finite and >= 1")
-    est = estimate_population(table)
     if excess_factor == 1.0:
         return est
     jitter = rng.normal(0.0, est.qpn_err * math.sqrt(excess_factor**2 - 1.0))
@@ -196,20 +195,3 @@ def write_shot_table(table: ShotTable, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_shot_table(path) -> tuple[np.ndarray, dict[str, str]]:
-    """Counts and raw metadata from a shot-table CSV."""
-    meta: dict[str, str] = {}
-    counts: list[int] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-            elif not line.startswith("shot_index"):
-                _, _, count = line.partition(",")
-                counts.append(int(count))
-    return np.asarray(counts, dtype=np.int64), meta

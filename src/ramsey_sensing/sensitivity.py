@@ -3,13 +3,15 @@ compensation counts.
 
 Closed forms cover the constant signal, the linearized Gaussian-kernel
 family (variance and burst frequency-separation estimation), and the
-asymptotic compensation/excess-sensor ratios. `gmin_at_optimum` is the one
+asymptotic compensation/excess-sensor ratios; each result carries the
+integration time t_i at which its g_min holds. `gmin_at_optimum` is the one
 place that maps a scenario name to its g_min at its optimal integration
 time; the pipelines and the compensation counts go through it. The
-compensation threshold inverts the linearized kernel in closed form. A
-root-finder on the exact SNR expression (`root_found_gmin`, by the
-in-package Brent solver `brentq`), with no small-signal expansion, backs
-every closed form; Monte-Carlo crossings back the root-finder.
+compensation threshold inverts the linearized kernel in closed form. Only
+the tests call the references that back the closed forms: the exact-SNR
+root-finder `root_found_gmin` (by the in-package Brent solver `brentq`,
+with no small-signal expansion), `gmin_continuous_two_tone`, and the
+Monte-Carlo crossing `mc_gmin_crossing`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .signals import (
 
 __all__ = [
     "SensitivityResult",
-    "OptimalTime",
     "gmin_constant",
     "gmin_gaussian_kernel",
     "gmin_variance",
@@ -58,29 +59,17 @@ class SensitivityResult:
     g_min: float  # rad/s
     method: str  # closed_form | root_found | monte_carlo
     validity: bool  # False when the small-signal assumption fails at g_min
-    inputs: dict
+    t_i: float  # s, the integration time at which g_min holds
 
     def __post_init__(self) -> None:
         if not (self.g_min > 0 and math.isfinite(self.g_min)):
             raise ValueError("g_min must be positive and finite")
 
 
-@dataclass(frozen=True)
-class OptimalTime:
-    t_opt: float  # s
-    at_bracket_edge: bool  # True when the optimum saturated the search window
-
-
-def _closed_form(
-    g: float, small_arg: float, sensor: SensorModel, ensemble: EnsembleConfig, **inputs
-) -> SensitivityResult:
+def _closed_form(g: float, small_arg: float, t_i: float) -> SensitivityResult:
     """A closed-form result, valid while its expansion argument at g_min
     ((g t)^2 or kappa g^2) stays below VALIDITY_LIMIT."""
-    return SensitivityResult(
-        g, "closed_form", validity=small_arg < VALIDITY_LIMIT,
-        inputs={**inputs, "fidelity": sensor.fidelity, "t2": sensor.t2,
-                "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors},
-    )
+    return SensitivityResult(g, "closed_form", small_arg < VALIDITY_LIMIT, t_i)
 
 
 def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -115,7 +104,8 @@ def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     secant or inverse-quadratic steps, with a bisection whenever the step
     would not shrink the bracket fast enough. The loop follows
     scipy.optimize.brentq step for step, so at the same tolerances both
-    return the same float. perfbench counts calls to this function under
+    return the same float (tests/test_sensitivity.py::TestBrentq).
+    root_found_gmin is its one caller; perfbench counts calls to it under
     the name brentq.
     """
     xpre, xcur = float(a), float(b)
@@ -162,8 +152,11 @@ def gmin_constant(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
     """Minimum detectable constant shift, 1/(sqrt(NM) t_i C(t_i))."""
     if t_i <= 0:
         raise ValueError("t_i must be > 0")
-    g = 1.0 / (math.sqrt(ensemble.total) * t_i * contrast(sensor, t_i))
-    return _closed_form(g, (g * t_i) ** 2, sensor, ensemble, t_i=t_i)
+    c = contrast(sensor, t_i)
+    if c == 0.0:
+        raise ValueError("contrast underflows to 0 at t_i: g_min is not finite")
+    g = 1.0 / (math.sqrt(ensemble.total) * t_i * c)
+    return _closed_form(g, (g * t_i) ** 2, t_i)
 
 
 def gmin_gaussian_kernel(c: float, nm: float, kappa: float) -> float:
@@ -202,7 +195,7 @@ def gmin_variance(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
         raise ValueError("t_i must be > 0")
     kappa = t_i * t_i / 2.0
     g = gmin_gaussian_kernel(contrast(sensor, t_i), ensemble.total, kappa)
-    return _closed_form(g, kappa * g * g, sensor, ensemble, t_i=t_i)
+    return _closed_form(g, kappa * g * g, t_i)
 
 
 def gmin_intermittent(
@@ -216,8 +209,7 @@ def gmin_intermittent(
     kappa = small_g_curvature(omega_s, sigma, convention)
     t1 = 2 * math.pi / omega_s
     g = gmin_gaussian_kernel(contrast(sensor, t1), ensemble.total, kappa)
-    return _closed_form(g, kappa * g * g, sensor, ensemble, t1=t1, omega_s=omega_s,
-                        sigma=sigma, convention=convention.value)
+    return _closed_form(g, kappa * g * g, t1)
 
 
 def _with_g(spec: SignalSpec, g: float) -> SignalSpec:
@@ -233,7 +225,8 @@ def _snr(p: float, p_0: float, ensemble: EnsembleConfig) -> float:
 
 
 def exact_snr(spec: SignalSpec, sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> float:
-    """|mean_population(g) - mean_population(0)| / sqrt(QPN at g), no expansion."""
+    """|mean_population(g) - mean_population(0)| / sqrt(QPN at g), no expansion:
+    what root_found_gmin solves and tests/test_sensitivity.py::TestSnrCurve checks."""
     p_0 = mean_population(_with_g(spec, 0.0), sensor, t_i)
     return abs(_snr(mean_population(spec, sensor, t_i), p_0, ensemble))
 
@@ -243,18 +236,21 @@ def root_found_gmin(
     sensor: SensorModel,
     ensemble: EnsembleConfig,
     t_i: float,
-    g_upper: float | None = None,
 ) -> SensitivityResult:
     """SNR(g)=1 crossing of the exact SNR, bracketed, then solved by brentq.
 
     The bracket grows geometrically from a small start until the SNR exceeds
     1; for the constant signal the search is capped at the first fringe
     turnover g = pi/(2 t_i), beyond which the response folds back. The
-    in-package Brent solver then refines the crossing to rtol 1e-14.
+    in-package Brent solver then refines the crossing to rtol 1e-14. The
+    arbiter for the constant and variance closed forms in
+    tests/test_sensitivity.py (TestConstantClosedForm,
+    TestVarianceClosedForm, TestRootFinder).
     """
+    if not (0 < t_i < math.inf):
+        raise ValueError("t_i must be finite and > 0")
     f = lambda g: exact_snr(_with_g(spec, g), sensor, ensemble, t_i) - 1.0
-    if g_upper is None:
-        g_upper = math.pi / (2 * t_i) if isinstance(spec, Constant) else math.inf
+    g_upper = math.pi / (2 * t_i) if isinstance(spec, Constant) else math.inf
     hi = min(1.0 / (t_i * math.sqrt(ensemble.total)), g_upper)
     for _ in range(200):
         if f(hi) > 0:
@@ -264,11 +260,7 @@ def root_found_gmin(
         hi = min(hi * 2.0, g_upper)
     else:
         raise ValueError("SNR never reaches 1 inside the search range")
-    g = brentq(f, 0.0, hi)
-    return SensitivityResult(
-        float(g), "root_found", validity=True,
-        inputs={"t_i": t_i, "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors},
-    )
+    return SensitivityResult(float(brentq(f, 0.0, hi)), "root_found", True, t_i)
 
 
 def mc_snr(
@@ -299,18 +291,21 @@ def mc_gmin_crossing(
     bracket_center: float,
     n_shots: int = 100_000,
     n_avg: int = 3,
-    ratio_tol: float = 1.01,
 ) -> SensitivityResult:
     """Monte-Carlo SNR=1 crossing by geometric bisection.
 
     Starts from a [center/5, 5*center] bracket, bisects until hi/lo is
-    within ratio_tol, and averages n_avg independent bisections
-    geometrically to beat the shot noise of single runs.
+    within 1.01, and averages n_avg independent bisections
+    geometrically to beat the shot noise of single runs. Backs the constant
+    closed form in tests/test_sensitivity.py::TestRootFinder and
+    tests/test_acceptance.py.
     """
+    if not (0 < bracket_center < math.inf):
+        raise ValueError("bracket_center must be finite and > 0")
     crossings = []
     for _ in range(n_avg):
         lo, hi = bracket_center / 5.0, bracket_center * 5.0
-        while hi / lo > ratio_tol:
+        while hi / lo > 1.01:
             mid = math.sqrt(lo * hi)
             if mc_snr(_with_g(spec, mid), sensor, ensemble, t_i, rng, n_shots) >= 1.0:
                 hi = mid
@@ -318,10 +313,7 @@ def mc_gmin_crossing(
                 lo = mid
         crossings.append(math.sqrt(lo * hi))
     g = math.exp(sum(math.log(c) for c in crossings) / len(crossings))
-    return SensitivityResult(
-        g, "monte_carlo", validity=True,
-        inputs={"t_i": t_i, "n_shots_probe": n_shots, "n_avg": n_avg},
-    )
+    return SensitivityResult(g, "monte_carlo", True, t_i)
 
 
 def snr_curve(
@@ -346,42 +338,21 @@ def snr_curve(
     ]
 
 
-def optimal_integration_time(
-    kind: str,
-    sensor: SensorModel,
-    ensemble: EnsembleConfig,
-    spec: TwoToneStochastic | None = None,
-) -> OptimalTime:
-    """Best integration time for a scenario, by golden-section on (0, 5 T2].
+def optimal_integration_time(kind: str, sensor: SensorModel, ensemble: EnsembleConfig) -> float:
+    """Integration time t_opt (s) minimizing the constant or variance g_min,
+    by golden-section on (0, 5 T2] to 1e-4 T2.
 
-    constant/variance minimize their g_min; continuous_two_tone maximizes
-    the exact SNR of the given spec, seeded by the best integer multiple of
-    the center period before continuous refinement. The variance optimum
-    falls toward sqrt(continuous_optimal_u(F)) T2 as NM grows: 1.2624 T2 at
-    F = 1, and sqrt(2) T2 only in the small-F limit.
+    The variance optimum falls toward sqrt(continuous_optimal_u(F)) T2 as NM
+    grows: 1.2624 T2 at F = 1, and sqrt(2) T2 only in the small-F limit.
     """
-    t2 = sensor.t2
-    lo, hi = 1e-6 * t2, 5.0 * t2
-    tol = 1e-4 * t2
     if kind == "constant":
-        f = lambda t: gmin_constant(sensor, ensemble, t).g_min
+        gmin = gmin_constant
     elif kind == "variance":
-        f = lambda t: gmin_variance(sensor, ensemble, t).g_min
-    elif kind == "continuous_two_tone":
-        if spec is None:
-            raise ValueError("continuous_two_tone needs a signal spec")
-        period = 2 * math.pi / spec.omega_s
-        n_max = max(1, int(hi / period))
-        best_n = max(range(1, n_max + 1),
-                     key=lambda n: exact_snr(spec, sensor, ensemble, n * period))
-        center = best_n * period
-        lo = max(lo, center - period / 2)
-        hi = min(hi, center + period / 2)
-        f = lambda t: -exact_snr(spec, sensor, ensemble, t)
+        gmin = gmin_variance
     else:
         raise ValueError(f"unknown scenario kind: {kind}")
-    t_opt = _golden_min(f, lo, hi, tol)
-    return OptimalTime(t_opt, at_bracket_edge=t_opt > 5.0 * t2 - 2 * tol)
+    t2 = sensor.t2
+    return _golden_min(lambda t: gmin(sensor, ensemble, t).g_min, 1e-6 * t2, 5.0 * t2, 1e-4 * t2)
 
 
 def gmin_continuous_two_tone(
@@ -399,7 +370,8 @@ def gmin_continuous_two_tone(
     Times where no crossing exists (the saturated population shift C(t)/2
     stays below the projection-noise floor) count as infinitely bad; if
     every candidate is saturated the signal is undetectable at this
-    ensemble size and a ValueError is raised.
+    ensemble size and a ValueError is raised. The reference for
+    gmin_continuous_kernel in tests/test_sensitivity.py::TestContinuousTwoTone.
     """
     template = TwoToneStochastic(omega_s, 0.0, sigma, convention)
     period = 2 * math.pi / omega_s
@@ -420,13 +392,7 @@ def gmin_continuous_two_tone(
                         1e-4 * sensor.t2)
     candidates = [(gmin_at(t), t) for t in (center, t_opt)]
     g_best, t_best = min(candidates)
-    return SensitivityResult(
-        g_best, "root_found", validity=True,
-        inputs={"t_opt": t_best, "omega_s": omega_s, "sigma": sigma,
-                "fidelity": sensor.fidelity, "t2": sensor.t2,
-                "n_shots": ensemble.n_shots, "m_sensors": ensemble.m_sensors,
-                "convention": convention.value},
-    )
+    return SensitivityResult(g_best, "root_found", True, t_best)
 
 
 def gmin_continuous_kernel(
@@ -455,9 +421,7 @@ def gmin_continuous_kernel(
 
     best_n = min(range(1, n_max + 1), key=g_at)
     g = g_at(best_n)
-    return _closed_form(g, best_n * best_n * kappa_1 * g * g, sensor, ensemble,
-                        t_opt=best_n * period, n_periods=best_n, omega_s=omega_s,
-                        sigma=sigma, convention=convention.value)
+    return _closed_form(g, best_n * best_n * kappa_1 * g * g, best_n * period)
 
 
 def gmin_at_optimum(
@@ -481,8 +445,8 @@ def gmin_at_optimum(
     if scenario == "constant":
         return gmin_constant(sensor, ensemble, sensor.t2)
     if scenario == "variance":
-        t_opt = optimal_integration_time("variance", sensor, ensemble).t_opt
-        return gmin_variance(sensor, ensemble, t_opt)
+        return gmin_variance(sensor, ensemble,
+                             optimal_integration_time("variance", sensor, ensemble))
     two_tone = {"continuous_two_tone": gmin_continuous_kernel,
                 "intermittent": gmin_intermittent}
     if scenario not in two_tone:
@@ -567,6 +531,8 @@ def continuous_optimal_u(fidelity: float) -> float:
 
     u(1) = 1.5936 (t = 1.2624 T2); u -> 2 (t -> sqrt(2) T2) as F -> 0.
     """
+    if not (0 < fidelity <= 1):
+        raise ValueError("fidelity must be in (0, 1]")
     u = 2.0
     for _ in range(200):
         nxt = 2.0 * (1.0 - fidelity**2 * math.exp(-u))

@@ -65,8 +65,8 @@ class EnsembleConfig:
 
 def contrast(sensor: SensorModel, t: float) -> float:
     """Fringe contrast F * exp(-t^2/(2 T2^2)) at integration time t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (0 <= t < math.inf):
+        raise ValueError("t must be finite and >= 0")
     return sensor.fidelity * math.exp(-(t**2) / (2 * sensor.t2**2))
 
 

@@ -130,7 +130,8 @@ def sample_realizations(spec: SignalSpec, n: int, rng: np.random.Generator) -> n
     """Draw n realizations, frozen within a shot and independent across shots.
 
     Rows are coefficient vectors: empty for Constant, [B_s] for
-    StochasticAmplitude, [A1, B1, A2, B2] for the two-tone classes.
+    StochasticAmplitude, [A1, B1, A2, B2] for the two-tone classes. The
+    four-amplitude oracle of tests/test_signals.py::TestSamplePhases.
     """
     if isinstance(spec, Constant):
         return np.empty((n, 0))
@@ -140,7 +141,8 @@ def sample_realizations(spec: SignalSpec, n: int, rng: np.random.Generator) -> n
 
 
 def signal_value(spec: SignalSpec, c: np.ndarray, t: float) -> float:
-    """B(t) for one coefficient row. For bursts, defined only inside the burst."""
+    """B(t) for one coefficient row, defined only inside a burst; the
+    waveform that tests/test_signals.py::TestAccruedPhase integrates."""
     if isinstance(spec, Constant):
         return spec.g
     if isinstance(spec, StochasticAmplitude):
@@ -183,7 +185,8 @@ def _check_ti(spec: SignalSpec, t_i: float) -> None:
 
 
 def accrued_phases(spec: SignalSpec, coefficients: np.ndarray, t_i: float) -> np.ndarray:
-    """Exact phi = integral of B over [0, t_i] for each realization row."""
+    """Exact phi = integral of B over [0, t_i] for each realization row; the
+    reference of tests/test_signals.py::TestSamplePhases and TestPhaseVariance."""
     _check_ti(spec, t_i)
     if isinstance(spec, Constant):
         return np.full(len(coefficients), spec.g * t_i)

@@ -16,13 +16,14 @@ def derive_stream(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator for a (master_seed, *path) key.
 
     Same key, same stream, always; distinct keys give statistically
-    independent Philox streams. The seed and the path components must be
-    non-negative ints.
+    independent Philox streams. The seed must fit in 64 unsigned bits and
+    each path component in 32: SeedSequence splits a wider component into
+    32-bit words, so (s, 2**32) would draw the same stream as (s, 0, 1).
     """
     if not (isinstance(master_seed, (int, np.integer))
             and 0 <= master_seed <= 0xFFFFFFFFFFFFFFFF):
         raise ValueError("master_seed must be an integer that fits in an unsigned 64-bit integer")
-    if any((not isinstance(p, (int, np.integer))) or p < 0 for p in path):
-        raise ValueError("stream path components must be non-negative integers")
+    if any((not isinstance(p, (int, np.integer))) or not 0 <= p <= 0xFFFFFFFF for p in path):
+        raise ValueError("stream path components must be integers that fit in 32 unsigned bits")
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(seq))

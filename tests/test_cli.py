@@ -10,11 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ramsey_sensing
 from ramsey_sensing.cli import main
-from ramsey_sensing.montecarlo import read_shot_table
 
 TWO_PI = 2 * math.pi
 
@@ -99,6 +99,14 @@ class TestAnalytic:
         assert rc == 2
         assert "omega_s and sigma must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ti", ["0.5", "1"])
+    def test_constant_past_contrast_underflow_is_a_usage_error(self, capsys, ti):
+        # C(t_i) = 0.9 e^{-t_i^2/(2 T2^2)} underflows to 0.0 at these times
+        rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "0.9",
+                      "--t2", "0.01", "--ti", ti])
+        assert rc == 2
+        assert "contrast underflows" in capsys.readouterr().err
+
     def test_threads_must_be_positive(self, capsys):
         rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "1",
                       "--t2", "1", "--ti", "1", "--threads", "0"])
@@ -179,11 +187,14 @@ class TestSimulate:
         kv = kv_output(capsys)
         assert kv["shots"] == "400" and kv["sensors"] == "1"
         assert 0.0 <= float(kv["p_hat"]) <= 1.0
-        counts, meta = read_shot_table(out / "shot_table.csv")
+        table = out / "shot_table.csv"
+        meta = dict(line[2:].split("=", 1) for line in table.read_text().splitlines()
+                    if line.startswith("# "))
         assert meta["signal"] == "intermittent_two_tone"
         # default burst window is one center period
         assert float(meta["t_sig_s"]) == pytest.approx(5e-4, rel=1e-12)
-        assert counts.shape == (400,)
+        counts = np.loadtxt(table, delimiter=",", skiprows=len(meta) + 1, dtype=np.int64)[:, 1]
+        assert counts.shape == (400,) and set(counts.tolist()) <= {0, 1}
 
     def test_tone_at_zero_frequency_simulates(self, capsys, tmp_path):
         # g = omega_s puts one FULL_SPLIT tone at 0 rad/s

@@ -1,7 +1,7 @@
-"""Exact inversion estimators, the exclusion rule, and the empirical
-detection-threshold scan.
+"""The frequency-separation estimator, the exclusion rule, and the
+empirical detection-threshold scan.
 
-Round-trips drive the estimators with noise-free model populations; every
+Round-trips drive the estimator with noise-free model populations; every
 defined estimate must then reproduce the applied parameter to float
 precision.
 """
@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ramsey_sensing.estimators import (
@@ -20,14 +22,12 @@ from ramsey_sensing.estimators import (
     ExclusionReason,
     bias_scan_rows,
     empirical_gmin,
-    estimate_amplitude,
     estimate_frequency_separation,
-    estimate_variance,
 )
 from ramsey_sensing.io_utils import write_csv
 from ramsey_sensing.montecarlo import PopulationEstimate
 from ramsey_sensing.sensor import SensorModel, contrast, mean_population
-from ramsey_sensing.signals import IntermittentTwoTone, StochasticAmplitude
+from ramsey_sensing.signals import IntermittentTwoTone, ToneConvention, small_g_curvature
 
 TWO_PI = 2 * math.pi
 
@@ -46,56 +46,6 @@ class TestEstimateOutcome:
             EstimateOutcome()
 
 
-class TestAmplitudeEstimator:
-    SENSOR = SensorModel(0.9, 10e-3, theta=math.pi / 2)
-
-    def test_noise_free_round_trip(self):
-        t_i = 2e-3
-        c = contrast(self.SENSOR, t_i)
-        for g in np.linspace(1.0, 500.0, 23):
-            p = 0.5 * (1 + c * math.sin(g * t_i))
-            out = estimate_amplitude(_estimate(p), self.SENSOR, t_i)
-            assert out.defined
-            assert_allclose(out.g_hat, g, rtol=1e-10)
-
-    def test_sign_is_preserved_below_half(self):
-        out = estimate_amplitude(_estimate(0.4), self.SENSOR, 2e-3)
-        assert out.defined and out.g_hat < 0
-
-    def test_out_of_domain_exclusion(self):
-        c = contrast(self.SENSOR, 2e-3)
-        for p in ((1 + c) / 2 + 1e-6, (1 - c) / 2 - 1e-6):
-            out = estimate_amplitude(_estimate(p), self.SENSOR, 2e-3)
-            assert out.reason is ExclusionReason.OUT_OF_DOMAIN
-
-    def test_requires_quadrature_bias(self):
-        with pytest.raises(ValueError):
-            estimate_amplitude(_estimate(0.5), SensorModel(0.9, 10e-3), 2e-3)
-
-
-class TestVarianceEstimator:
-    SENSOR = SensorModel(0.9, 10e-3)
-
-    def test_noise_free_round_trip(self):
-        t_i = 3e-3
-        for g in np.linspace(5.0, 300.0, 17):
-            p = mean_population(StochasticAmplitude(float(g)), self.SENSOR, t_i)
-            out = estimate_variance(_estimate(p), self.SENSOR, t_i)
-            assert_allclose(out.g_hat, g, rtol=1e-10)
-
-    def test_mirrored_bias_round_trip(self):
-        sensor = SensorModel(0.9, 10e-3, theta=math.pi)
-        t_i = 3e-3
-        g = 120.0
-        p = mean_population(StochasticAmplitude(g), sensor, t_i)
-        out = estimate_variance(_estimate(p), sensor, t_i)
-        assert_allclose(out.g_hat, g, rtol=1e-10)
-
-    def test_rejects_other_biases(self):
-        with pytest.raises(ValueError):
-            estimate_variance(_estimate(0.3), SensorModel(0.9, 10e-3, theta=0.5), 3e-3)
-
-
 class TestFrequencySeparationEstimator:
     SENSOR = SensorModel(0.9047787237550715, 7.97e-3)
     SPEC = IntermittentTwoTone(TWO_PI * 2000, 0.0, TWO_PI * 275, 0.5e-3)
@@ -106,8 +56,6 @@ class TestFrequencySeparationEstimator:
     def test_small_separation_round_trip(self):
         # the inversion assumes the small-g kernel, so drive it with the
         # kernel model rather than the full two-tone response
-        from ramsey_sensing.signals import ToneConvention, small_g_curvature
-
         kappa = small_g_curvature(self.SPEC.omega_s, self.SPEC.sigma, ToneConvention.FULL_SPLIT)
         c = contrast(self.SENSOR, self.SPEC.period)
         for g_hz in (20.0, 80.0, 300.0):
@@ -159,6 +107,31 @@ class TestFrequencySeparationEstimator:
         out = estimate_frequency_separation(_estimate(p), self.SENSOR, self.SPEC)
         assert out.defined and out.g_hat >= 0.0
 
+    def test_mirrored_bias_round_trip(self):
+        # at theta = pi the fringe is inverted: p = (1 + C e^{-kappa g^2})/2
+        sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=math.pi)
+        g = TWO_PI * 120.0
+        kappa = small_g_curvature(self.SPEC.omega_s, self.SPEC.sigma, ToneConvention.FULL_SPLIT)
+        p = 0.5 * (1 + contrast(sensor, self.SPEC.period) * math.exp(-kappa * g * g))
+        out = estimate_frequency_separation(_estimate(p), sensor, self._spec(g))
+        assert_allclose(out.g_hat, g, rtol=1e-10)
+
+    def test_mirrored_bias_exclusion_reasons(self):
+        sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=math.pi)
+        mirrored_baseline = (1.0 + contrast(sensor, self.SPEC.period)) / 2.0
+        above = estimate_frequency_separation(
+            _estimate(mirrored_baseline + 0.01), sensor, self.SPEC)
+        assert above.reason is ExclusionReason.BELOW_BASELINE
+        for p in (0.5, 0.27, 0.0):
+            out = estimate_frequency_separation(_estimate(p), sensor, self.SPEC)
+            assert out.reason is ExclusionReason.OUT_OF_DOMAIN
+
+    @pytest.mark.parametrize("theta", [0.5, math.pi / 2, -math.pi, 2 * math.pi])
+    def test_rejects_other_biases(self, theta):
+        sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=theta)
+        with pytest.raises(ValueError, match="theta"):
+            estimate_frequency_separation(_estimate(0.3), sensor, self.SPEC)
+
     def test_monotone_in_population(self):
         c = contrast(self.SENSOR, self.SPEC.period)
         baseline = (1.0 - c) / 2.0
@@ -168,6 +141,54 @@ class TestFrequencySeparationEstimator:
             for p in ps
         ]
         assert all(a < b for a, b in zip(gs, gs[1:]))
+
+
+TONES = dict(
+    omega_s_hz=st.floats(300.0, 3e4),
+    sigma_hz=st.floats(1.0, 1e4),
+    convention=st.sampled_from(list(ToneConvention)),
+)
+BIASES = st.sampled_from([0.0, math.pi])
+
+
+def _burst(omega_s_hz, sigma_hz, convention, g=0.0) -> IntermittentTwoTone:
+    omega_s = TWO_PI * omega_s_hz
+    return IntermittentTwoTone(omega_s, g, TWO_PI * sigma_hz, TWO_PI / omega_s, convention)
+
+
+class TestFrequencySeparationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(p_hat=st.floats(0.0, 1.0), theta=BIASES, fidelity=st.floats(1e-3, 1.0),
+           t2=st.floats(1e-4, 1.0), **TONES)
+    def test_total_on_the_unit_interval(self, p_hat, theta, fidelity, t2, omega_s_hz,
+                                        sigma_hz, convention):
+        # every population gives a finite g_hat >= 0 or an exclusion reason
+        out = estimate_frequency_separation(
+            _estimate(p_hat), SensorModel(fidelity, t2, theta),
+            _burst(omega_s_hz, sigma_hz, convention))
+        if out.defined:
+            assert math.isfinite(out.g_hat) and out.g_hat >= 0.0
+        else:
+            assert isinstance(out.reason, ExclusionReason)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_x=st.floats(-6.0, math.log10(5.0)), theta=BIASES,
+           fidelity=st.floats(0.1, 1.0), t2_over_t1=st.floats(1.0, 1e3), **TONES)
+    def test_inverts_its_own_model(self, log_x, theta, fidelity, t2_over_t1, omega_s_hz,
+                                   sigma_hz, convention):
+        # x = kappa g^2 in [1e-6, 5] at contrast C(t1) >= 0.1
+        spec = _burst(omega_s_hz, sigma_hz, convention)
+        sensor = SensorModel(fidelity, t2_over_t1 * spec.period, theta)
+        c = contrast(sensor, spec.period)
+        assume(c >= 0.1)
+        x = 10.0**log_x
+        g = math.sqrt(x / small_g_curvature(spec.omega_s, spec.sigma, convention))
+        p = 0.5 * (1.0 - c * math.exp(-x))
+        p_hat = p if theta == 0.0 else 1.0 - p
+        out = estimate_frequency_separation(
+            _estimate(p_hat), sensor, _burst(omega_s_hz, sigma_hz, convention, g))
+        assert out.defined
+        assert out.g_hat == pytest.approx(g, rel=1e-8)
 
 
 def _scan(rows):

@@ -15,7 +15,6 @@ from ramsey_sensing.montecarlo import (
     apply_readout_degradation,
     estimate_population,
     excess_noise_channel,
-    read_shot_table,
     simulate_shots,
     write_shot_table,
 )
@@ -39,6 +38,16 @@ from ramsey_sensing.streams import derive_stream
 TWO_PI = 2 * math.pi
 
 SENSOR = SensorModel(0.9, 10e-3)
+
+
+def _load_shot_table(path):
+    """Counts and '# key=value' metadata of a shot-table CSV, checking its layout."""
+    lines = path.read_text().splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    assert lines[len(meta)] == "shot_index,count"
+    rows = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1, dtype=np.int64, ndmin=2)
+    assert np.array_equal(rows[:, 0], np.arange(len(rows)))
+    return rows[:, 1], meta
 
 
 def _constant_table(n=40_000, seed_path=(41, 2)):
@@ -193,32 +202,30 @@ class TestReadoutDegradation:
 
 class TestExcessNoiseChannel:
     def test_unit_factor_returns_plain_estimate_without_drawing(self):
-        table = _constant_table(n=200, seed_path=(41, 28))
-        assert excess_noise_channel(table, 1.0, None) == estimate_population(table)
+        est = estimate_population(_constant_table(n=200, seed_path=(41, 28)))
+        assert excess_noise_channel(est, 1.0, None) is est
 
     def test_factor_below_one_rejected(self):
-        table = _constant_table(n=10, seed_path=(41, 29))
+        est = estimate_population(_constant_table(n=10, seed_path=(41, 29)))
         with pytest.raises(ValueError):
-            excess_noise_channel(table, 0.9, derive_stream(41, 30))
+            excess_noise_channel(est, 0.9, derive_stream(41, 30))
 
     def test_non_finite_factor_rejected(self):
-        table = _constant_table(n=10, seed_path=(41, 29))
+        est = estimate_population(_constant_table(n=10, seed_path=(41, 29)))
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                excess_noise_channel(table, bad, derive_stream(41, 30))
+                excess_noise_channel(est, bad, derive_stream(41, 30))
 
     def test_error_scales_and_population_jitters(self):
-        table = _constant_table()
-        est = estimate_population(table)
-        noisy = excess_noise_channel(table, 2.0, derive_stream(41, 5))
+        est = estimate_population(_constant_table())
+        noisy = excess_noise_channel(est, 2.0, derive_stream(41, 5))
         assert noisy.std_err == 2.0 * est.std_err
         assert noisy.p_hat != est.p_hat
 
     def test_jitter_is_zero_mean(self):
-        table = _constant_table()
-        est = estimate_population(table)
+        est = estimate_population(_constant_table())
         shifts = [
-            excess_noise_channel(table, 2.0, derive_stream(41, 4, k)).p_hat - est.p_hat
+            excess_noise_channel(est, 2.0, derive_stream(41, 4, k)).p_hat - est.p_hat
             for k in range(400)
         ]
         jitter_std = est.qpn_err * math.sqrt(3.0)  # sqrt(factor^2 - 1)
@@ -228,9 +235,10 @@ class TestExcessNoiseChannel:
         spec = Constant(0.0)
         sensor = SensorModel(0.999, 10e-3)  # baseline p close to 0
         table = simulate_shots(spec, sensor, EnsembleConfig(50, 1), 1e-5, derive_stream(41, 31))
+        est = estimate_population(table)
         for k in range(50):
-            est = excess_noise_channel(table, 40.0, derive_stream(41, 32, k))
-            assert 0.0 <= est.p_hat <= 1.0
+            jittered = excess_noise_channel(est, 40.0, derive_stream(41, 32, k))
+            assert 0.0 <= jittered.p_hat <= 1.0
 
 
 class TestShotTableIO:
@@ -240,7 +248,7 @@ class TestShotTableIO:
         table = simulate_shots(spec, SENSOR, ens, 0.5e-3, derive_stream(41, 33), seed_path=(41, 33))
         path = tmp_path / "table.csv"
         write_shot_table(table, path)
-        counts, meta = read_shot_table(path)
+        counts, meta = _load_shot_table(path)
         assert np.array_equal(counts, table.counts)
         assert meta["signal"] == "intermittent_two_tone"
         assert float(meta["omega_s_rad_s"]) == spec.omega_s
@@ -260,5 +268,5 @@ class TestShotTableIO:
             table = simulate_shots(spec, SENSOR, ens, 1e-4, derive_stream(41, 34))
             path = tmp_path / f"{tag}.csv"
             write_shot_table(table, path)
-            _, meta = read_shot_table(path)
+            _, meta = _load_shot_table(path)
             assert meta["signal"] == tag

@@ -1,13 +1,17 @@
 """Every name a module exports must exist: a stale `__all__` entry breaks
-`from module import *` and misleads readers about the public API. The
+`from module import *` and misleads readers about the public API. Every
+exported function must have a caller in the package or its demos, unless
+it is one of the few references the tests check the package against. The
 runtime needs numpy only: scipy is a test dependency."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,56 @@ MODULES = [
     "ramsey_sensing.signals",
     "ramsey_sensing.streams",
 ]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exact or independent implementations that no pipeline, CLI command or
+# demo calls; the tests hold the package's fast paths to them.
+REFERENCES = {
+    "sample_realizations", "accrued_phases", "signal_value",  # signals
+    "exact_snr", "root_found_gmin", "brentq",  # sensitivity: the exact SNR = 1 crossing
+    "mc_gmin_crossing", "gmin_continuous_two_tone",
+}
+
+
+def _loaded_names(paths) -> set[str]:
+    """Names and attributes code refers to, outside the def of the same name
+    (a recursive call is not a caller); strings and docstrings do not count."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+def _exported_functions(name):
+    module = importlib.import_module(name)
+    return [n for n in module.__all__ if isinstance(getattr(module, n), types.FunctionType)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_function_has_a_caller(name):
+    used = _loaded_names([*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
+    assert [f for f in _exported_functions(name) if f not in used | REFERENCES] == []
+
+
+def test_every_reference_is_defined_and_tested():
+    defined = {n for m in MODULES for n, v in vars(importlib.import_module(m)).items()
+               if isinstance(v, types.FunctionType)}
+    tested = _loaded_names([p for p in (ROOT / "tests").glob("*.py")
+                            if p.name != Path(__file__).name])
+    assert REFERENCES <= defined & tested
 
 
 @pytest.mark.parametrize("name", MODULES)

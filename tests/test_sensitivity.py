@@ -92,7 +92,13 @@ class TestConstantClosedForm:
 
     def test_result_rejects_nonpositive_gmin(self):
         with pytest.raises(ValueError):
-            SensitivityResult(0.0, "closed_form", True, {})
+            SensitivityResult(0.0, "closed_form", True, 1.0)
+
+    @pytest.mark.parametrize("t_i", [0.4, 1.0, 1e3])
+    def test_contrast_underflow_raises_value_error(self, t_i):
+        # C(t_i) = 0.9 e^{-t_i^2/(2 T2^2)} is exactly 0.0 past t_i ~ 0.39 s at T2 = 10 ms
+        with pytest.raises(ValueError, match="contrast underflows"):
+            gmin_constant(SensorModel(0.9, 10e-3), EnsembleConfig(1000, 1), t_i)
 
 
 class TestGaussianKernel:
@@ -152,7 +158,7 @@ class TestIntermittentClosedForm:
         res = gmin_intermittent(sensor, EnsembleConfig(1000, 1), self.OMEGA_S, self.SIGMA)
         assert_allclose(res.g_min / TWO_PI, 293.5471862857504, rtol=1e-12)
         assert res.validity
-        assert res.inputs["t1"] == pytest.approx(0.5e-3, rel=1e-12)
+        assert res.t_i == pytest.approx(0.5e-3, rel=1e-12)
 
     def test_half_split_convention_doubles_the_threshold(self):
         sensor = SensorModel(0.9, 10e-3)
@@ -189,7 +195,7 @@ class TestGminAtOptimum:
 
     def test_dispatches_each_scenario_at_its_optimal_time(self):
         s, ens = self.SENSOR, self.ENS
-        t_var = optimal_integration_time("variance", s, ens).t_opt
+        t_var = optimal_integration_time("variance", s, ens)
         w, sig = self.TONES["omega_s"], self.TONES["sigma"]
         expected = {
             "constant": gmin_constant(s, ens, s.t2),
@@ -199,7 +205,7 @@ class TestGminAtOptimum:
         }
         for scenario, direct in expected.items():
             assert gmin_at_optimum(scenario, s, ens, **self.TONES) == direct
-        assert gmin_at_optimum("variance", s, ens).inputs["t_i"] == t_var
+        assert gmin_at_optimum("variance", s, ens).t_i == t_var
 
     def test_convention_reaches_the_two_tone_forms(self):
         full = gmin_at_optimum("intermittent", self.SENSOR, self.ENS, **self.TONES)
@@ -251,6 +257,17 @@ class TestRootFinder:
         assert mc.method == "monte_carlo"
         assert abs(mc.g_min - cf) / cf < 0.05
 
+    @pytest.mark.parametrize("solve", [
+        lambda spec, s, ens: root_found_gmin(spec, s, ens, 0.0),
+        lambda spec, s, ens: mc_gmin_crossing(spec, s, ens, 1e-3, derive_stream(11, 2),
+                                              bracket_center=0.0, n_shots=100, n_avg=1),
+    ], ids=["root_found_t_i", "mc_bracket_center"])
+    @pytest.mark.parametrize("spec", [Constant(0.0), StochasticAmplitude(0.0)],
+                             ids=["constant", "stochastic"])
+    def test_zero_scale_raises_value_error(self, solve, spec):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            solve(spec, SensorModel(0.9, 10e-3), EnsembleConfig(1000, 1))
+
 
 class TestSnrCurve:
     SENSOR = SensorModel(1.0, 10e-3)
@@ -295,9 +312,8 @@ class TestSnrCurve:
 class TestOptimalIntegrationTime:
     def test_constant_optimum_is_the_coherence_time(self):
         sensor = SensorModel(0.8, 10e-3)
-        ot = optimal_integration_time("constant", sensor, EnsembleConfig(1000, 1))
-        assert abs(ot.t_opt / sensor.t2 - 1.0) < 1e-3
-        assert not ot.at_bracket_edge
+        t_opt = optimal_integration_time("constant", sensor, EnsembleConfig(1000, 1))
+        assert abs(t_opt / sensor.t2 - 1.0) < 1e-3
 
     def test_variance_optimum_frozen_values(self):
         sensor = SensorModel(1.0, 10e-3)
@@ -306,22 +322,8 @@ class TestOptimalIntegrationTime:
             10**6: 1.2629299473563174,
         }
         for nm, expected in ratios.items():
-            ot = optimal_integration_time("variance", sensor, EnsembleConfig(nm, 1))
-            assert_allclose(ot.t_opt / sensor.t2, expected, rtol=2e-4)
-
-    def test_continuous_two_tone_needs_a_spec(self):
-        sensor = SensorModel(1.0, 10e-3)
-        with pytest.raises(ValueError):
-            optimal_integration_time("continuous_two_tone", sensor, EnsembleConfig(1000, 1))
-
-    def test_continuous_two_tone_sits_near_a_period_multiple(self):
-        sensor = SensorModel(1.0, 10e-3)
-        spec = TwoToneStochastic(TWO_PI * 1000, TWO_PI * 10, TWO_PI * 500)
-        ot = optimal_integration_time(
-            "continuous_two_tone", sensor, EnsembleConfig(1000, 1), spec)
-        period = TWO_PI / spec.omega_s
-        assert abs(ot.t_opt / period - round(ot.t_opt / period)) < 0.05
-        assert 1.0e-3 < ot.t_opt < 50e-3
+            t_opt = optimal_integration_time("variance", sensor, EnsembleConfig(nm, 1))
+            assert_allclose(t_opt / sensor.t2, expected, rtol=2e-4)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -344,9 +346,18 @@ class TestContinuousTwoTone:
         sensor = SensorModel(0.95, 10e-3)
         res = gmin_continuous_kernel(sensor, EnsembleConfig(1000, 1), self.OMEGA_S, self.SIGMA)
         period = TWO_PI / self.OMEGA_S
-        n = res.inputs["n_periods"]
-        assert isinstance(n, int) and n >= 1
-        assert_allclose(res.inputs["t_opt"], n * period, rtol=1e-12)
+        n = round(res.t_i / period)
+        assert n >= 1
+        assert_allclose(res.t_i, n * period, rtol=1e-12)
+
+    def test_root_found_optimum_sits_near_a_period_multiple(self):
+        # the g = 0 noise floor rephases at each center period; the
+        # golden-section refinement stays within half a period of one
+        sensor = SensorModel(1.0, 10e-3)
+        res = gmin_continuous_two_tone(sensor, EnsembleConfig(1000, 1), self.OMEGA_S, self.SIGMA)
+        period = TWO_PI / self.OMEGA_S
+        assert abs(res.t_i / period - round(res.t_i / period)) < 0.05
+        assert 1.0e-3 < res.t_i < 50e-3
 
     def test_kernel_extends_below_the_saturation_point_with_validity_flag(self):
         # the root-finder cannot cross SNR=1 here; the linearized kernel
@@ -525,6 +536,11 @@ class TestContinuousOptimum:
         for f in (0.05, 0.3, 0.7, 1.0):
             u = continuous_optimal_u(f)
             assert_allclose(u, 2.0 * (1.0 - f * f * math.exp(-u)), rtol=1e-12)
+
+    @pytest.mark.parametrize("fidelity", [math.nan, math.inf, -math.inf, 1.5, -1.0, 0.0])
+    def test_fidelity_outside_unit_interval_rejected(self, fidelity):
+        with pytest.raises(ValueError, match="fidelity"):
+            continuous_optimal_u(fidelity)
 
 
 class TestExcessSensors:

@@ -80,6 +80,11 @@ class TestContrast:
         with pytest.raises(ValueError):
             contrast(SensorModel(0.9, 1.0), -1e-6)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            contrast(SensorModel(0.9, 1.0), t)
+
 
 class TestExcitationProbability:
     def test_fringe_extremes(self):
@@ -162,6 +167,16 @@ class TestMeanPopulation:
             p_hat = estimate_population(table).p_hat
             p = mean_population(spec, s, t)
             assert abs(p_hat - p) < 4 * math.sqrt(p * (1 - p) / shots)
+
+    @pytest.mark.parametrize("spec, t_i", [
+        (Constant(1.0), math.nan),
+        (StochasticAmplitude(1.0), math.nan),
+        (StochasticAmplitude(1.0), math.inf),
+    ])
+    def test_non_finite_time_rejected(self, spec, t_i):
+        # never a nan population, nor the t -> inf limit 1/2
+        with pytest.raises(ValueError, match="finite"):
+            mean_population(spec, SensorModel(0.9, 1.0), t_i)
 
     def test_unknown_spec_type_rejected(self):
         with pytest.raises(TypeError):
