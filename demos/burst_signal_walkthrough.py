@@ -49,7 +49,8 @@ for gi, g_hz in enumerate((0.0, 60.0, 120.0, 240.0, 480.0, 960.0)):
         rng = derive_stream(SEED, 0, gi, rep)
         table = simulate_shots(spec, sensor, ensemble, T1, rng)
         outcomes.append(
-            estimate_frequency_separation(estimate_population(table), sensor, spec))
+            estimate_frequency_separation(
+                estimate_population(table.counts, ensemble.m_sensors).p_hat, sensor, spec))
     rows.append((TWO_PI * g_hz, tuple(outcomes)))
     defined = [o.g_hat for o in outcomes if o.defined]
     med = sorted(defined)[len(defined) // 2] / TWO_PI if defined else float("nan")

@@ -31,7 +31,7 @@ for i, (n, m) in enumerate([(100, 1), (400, 1), (1600, 1), (400, 4)]):
     ensemble = EnsembleConfig(n, m)
     rng = derive_stream(SEED, 0, i)
     p_hats = [
-        estimate_population(simulate_shots(spec, sensor, ensemble, t_i, rng)).p_hat
+        estimate_population(simulate_shots(spec, sensor, ensemble, t_i, rng).counts, m).p_hat
         for _ in range(REPS)
     ]
     measured = float(np.std(p_hats, ddof=1))
@@ -44,8 +44,8 @@ ensemble = EnsembleConfig(400, 1)
 rng = derive_stream(SEED, 1)
 jit = derive_stream(SEED, 2)
 p_hats = [
-    excess_noise_channel(
-        estimate_population(simulate_shots(spec, sensor, ensemble, t_i, rng)), factor, jit).p_hat
+    excess_noise_channel(estimate_population(
+        simulate_shots(spec, sensor, ensemble, t_i, rng).counts, 1), factor, jit).p_hat
     for _ in range(REPS)
 ]
 measured = float(np.std(p_hats, ddof=1))

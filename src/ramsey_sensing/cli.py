@@ -192,8 +192,31 @@ def _print_kv(pairs) -> None:
         print(f"{key}={format_value(value)}")
 
 
+# flags analytic reads per scenario besides --scenario, --n, --m, --csv and --config
+_ANALYTIC_READS = {
+    "constant": {"fidelity", "t2", "ti"},
+    "variance": {"fidelity", "t2", "ti"},
+    "intermittent": {"omega_s_hz", "sigma_hz", "convention", "fidelity", "t2"},
+}
+_ANALYTIC_CONTRAST_READS = {"omega_s_hz", "sigma_hz", "convention", "contrast"}
+_ANALYTIC_OPTIONAL = ("fidelity", "t2", "ti", "contrast", "omega_s_hz", "sigma_hz",
+                      "convention", "seed", "out", "threads")
+
+
+def _reject_unread(args: argparse.Namespace) -> None:
+    """Exit 2 naming every given flag the chosen analytic path would ignore."""
+    by_contrast = args.scenario == "intermittent" and args.contrast is not None
+    reads = _ANALYTIC_CONTRAST_READS if by_contrast else _ANALYTIC_READS[args.scenario]
+    unread = [f"--{dest.replace('_', '-')}" for dest in _ANALYTIC_OPTIONAL
+              if getattr(args, dest) is not None and dest not in reads]
+    if unread:
+        path = f"--scenario {args.scenario}" + (" --contrast" if by_contrast else "")
+        raise SystemExit(f"error: analytic {path} does not read {', '.join(unread)}")
+
+
 def _cmd_analytic(args: argparse.Namespace) -> int:
     _require(args, "scenario")
+    _reject_unread(args)
     _default(args, n=1000, m=1, convention=ToneConvention.FULL_SPLIT.value)
     ensemble = EnsembleConfig(args.n, args.m)
     convention = ToneConvention(args.convention)
@@ -265,7 +288,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_shot_table(table, out / "shot_table.csv")
-    est = estimate_population(table)
+    est = estimate_population(table.counts, ensemble.m_sensors)
     _print_kv([
         ("shots", est.n_shots), ("sensors", est.n_sensors),
         ("p_hat", est.p_hat), ("std_err", est.std_err), ("qpn_err", est.qpn_err),

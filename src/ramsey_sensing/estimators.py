@@ -19,7 +19,6 @@ from statistics import median
 
 from .sensor import SensorModel, contrast
 from .signals import IntermittentTwoTone, small_g_curvature
-from .montecarlo import PopulationEstimate
 
 __all__ = [
     "ExclusionReason",
@@ -64,9 +63,10 @@ class EstimateOutcome:
 
 
 def estimate_frequency_separation(
-    est: PopulationEstimate, sensor: SensorModel, spec: IntermittentTwoTone
+    p_hat: float, sensor: SensorModel, spec: IntermittentTwoTone
 ) -> EstimateOutcome:
-    """Invert the small-g population model at one center period.
+    """Invert a population estimate p_hat under the small-g model at one
+    center period.
 
     p = (1 - C_t e^{-kappa g^2})/2 with kappa the small-g curvature of half
     the phase variance under the spec's tone convention. The model holds at
@@ -74,10 +74,12 @@ def estimate_frequency_separation(
     it, and any other bias raises. p below the g = 0 baseline (1 - C_t)/2
     is excluded as BELOW_BASELINE, p >= 1/2 as OUT_OF_DOMAIN.
     """
+    if not (0 <= p_hat <= 1):
+        raise ValueError("p_hat must be a probability")
     if math.isclose(sensor.theta, 0.0, rel_tol=0, abs_tol=1e-12):
-        p = est.p_hat
+        p = p_hat
     elif math.isclose(sensor.theta, math.pi, rel_tol=0, abs_tol=1e-12):
-        p = 1.0 - est.p_hat
+        p = 1.0 - p_hat
     else:
         raise ValueError("frequency-separation estimation requires bias theta in {0, pi}")
     c = contrast(sensor, spec.period)

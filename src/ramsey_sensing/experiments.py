@@ -6,6 +6,10 @@ single-sensor shots against a burst two-tone signal), and the readout
 degradation study built on the replica's shot tables. Every pipeline is
 deterministic under its master seed regardless of worker count: each scan
 point derives its own counter-based stream.
+
+The replica and degradation studies hold their shot tables as one bool
+stack with a row per (grid point, repetition); workers fill disjoint rows,
+and the flip channel and the population estimate run over the whole stack.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .estimators import (
 )
 from .io_utils import write_csv, write_json
 from .montecarlo import (
+    PopulationEstimate,
     apply_readout_degradation,
     estimate_population,
     excess_noise_channel,
@@ -384,30 +389,33 @@ def _replica_spec(g: float) -> IntermittentTwoTone:
 
 
 def _simulate_replica_tables(seed: int, reps: int, threads: int):
-    """Shot tables for every (grid point, repetition); shared with degrade."""
+    """Counts of every (grid point, repetition) table, shared with degrade.
+
+    One bool stack of shape (grid * reps, n_shots): table (gi, rep) is row
+    gi * reps + rep, written by the worker that simulates it, so the stack
+    is the same whatever the worker count.
+    """
     grid = _replica_grid()
     sensor = _replica_sensor()
     ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
     t1 = REPLICA_PARAMS["t1"]
+    stack = np.empty((len(grid) * reps, ensemble.n_shots), dtype=bool)
 
-    def one(key: tuple[int, int]):
-        gi, rep = key
+    def one(row: int) -> None:
+        gi, rep = divmod(row, reps)
         path = (_NS_REPLICA, 0, gi, rep)
-        rng = derive_stream(seed, *path)
-        return simulate_shots(_replica_spec(grid[gi]), sensor, ensemble, t1, rng,
-                              seed_path=path)
+        stack[row] = simulate_shots(_replica_spec(grid[gi]), sensor, ensemble, t1,
+                                    derive_stream(seed, *path), seed_path=path).counts
 
-    keys = [(gi, rep) for gi in range(len(grid)) for rep in range(reps)]
-    tables = _pmap(one, keys, threads)
-    return grid, sensor, {k: t for k, t in zip(keys, tables)}
+    _pmap(one, range(len(stack)), threads)
+    return grid, sensor, stack
 
 
 def _scan_from_estimates(grid, outcomes) -> BiasScan:
-    rows = tuple(
-        (g, tuple(outcomes[(gi, rep)] for rep in range(len(outcomes) // len(grid))))
-        for gi, g in enumerate(grid)
-    )
-    return BiasScan(rows)
+    """BiasScan from outcomes listed row by row, repetitions fastest."""
+    reps = len(outcomes) // len(grid)
+    return BiasScan(tuple(
+        (g, tuple(outcomes[gi * reps:(gi + 1) * reps])) for gi, g in enumerate(grid)))
 
 
 def run_experiment_replica(
@@ -422,23 +430,26 @@ def run_experiment_replica(
     emulates the measured noise floor sitting above projection noise.
     """
     reps = REPLICA_PARAMS["repetitions"]
-    grid, sensor, tables = _simulate_replica_tables(seed, reps, threads)
+    grid, sensor, stack = _simulate_replica_tables(seed, reps, threads)
     ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
     t1 = REPLICA_PARAMS["t1"]
 
     pop_rows = []
-    estimates = {key: estimate_population(table) for key, table in tables.items()}
-    outcomes_qpn: dict[tuple[int, int], EstimateOutcome] = {}
-    outcomes_exc: dict[tuple[int, int], EstimateOutcome] = {}
+    stacked = estimate_population(stack, ensemble.m_sensors)
+    estimates = [PopulationEstimate(p, s, q, stacked.n_shots, stacked.n_sensors)
+                 for p, s, q in zip(stacked.p_hat.tolist(), stacked.std_err.tolist(),
+                                    stacked.qpn_err.tolist())]
+    outcomes_qpn: list[EstimateOutcome] = []
+    outcomes_exc: list[EstimateOutcome] = []
     for gi, g in enumerate(grid):
         spec = _replica_spec(g)
         p_model = mean_population(spec, sensor, t1)
         for rep in range(reps):
-            est = estimates[(gi, rep)]
+            est = estimates[gi * reps + rep]
             est_x = excess_noise_channel(
                 est, excess_factor, derive_stream(seed, _NS_REPLICA, 1, gi, rep))
-            outcomes_qpn[(gi, rep)] = estimate_frequency_separation(est, sensor, spec)
-            outcomes_exc[(gi, rep)] = estimate_frequency_separation(est_x, sensor, spec)
+            outcomes_qpn.append(estimate_frequency_separation(est.p_hat, sensor, spec))
+            outcomes_exc.append(estimate_frequency_separation(est_x.p_hat, sensor, spec))
             pop_rows.append((g / TWO_PI, rep, est_x.p_hat, est_x.std_err, est_x.qpn_err,
                              est.p_hat, p_model))
 
@@ -484,7 +495,7 @@ def run_experiment_replica(
         note="mean p_hat at g=0 vs model, 3 sigma of the rep average"))
 
     # empirical error vs projection noise at g=0 (projection-limited data)
-    emp_errs = [estimates[(0, rep)].std_err for rep in range(reps)]
+    emp_errs = [estimates[rep].std_err for rep in range(reps)]
     qpn_err = math.sqrt(qpn_variance(p0_model, ensemble))
     err_ratio = (sum(emp_errs) / reps) / qpn_err
     report.checks.append(Check(
@@ -531,35 +542,34 @@ def run_fidelity_degradation(
     The g_min(F_eff) curve is compared against the burst closed form and
     against a 1/sqrt(F) scaling anchored at flip=0.
     """
+    if not flip_grid:
+        raise ValueError("flip grid must hold at least one probability")
     if any(not (0 <= f < 0.5) for f in flip_grid):
         raise ValueError("flip probabilities must lie in [0, 0.5)")
+    if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 2):
+        raise ValueError("repetitions must be an integer >= 2")
     flip_grid = tuple(sorted(flip_grid))
     reps = repetitions
-    grid, sensor, tables = _simulate_replica_tables(seed, reps, threads)
+    grid, sensor, stack = _simulate_replica_tables(seed, reps, threads)
     ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
     t1 = REPLICA_PARAMS["t1"]
     decay = math.exp(-(t1**2) / (2 * sensor.t2**2))
+    specs = [_replica_spec(g) for g in grid]
 
     deg_rows, est_rows = [], []
     feff_sigmas = []
-    gmin_by_flip = {}
     for fi, flip in enumerate(flip_grid):
         f_eff_expected = (1.0 - 2.0 * flip) * REPLICA_PARAMS["fidelity"]
         sensor_eff = SensorModel(f_eff_expected, sensor.t2, sensor.theta)
-        outcomes = {}
-        p0_sum = 0.0
-        for gi, g in enumerate(grid):
-            spec = _replica_spec(g)
-            for rep in range(reps):
-                rng = derive_stream(seed, _NS_DEGRADE, fi, gi, rep)
-                table = apply_readout_degradation(tables[(gi, rep)], flip, rng)
-                est = estimate_population(table)
-                if gi == 0:
-                    p0_sum += est.p_hat
-                outcomes[(gi, rep)] = estimate_frequency_separation(est, sensor_eff, spec)
+        streams = (derive_stream(seed, _NS_DEGRADE, fi, gi, rep)
+                   for gi in range(len(grid)) for rep in range(reps))
+        degraded = apply_readout_degradation(stack, flip, streams)
+        p_hat = estimate_population(degraded, ensemble.m_sensors).p_hat.tolist()
+        outcomes = [estimate_frequency_separation(p, sensor_eff, specs[row // reps])
+                    for row, p in enumerate(p_hat)]
+        p0_sum = sum(p_hat[:reps])
         scan = _scan_from_estimates(grid, outcomes)
         gmin = empirical_gmin(scan)
-        gmin_by_flip[flip] = gmin
         for g_hz, rep, status, g_hat_hz in bias_scan_rows(scan):
             est_rows.append((flip, g_hz, rep, status, g_hat_hz))
 

@@ -8,12 +8,18 @@ one normal per shot, none for a constant signal), and a single sensor's
 outcome is one uniform compared with p. The population estimate
 p_hat = sum(k)/(N*M) is unbiased and its noise floor is the projection-noise
 variance p(1-p)/(N*M).
+
+A study that runs many tables of one size holds their counts as one stack,
+one table per row. The population estimate and the readout flip channel act
+row by row along the last axis: row r draws only from its own stream and
+gets exactly the bits its table would get alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -52,7 +58,6 @@ class ShotTable:
     ensemble: EnsembleConfig
     t_i: float
     seed_path: tuple[int, ...] = ()
-    flip_prob: float = 0.0  # accumulated readout degradation
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -65,16 +70,20 @@ class ShotTable:
 
 @dataclass(frozen=True)
 class PopulationEstimate:
-    p_hat: float
-    std_err: float  # empirical error of the mean
-    qpn_err: float  # projection-noise prediction at p_hat, for comparison
+    """Estimate of one table (float fields) or of a stack of tables (arrays
+    over the stack's leading axes)."""
+
+    p_hat: float | np.ndarray
+    std_err: float | np.ndarray  # empirical error of the mean
+    qpn_err: float | np.ndarray  # projection-noise prediction at p_hat, for comparison
     n_shots: int
     n_sensors: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.p_hat <= 1):
+        p_hat = np.asarray(self.p_hat)
+        if not ((p_hat >= 0) & (p_hat <= 1)).all():
             raise ValueError("p_hat must be a probability")
-        if self.std_err < 0:
+        if not (np.asarray(self.std_err) >= 0).all():
             raise ValueError("std_err must be >= 0")
 
 
@@ -107,37 +116,70 @@ def simulate_shots(
     return ShotTable(counts, spec, sensor, ensemble, t_i, seed_path)
 
 
-def estimate_population(table: ShotTable) -> PopulationEstimate:
-    """p_hat with its empirical error of the mean and the QPN prediction."""
-    n, m = table.ensemble.n_shots, table.ensemble.m_sensors
-    fractions = table.counts / m
-    p_hat = float(fractions.mean())
-    if n > 1:
-        std_err = float(fractions.std(ddof=1) / math.sqrt(n))
-    else:
-        std_err = 0.0
-    qpn_err = math.sqrt(p_hat * (1.0 - p_hat) / (n * m))
-    return PopulationEstimate(p_hat, std_err, qpn_err, n, m)
+def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
+    """p_hat with its empirical error of the mean and the QPN prediction.
+
+    counts holds one table, shape (N,), or a stack of tables, shape
+    (..., N); the estimate reduces the last axis, so each row of a stack
+    gets the bits its table gets alone. The fields are floats for one table
+    and arrays of the leading shape for a stack. Rows are reduced a block at
+    a time, so a large stack costs no full-size float temporaries.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim == 0 or counts.shape[-1] < 1:
+        raise ValueError("counts need a last axis of at least one shot")
+    if not (isinstance(m_sensors, (int, np.integer)) and m_sensors >= 1):
+        raise ValueError("m_sensors must be an integer >= 1")
+    if counts.size and (counts.min() < 0 or counts.max() > m_sensors):
+        raise ValueError("counts must lie in [0, m_sensors]")
+    n, m = counts.shape[-1], int(m_sensors)
+    rows = counts.reshape(-1, n)
+    p_hat = np.empty(len(rows))
+    std = np.zeros(len(rows))
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(rows), step):
+        fractions = rows[lo:lo + step] / m
+        fractions.mean(axis=-1, out=p_hat[lo:lo + step])
+        if n > 1:
+            fractions.std(axis=-1, ddof=1, out=std[lo:lo + step])
+    std_err = std / math.sqrt(n)
+    qpn_err = np.sqrt(p_hat * (1.0 - p_hat) / (n * m))
+    if counts.ndim == 1:
+        return PopulationEstimate(float(p_hat[0]), float(std_err[0]), float(qpn_err[0]), n, m)
+    shape = counts.shape[:-1]
+    return PopulationEstimate(p_hat.reshape(shape), std_err.reshape(shape),
+                              qpn_err.reshape(shape), n, m)
 
 
 def apply_readout_degradation(
-    table: ShotTable, flip_prob: float, rng: np.random.Generator
-) -> ShotTable:
-    """Flip each recorded bit with probability flip_prob (single-sensor only).
+    counts, flip_prob: float, rngs: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """Flip each recorded single-sensor outcome with probability flip_prob.
 
-    Two applications with probabilities a then b compose to a+b-2ab, and the
-    effective contrast scales by (1-2*flip_prob).
+    counts holds the bool outcomes of one table, shape (N,), or of a stack
+    of tables, shape (..., N); a bool array cannot hold a multi-sensor
+    count. rngs yields one stream per table in row order; row r draws its N
+    uniforms from its own stream, so it flips exactly as its table would
+    alone. Returns a new array; at flip_prob = 0 returns counts itself and
+    takes nothing from rngs. Two applications with probabilities a then b
+    compose to a+b-2ab, and the effective contrast scales by (1-2*flip_prob).
     """
     if not (0 <= flip_prob <= 0.5):
         raise ValueError("flip_prob must be in [0, 1/2]")
-    if table.ensemble.m_sensors != 1:
-        raise ValueError("readout degradation is defined for single-sensor tables")
+    counts = np.asarray(counts)
+    if counts.dtype != np.bool_ or counts.ndim == 0:
+        raise ValueError("readout degradation is defined for single-sensor outcomes, "
+                         "given as a bool array")
     if flip_prob == 0.0:
-        return table
-    flips = rng.random(table.counts.shape) < flip_prob
-    counts = np.where(flips, 1 - table.counts, table.counts)
-    combined = table.flip_prob + flip_prob - 2 * table.flip_prob * flip_prob
-    return replace(table, counts=counts, flip_prob=combined)
+        return counts
+    out = counts.copy()
+    rows = out.reshape(-1, out.shape[-1])
+    u = np.empty(rows.shape[1])
+    flips = np.empty(rows.shape[1], dtype=bool)
+    for row, rng in zip(rows, rngs, strict=True):
+        np.less(rng.random(out=u), flip_prob, out=flips)
+        row ^= flips
+    return out
 
 
 def excess_noise_channel(
@@ -152,6 +194,8 @@ def excess_noise_channel(
     """
     if not (excess_factor >= 1 and math.isfinite(excess_factor)):
         raise ValueError("excess_factor must be finite and >= 1")
+    if np.ndim(est.p_hat):
+        raise ValueError("excess_noise_channel takes the estimate of one table")
     if excess_factor == 1.0:
         return est
     jitter = rng.normal(0.0, est.qpn_err * math.sqrt(excess_factor**2 - 1.0))
@@ -186,7 +230,6 @@ def write_shot_table(table: ShotTable, path) -> None:
         n_shots=table.ensemble.n_shots,
         m_sensors=table.ensemble.m_sensors,
         t_i_s=table.t_i,
-        flip_prob=table.flip_prob,
         seed_path=":".join(str(p) for p in table.seed_path),
     )
     lines = [f"# {k}={format_value(v)}" for k, v in meta.items()]

@@ -265,7 +265,7 @@ def test_exact_phase_variance_curvature_and_monte_carlo_population():
             p_model = mean_population(spec, sensor, t_i)
             table = simulate_shots(spec, sensor, ensemble, t_i,
                                    derive_stream(MASTER_SEED, 7, 20 + idx))
-            p_hat = estimate_population(table).p_hat
+            p_hat = estimate_population(table.counts, ensemble.m_sensors).p_hat
             shot_sigma = math.sqrt(p_model * (1 - p_model) / ensemble.total)
             pulls.append(abs(p_hat - p_model) / shot_sigma)
             idx += 1
@@ -331,7 +331,7 @@ def test_shot_engine_variance_matches_projection_noise_chi_squared():
         p = float(excitation_probability(sensor, t_i, spec.g * t_i))
         rng = derive_stream(MASTER_SEED, 9, i)
         p_hats = np.array([
-            estimate_population(simulate_shots(spec, sensor, ensemble, t_i, rng)).p_hat
+            estimate_population(simulate_shots(spec, sensor, ensemble, t_i, rng).counts, m).p_hat
             for _ in range(reps)
         ])
         qpn = p * (1.0 - p) / ensemble.total
@@ -368,6 +368,24 @@ def test_study_pipeline_outputs_are_byte_identical_across_runs_and_threads(tmp_p
         assert rc == 0
     names = sorted(p.name for p in outs[0].iterdir())
     assert "manifest.json" in names and "fig3a_snr.csv" in names
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", [["replica"], ["replica", "degrade"]],
+                         ids=["replica", "degrade"])
+def test_replica_pipeline_outputs_are_byte_identical_across_runs_and_threads(
+        tmp_path, command):
+    """Running the measurement replica, or its readout degradation study,
+    twice with the same seed, then once more with four worker threads,
+    produces byte-identical CSVs and manifests."""
+    outs = [tmp_path / name for name in ("a", "b", "c")]
+    for out, extra in zip(outs, ([], [], ["--threads", "4"])):
+        assert main([*command, "--seed", "7", "--out", str(out)] + extra) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "manifest.json" in names and len(names) > 1
     for out in outs[1:]:
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:

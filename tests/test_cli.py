@@ -8,13 +8,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ramsey_sensing
-from ramsey_sensing.cli import main
+from ramsey_sensing.cli import _build_parser, _load_config, _merge_config, main
 
 TWO_PI = 2 * math.pi
 
@@ -107,6 +110,33 @@ class TestAnalytic:
         assert rc == 2
         assert "contrast underflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["--scenario", "intermittent", "--contrast", "0.903", "--omega-s-hz", "2000",
+          "--sigma-hz", "275", "--ti", "5", "--fidelity", "0.1", "--t2", "1e-6"],
+         "--fidelity, --t2, --ti"),
+        (["--scenario", "intermittent", "--fidelity", "0.9", "--t2", "8e-3",
+          "--omega-s-hz", "2000", "--sigma-hz", "275", "--ti", "1"], "--ti"),
+        (["--scenario", "constant", "--fidelity", "1", "--t2", "1", "--ti", "1",
+          "--contrast", "0.5", "--sigma-hz", "275", "--convention", "full_split"],
+         "--contrast, --sigma-hz, --convention"),
+        (["--scenario", "variance", "--fidelity", "1", "--t2", "1", "--ti", "1",
+          "--seed", "3", "--out", "x", "--threads", "2"], "--seed, --out, --threads"),
+    ])
+    def test_flags_the_path_does_not_read_are_usage_errors(self, capsys, argv, unread):
+        rc = run_cli(["analytic", *argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().endswith(f"does not read {unread}")
+
+    def test_config_keys_the_path_does_not_read_are_usage_errors(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega-s-hz = 2000\nsigma-hz = 275\nti = 5\n")
+        rc = run_cli(["analytic", "--scenario", "intermittent", "--contrast", "0.903",
+                      "--config", str(cfg)])
+        assert rc == 2
+        assert "does not read --ti" in capsys.readouterr().err
+
     def test_threads_must_be_positive(self, capsys):
         rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "1",
                       "--t2", "1", "--ti", "1", "--threads", "0"])
@@ -173,6 +203,121 @@ class TestConfigFile:
                       "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+# simulate's numeric keys, as written in a config file, with their types
+CONFIG_KEYS = {"fidelity": float, "t2": float, "ti": float, "g-hz": float,
+               "omega-s-hz": float, "theta": float, "n": int, "m": int}
+SPACE = st.sampled_from(["", " ", "  ", "\t", " \t "])
+COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _config_value(kind):
+    return FINITE if kind is float else st.integers(-10**12, 10**12)
+
+
+@st.composite
+def config_files(draw):
+    """(settings, text): key = value lines amid comments, blank lines and
+    whitespace, each key once."""
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=6))
+    values = {k: draw(_config_value(CONFIG_KEYS[k])) for k in keys}
+    lines = []
+    for key, value in values.items():
+        if draw(st.booleans()):
+            lines.append(draw(SPACE) + "#" + draw(COMMENT))
+        if draw(st.booleans()):
+            lines.append(draw(SPACE))
+        tail = draw(st.just("") | COMMENT.map(lambda c: " #" + c))
+        lines.append(draw(SPACE) + key + draw(SPACE) + "=" + draw(SPACE) + repr(value)
+                     + draw(SPACE) + tail)
+    return values, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _with_config(text, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text)
+        return body(str(path))
+
+
+def _merged(argv, text):
+    parser, actions = _build_parser()
+
+    def merge(path):
+        args = parser.parse_args(argv + ["--config", path])
+        _merge_config(args, actions[args.command])
+        return args
+    return _with_config(text, merge)
+
+
+class TestConfigProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(config_files())
+    def test_key_value_lines_round_trip(self, config):
+        values, text = config
+        assert _with_config(text, _load_config) == {k: repr(v) for k, v in values.items()}
+        args = _merged(["simulate"], text)
+        for key, value in values.items():
+            assert getattr(args, key.replace("-", "_")) == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(config_files(), st.data())
+    def test_explicit_flags_beat_the_file(self, config, data):
+        values, text = config
+        flags = data.draw(st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS)),
+                                          st.integers(1, 10**6), max_size=4))
+        argv = ["simulate"] + [f"--{k}={v}" for k, v in flags.items()]
+        args = _merged(argv, text)
+        for key in set(values) | set(flags):
+            expected = flags[key] if key in flags else values[key]
+            assert getattr(args, key.replace("-", "_")) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_files(), st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                                 blacklist_characters="=#"), min_size=1),
+           st.data())
+    def test_a_line_without_equals_exits_2(self, config, line, data):
+        assume(line.strip())  # a blank line is allowed
+        _, text = config
+        lines = text.splitlines()
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, line)
+        with pytest.raises(SystemExit, match=f"config line {at + 1} is not"):
+            _merged(["simulate"], "\n".join(lines))
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_files(), st.text("abcdefghijklmnopqrstuvwxyz-_", min_size=1, max_size=12)
+           | st.sampled_from(["config", "preset", "mode", "command", "excess"]))
+    def test_an_unknown_key_exits_2(self, config, key):
+        _, text = config
+        _, actions = _build_parser()
+        assume(key.replace("-", "_") not in set(actions["simulate"]) - {"config"})
+        with pytest.raises(SystemExit, match="unknown config key"):
+            _merged(["simulate"], text + f"\n{key} = 1\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_files(), st.sampled_from(sorted(CONFIG_KEYS)),
+           st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                                 blacklist_characters="=#"), min_size=1, max_size=8))
+    def test_a_bad_value_exits_2(self, config, key, value):
+        try:
+            CONFIG_KEYS[key](value)
+            parses = True
+        except ValueError:
+            parses = False
+        assume(not parses)
+        _, text = config  # the last line for a key wins
+        with pytest.raises(SystemExit, match=f"config key {key}"):
+            _merged(["simulate"], text + f"\n{key} = {value}\n")
+
+    def test_errors_exit_2_through_main(self, capsys, tmp_path):
+        for text in ("no equals sign\n", "seeed = 1\n", "n = 1.5\n"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            assert run_cli(["simulate", "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSimulate:
@@ -264,6 +409,18 @@ class TestReplicaCommand:
         rc = run_cli(["replica", "--flips", "0.0,0.1"])
         assert rc == 2
         assert "apply to 'replica degrade'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flips", [",", ""])
+    def test_empty_flip_grid_is_a_usage_error(self, capsys, flips):
+        rc = run_cli(["replica", "degrade", "--flips", flips])
+        assert rc == 2
+        assert "flip grid must hold at least one probability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "1", "-3"])
+    def test_too_few_repetitions_is_a_usage_error(self, capsys, reps):
+        rc = run_cli(["replica", "degrade", "--reps", reps])
+        assert rc == 2
+        assert "repetitions must be an integer >= 2" in capsys.readouterr().err
 
     def test_excess_rejected_on_degrade(self, capsys):
         rc = run_cli(["replica", "degrade", "--excess", "2.0"])

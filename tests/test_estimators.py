@@ -25,15 +25,10 @@ from ramsey_sensing.estimators import (
     estimate_frequency_separation,
 )
 from ramsey_sensing.io_utils import write_csv
-from ramsey_sensing.montecarlo import PopulationEstimate
 from ramsey_sensing.sensor import SensorModel, contrast, mean_population
 from ramsey_sensing.signals import IntermittentTwoTone, ToneConvention, small_g_curvature
 
 TWO_PI = 2 * math.pi
-
-
-def _estimate(p_hat: float) -> PopulationEstimate:
-    return PopulationEstimate(p_hat, 0.0, 0.0, 1000, 1)
 
 
 class TestEstimateOutcome:
@@ -61,7 +56,7 @@ class TestFrequencySeparationEstimator:
         for g_hz in (20.0, 80.0, 300.0):
             g = TWO_PI * g_hz
             p = 0.5 * (1 - c * math.exp(-kappa * g * g))
-            out = estimate_frequency_separation(_estimate(p), self.SENSOR, self._spec(g))
+            out = estimate_frequency_separation(p, self.SENSOR, self._spec(g))
             assert_allclose(out.g_hat, g, rtol=1e-10)
 
     def test_full_physics_bias_is_small_at_moderate_separation(self):
@@ -69,24 +64,23 @@ class TestFrequencySeparationEstimator:
         # biased low, by under 1% at 300 Hz for these parameters
         g = TWO_PI * 300.0
         p = mean_population(self._spec(g), self.SENSOR, self.SPEC.period)
-        out = estimate_frequency_separation(_estimate(p), self.SENSOR, self._spec(g))
+        out = estimate_frequency_separation(p, self.SENSOR, self._spec(g))
         assert out.defined
         assert 0.99 < out.g_hat / g < 1.0
 
     def test_baseline_population_maps_to_zero(self):
         c = contrast(self.SENSOR, self.SPEC.period)
         baseline = (1.0 - c) / 2.0
-        out = estimate_frequency_separation(_estimate(baseline), self.SENSOR, self.SPEC)
+        out = estimate_frequency_separation(baseline, self.SENSOR, self.SPEC)
         assert out.defined and out.g_hat == 0.0
 
     def test_exclusion_reasons(self):
         c = contrast(self.SENSOR, self.SPEC.period)
         baseline = (1.0 - c) / 2.0
-        below = estimate_frequency_separation(
-            _estimate(baseline * 0.5), self.SENSOR, self.SPEC)
+        below = estimate_frequency_separation(baseline * 0.5, self.SENSOR, self.SPEC)
         assert below.reason is ExclusionReason.BELOW_BASELINE
         for p in (0.5, 0.73, 1.0):
-            out = estimate_frequency_separation(_estimate(p), self.SENSOR, self.SPEC)
+            out = estimate_frequency_separation(p, self.SENSOR, self.SPEC)
             assert out.reason is ExclusionReason.OUT_OF_DOMAIN
 
     def test_every_population_yields_an_outcome(self):
@@ -94,7 +88,7 @@ class TestFrequencySeparationEstimator:
         c = contrast(self.SENSOR, self.SPEC.period)
         baseline = (1.0 - c) / 2.0
         for p in np.linspace(0.0, 1.0, 10_001):
-            out = estimate_frequency_separation(_estimate(float(p)), self.SENSOR, self.SPEC)
+            out = estimate_frequency_separation(float(p), self.SENSOR, self.SPEC)
             if p < baseline or p >= 0.5:
                 assert out.reason is not None
             else:
@@ -104,7 +98,7 @@ class TestFrequencySeparationEstimator:
     def test_one_ulp_above_baseline_stays_defined(self):
         c = contrast(self.SENSOR, self.SPEC.period)
         p = math.nextafter((1.0 - c) / 2.0, 1.0)
-        out = estimate_frequency_separation(_estimate(p), self.SENSOR, self.SPEC)
+        out = estimate_frequency_separation(p, self.SENSOR, self.SPEC)
         assert out.defined and out.g_hat >= 0.0
 
     def test_mirrored_bias_round_trip(self):
@@ -113,31 +107,35 @@ class TestFrequencySeparationEstimator:
         g = TWO_PI * 120.0
         kappa = small_g_curvature(self.SPEC.omega_s, self.SPEC.sigma, ToneConvention.FULL_SPLIT)
         p = 0.5 * (1 + contrast(sensor, self.SPEC.period) * math.exp(-kappa * g * g))
-        out = estimate_frequency_separation(_estimate(p), sensor, self._spec(g))
+        out = estimate_frequency_separation(p, sensor, self._spec(g))
         assert_allclose(out.g_hat, g, rtol=1e-10)
 
     def test_mirrored_bias_exclusion_reasons(self):
         sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=math.pi)
         mirrored_baseline = (1.0 + contrast(sensor, self.SPEC.period)) / 2.0
-        above = estimate_frequency_separation(
-            _estimate(mirrored_baseline + 0.01), sensor, self.SPEC)
+        above = estimate_frequency_separation(mirrored_baseline + 0.01, sensor, self.SPEC)
         assert above.reason is ExclusionReason.BELOW_BASELINE
         for p in (0.5, 0.27, 0.0):
-            out = estimate_frequency_separation(_estimate(p), sensor, self.SPEC)
+            out = estimate_frequency_separation(p, sensor, self.SPEC)
             assert out.reason is ExclusionReason.OUT_OF_DOMAIN
 
     @pytest.mark.parametrize("theta", [0.5, math.pi / 2, -math.pi, 2 * math.pi])
     def test_rejects_other_biases(self, theta):
         sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=theta)
         with pytest.raises(ValueError, match="theta"):
-            estimate_frequency_separation(_estimate(0.3), sensor, self.SPEC)
+            estimate_frequency_separation(0.3, sensor, self.SPEC)
+
+    @pytest.mark.parametrize("p_hat", [-1e-12, 1.0 + 1e-12, math.nan])
+    def test_rejects_a_population_outside_the_unit_interval(self, p_hat):
+        with pytest.raises(ValueError, match="probability"):
+            estimate_frequency_separation(p_hat, self.SENSOR, self.SPEC)
 
     def test_monotone_in_population(self):
         c = contrast(self.SENSOR, self.SPEC.period)
         baseline = (1.0 - c) / 2.0
         ps = np.linspace(baseline + 1e-6, 0.499, 200)
         gs = [
-            estimate_frequency_separation(_estimate(float(p)), self.SENSOR, self.SPEC).g_hat
+            estimate_frequency_separation(float(p), self.SENSOR, self.SPEC).g_hat
             for p in ps
         ]
         assert all(a < b for a, b in zip(gs, gs[1:]))
@@ -164,7 +162,7 @@ class TestFrequencySeparationProperties:
                                         sigma_hz, convention):
         # every population gives a finite g_hat >= 0 or an exclusion reason
         out = estimate_frequency_separation(
-            _estimate(p_hat), SensorModel(fidelity, t2, theta),
+            p_hat, SensorModel(fidelity, t2, theta),
             _burst(omega_s_hz, sigma_hz, convention))
         if out.defined:
             assert math.isfinite(out.g_hat) and out.g_hat >= 0.0
@@ -186,7 +184,7 @@ class TestFrequencySeparationProperties:
         p = 0.5 * (1.0 - c * math.exp(-x))
         p_hat = p if theta == 0.0 else 1.0 - p
         out = estimate_frequency_separation(
-            _estimate(p_hat), sensor, _burst(omega_s_hz, sigma_hz, convention, g))
+            p_hat, sensor, _burst(omega_s_hz, sigma_hz, convention, g))
         assert out.defined
         assert out.g_hat == pytest.approx(g, rel=1e-8)
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ramsey_sensing import experiments
 from ramsey_sensing.experiments import (
     Check,
     PipelineReport,
@@ -18,6 +21,7 @@ from ramsey_sensing.experiments import (
     run_fig3,
     write_report,
 )
+from ramsey_sensing.streams import derive_stream
 
 TWO_PI = 2 * math.pi
 
@@ -219,9 +223,49 @@ class TestDegradation:
         assert len(deg_rows) == 5
         assert len(est_rows) == 5 * 22 * 44
 
+    def test_workers_fill_disjoint_rows_of_the_table_stack(self):
+        # more workers than cores, switching threads as often as possible
+        grid, _, serial = experiments._simulate_replica_tables(REPLICA_SEED, 3, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, _, threaded = experiments._simulate_replica_tables(REPLICA_SEED, 3, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial.shape == (len(grid) * 3, 1000) and serial.dtype == bool
+        assert np.array_equal(threaded, serial)
+
+    def test_one_stream_per_table_and_drawing_flip(self, monkeypatch):
+        # one stream per simulated table, then one per table at each flip > 0
+        paths = []
+
+        def counting(seed, *path):
+            paths.append(path)
+            return derive_stream(seed, *path)
+
+        monkeypatch.setattr(experiments, "derive_stream", counting)
+        run_fidelity_degradation(REPLICA_SEED, (0.0, 0.1), repetitions=2)
+        tables = 22 * 2
+        assert len(paths) == 2 * tables
+        assert sorted(p for p in paths if p[0] == 5) == [
+            (5, 1, gi, rep) for gi in range(22) for rep in range(2)]
+
     def test_rejects_flip_probabilities_at_or_above_half(self):
         with pytest.raises(ValueError):
             run_fidelity_degradation(REPLICA_SEED, flip_grid=(0.0, 0.5))
+
+    def test_rejects_an_empty_flip_grid(self):
+        with pytest.raises(ValueError, match="at least one"):
+            run_fidelity_degradation(REPLICA_SEED, ())
+
+    @pytest.mark.parametrize("reps", [0, 1, -3, 2.5])
+    def test_rejects_too_few_repetitions_before_simulating(self, monkeypatch, reps):
+        def no_shots(*args, **kwargs):
+            raise AssertionError("simulated a table before checking the repetitions")
+
+        monkeypatch.setattr(experiments, "simulate_shots", no_shots)
+        with pytest.raises(ValueError, match="repetitions must be an integer"):
+            run_fidelity_degradation(REPLICA_SEED, repetitions=reps)
 
 
 class TestReportPlumbing:

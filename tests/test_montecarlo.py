@@ -1,5 +1,6 @@
-"""Shot engine: projective statistics, determinism, readout degradation, the
-excess-noise channel, and shot-table round-trips."""
+"""Shot engine: projective statistics, determinism, the row-wise population
+estimate and readout degradation over table stacks, the excess-noise channel,
+and shot-table round-trips."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ramsey_sensing.montecarlo import (
@@ -107,25 +110,73 @@ class TestSimulateShots:
             ShotTable(np.array([0, 1, 3, 0]), Constant(1.0), SENSOR, ens, 1e-3)
 
 
+def _reference_estimate(counts, m):
+    """The per-table estimate as a plain loop: mean, std(ddof=1), QPN."""
+    n = counts.shape[-1]
+    fractions = counts / m
+    p_hat = float(fractions.mean())
+    std_err = float(fractions.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return p_hat, std_err, math.sqrt(p_hat * (1.0 - p_hat) / (n * m))
+
+
 class TestEstimatePopulation:
     def test_hand_built_counts(self):
-        ens = EnsembleConfig(4, 2)
-        table = ShotTable(np.array([0, 1, 2, 1]), Constant(1.0), SENSOR, ens, 1e-3)
-        est = estimate_population(table)
+        est = estimate_population(np.array([0, 1, 2, 1]), 2)
         assert est.p_hat == 0.5
         fractions = np.array([0.0, 0.5, 1.0, 0.5])
         assert_allclose(est.std_err, fractions.std(ddof=1) / 2.0, rtol=1e-15)
         assert_allclose(est.qpn_err, math.sqrt(0.25 / 8), rtol=1e-15)
+        assert (est.n_shots, est.n_sensors) == (4, 2)
 
     def test_single_shot_has_no_empirical_error(self):
-        table = ShotTable(np.array([1]), Constant(1.0), SENSOR, EnsembleConfig(1, 2), 1e-3)
-        assert estimate_population(table).std_err == 0.0
+        assert estimate_population(np.array([1]), 2).std_err == 0.0
+        assert (estimate_population(np.ones((3, 1), dtype=bool), 1).std_err == 0.0).all()
+
+    def test_one_table_gives_floats_and_a_stack_gives_arrays(self):
+        one = estimate_population(np.array([0, 1, 1]), 1)
+        assert all(type(v) is float for v in (one.p_hat, one.std_err, one.qpn_err))
+        stack = estimate_population(np.zeros((2, 3, 5), dtype=np.uint8), 1)
+        for v in (stack.p_hat, stack.std_err, stack.qpn_err):
+            assert v.shape == (2, 3)
+
+    def test_bad_counts_rejected(self):
+        for counts, m in (
+            (np.array([0, 3, 1]), 2),  # above m
+            (np.array([0, -1, 1]), 2),  # negative
+            (np.array([0, 1]), 0),  # no sensors
+            (np.array([0, 1]), 1.0),  # m not an integer
+            (np.array(1), 1),  # no shot axis
+            (np.zeros((3, 0), dtype=bool), 1),  # no shots
+        ):
+            with pytest.raises(ValueError):
+                estimate_population(counts, m)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             PopulationEstimate(1.4, 0.0, 0.0, 1, 1)
         with pytest.raises(ValueError):
             PopulationEstimate(0.5, -0.1, 0.0, 1, 1)
+        with pytest.raises(ValueError):
+            PopulationEstimate(np.array([0.5, math.nan]), np.zeros(2), np.zeros(2), 1, 1)
+        with pytest.raises(ValueError):
+            PopulationEstimate(np.array([0.5, 0.5]), np.array([0.1, -0.1]), np.zeros(2), 1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 40), n=st.integers(1, 3) | st.integers(2, 1500),
+           m=st.just(1) | st.integers(2, 9), dtype=st.sampled_from(["bool", "uint8", "int64"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_of_a_stack_match_their_tables_bit_for_bit(self, rows, n, m, dtype, seed):
+        # stacks up to 40 rows of 1500 shots span several reduction blocks
+        if dtype == "bool":
+            m = 1
+        counts = np.random.default_rng(seed).integers(0, m + 1, size=(rows, n)).astype(dtype)
+        stack = estimate_population(counts, m)
+        for r in range(rows):
+            alone = estimate_population(counts[r], m)
+            assert (stack.p_hat[r], stack.std_err[r], stack.qpn_err[r]) == (
+                alone.p_hat, alone.std_err, alone.qpn_err)
+            assert (alone.p_hat, alone.std_err, alone.qpn_err) == _reference_estimate(
+                counts[r], m)
 
 
 class TestProjectionNoiseStatistics:
@@ -138,7 +189,7 @@ class TestProjectionNoiseStatistics:
         rng = derive_stream(41, 0)
         ens = EnsembleConfig(n, 1)
         p_hats = np.array(
-            [estimate_population(simulate_shots(spec, SENSOR, ens, 5e-3, rng)).p_hat
+            [estimate_population(simulate_shots(spec, SENSOR, ens, 5e-3, rng).counts, 1).p_hat
              for _ in range(reps)]
         )
         assert abs(p_hats.mean() - p) < 4 * math.sqrt(p * (1 - p) / (reps * n))
@@ -158,7 +209,7 @@ class TestProjectionNoiseStatistics:
         rng = derive_stream(41, 1)
         ens = EnsembleConfig(n, m)
         p_hats = np.array(
-            [estimate_population(simulate_shots(spec, SENSOR, ens, t_i, rng)).p_hat
+            [estimate_population(simulate_shots(spec, SENSOR, ens, t_i, rng).counts, m).p_hat
              for _ in range(reps)]
         )
         empirical = p_hats.var(ddof=1)
@@ -166,64 +217,108 @@ class TestProjectionNoiseStatistics:
         assert 0.85 < empirical / predicted < 1.15
 
 
+def _streams(*path, rows):
+    return [derive_stream(*path, r) for r in range(rows)]
+
+
 class TestReadoutDegradation:
     def test_zero_flip_is_the_identity_and_draws_nothing(self):
-        table = _constant_table(n=100, seed_path=(41, 20))
-        assert apply_readout_degradation(table, 0.0, None) is table
+        stack = np.stack([_constant_table(n=100, seed_path=(41, 20, r)).counts
+                          for r in range(3)]).astype(bool)
+
+        def streams():
+            raise AssertionError("no stream may be taken at flip 0")
+            yield
+
+        assert apply_readout_degradation(stack, 0.0, streams()) is stack
 
     def test_flip_probability_bounds(self):
-        table = _constant_table(n=10, seed_path=(41, 21))
-        for bad in (-0.01, 0.51):
+        counts = _constant_table(n=10, seed_path=(41, 21)).counts.astype(bool)
+        for bad in (-0.01, 0.51, math.nan):
             with pytest.raises(ValueError):
-                apply_readout_degradation(table, bad, derive_stream(41, 22))
+                apply_readout_degradation(counts, bad, [derive_stream(41, 22)])
 
     def test_multi_sensor_tables_rejected(self):
+        # a multi-sensor table is rejected even where no count exceeds 1
         ens = EnsembleConfig(10, 2)
         table = simulate_shots(Constant(1.0), SENSOR, ens, 1e-3, derive_stream(41, 23))
-        with pytest.raises(ValueError):
-            apply_readout_degradation(table, 0.1, derive_stream(41, 24))
+        assert table.counts.max() <= 1
+        for counts in (table.counts, table.counts.astype(np.uint8), table.counts / 2.0,
+                       np.bool_(True)):
+            with pytest.raises(ValueError):
+                apply_readout_degradation(counts, 0.1, [derive_stream(41, 24)])
 
-    def test_two_flips_compose(self):
-        table = _constant_table(n=50, seed_path=(41, 25))
-        once = apply_readout_degradation(table, 0.1, derive_stream(41, 26))
-        twice = apply_readout_degradation(once, 0.2, derive_stream(41, 27))
-        assert twice.flip_prob == 0.1 + 0.2 - 2 * 0.1 * 0.2
+    def test_one_stream_per_row(self):
+        stack = np.zeros((3, 8), dtype=bool)
+        for rows in (2, 4):
+            with pytest.raises(ValueError):
+                apply_readout_degradation(stack, 0.1, _streams(41, 35, rows=rows))
+
+    def test_stack_row_equals_its_table_flipped_alone(self):
+        stack = np.stack([_constant_table(n=1000, seed_path=(41, 25, r)).counts
+                          for r in range(6)]).astype(bool).reshape(2, 3, 1000)
+        before = stack.copy()
+        flipped = apply_readout_degradation(stack, 0.2, _streams(41, 26, rows=6))
+        assert flipped.dtype == bool and flipped.shape == stack.shape
+        assert np.array_equal(stack, before)  # the input is left as it was
+        rows = stack.reshape(6, 1000)
+        for r, row in enumerate(flipped.reshape(6, 1000)):
+            alone = apply_readout_degradation(rows[r], 0.2, [derive_stream(41, 26, r)])
+            assert np.array_equal(row, alone)
+            # the channel XORs each outcome with a uniform draw below flip_prob
+            expected = rows[r] ^ (derive_stream(41, 26, r).random(1000) < 0.2)
+            assert np.array_equal(alone, expected)
 
     def test_mean_moves_to_the_flipped_mixture(self):
         table = _constant_table()
         p = mean_population(table.spec, SENSOR, table.t_i)
         n = table.ensemble.n_shots
         for f in (0.1, 0.3):
-            deg = apply_readout_degradation(table, f, derive_stream(41, 3))
+            deg = apply_readout_degradation(table.counts.astype(bool), f, [derive_stream(41, 3)])
             expected = f + (1 - 2 * f) * p
             tol = 4 * math.sqrt(expected * (1 - expected) / n)
-            assert abs(estimate_population(deg).p_hat - expected) < tol
+            assert abs(estimate_population(deg, 1).p_hat - expected) < tol
+
+    def test_two_flips_compose(self):
+        table = _constant_table()
+        p = mean_population(table.spec, SENSOR, table.t_i)
+        once = apply_readout_degradation(table.counts.astype(bool), 0.1, [derive_stream(41, 27)])
+        twice = apply_readout_degradation(once, 0.2, [derive_stream(41, 28)])
+        f = 0.1 + 0.2 - 2 * 0.1 * 0.2
+        expected = f + (1 - 2 * f) * p
+        tol = 4 * math.sqrt(expected * (1 - expected) / table.ensemble.n_shots)
+        assert abs(estimate_population(twice, 1).p_hat - expected) < tol
 
 
 class TestExcessNoiseChannel:
     def test_unit_factor_returns_plain_estimate_without_drawing(self):
-        est = estimate_population(_constant_table(n=200, seed_path=(41, 28)))
+        est = estimate_population(_constant_table(n=200, seed_path=(41, 28)).counts, 1)
         assert excess_noise_channel(est, 1.0, None) is est
 
     def test_factor_below_one_rejected(self):
-        est = estimate_population(_constant_table(n=10, seed_path=(41, 29)))
+        est = estimate_population(_constant_table(n=10, seed_path=(41, 29)).counts, 1)
         with pytest.raises(ValueError):
             excess_noise_channel(est, 0.9, derive_stream(41, 30))
 
+    def test_stacked_estimate_rejected(self):
+        est = estimate_population(np.zeros((2, 10), dtype=bool), 1)
+        with pytest.raises(ValueError):
+            excess_noise_channel(est, 2.0, derive_stream(41, 30))
+
     def test_non_finite_factor_rejected(self):
-        est = estimate_population(_constant_table(n=10, seed_path=(41, 29)))
+        est = estimate_population(_constant_table(n=10, seed_path=(41, 29)).counts, 1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 excess_noise_channel(est, bad, derive_stream(41, 30))
 
     def test_error_scales_and_population_jitters(self):
-        est = estimate_population(_constant_table())
+        est = estimate_population(_constant_table().counts, 1)
         noisy = excess_noise_channel(est, 2.0, derive_stream(41, 5))
         assert noisy.std_err == 2.0 * est.std_err
         assert noisy.p_hat != est.p_hat
 
     def test_jitter_is_zero_mean(self):
-        est = estimate_population(_constant_table())
+        est = estimate_population(_constant_table().counts, 1)
         shifts = [
             excess_noise_channel(est, 2.0, derive_stream(41, 4, k)).p_hat - est.p_hat
             for k in range(400)
@@ -235,7 +330,7 @@ class TestExcessNoiseChannel:
         spec = Constant(0.0)
         sensor = SensorModel(0.999, 10e-3)  # baseline p close to 0
         table = simulate_shots(spec, sensor, EnsembleConfig(50, 1), 1e-5, derive_stream(41, 31))
-        est = estimate_population(table)
+        est = estimate_population(table.counts, 1)
         for k in range(50):
             jittered = excess_noise_channel(est, 40.0, derive_stream(41, 32, k))
             assert 0.0 <= jittered.p_hat <= 1.0
@@ -255,7 +350,7 @@ class TestShotTableIO:
         assert float(meta["t_sig_s"]) == spec.t_sig
         assert float(meta["fidelity"]) == SENSOR.fidelity
         assert meta["seed_path"] == "41:33"
-        assert float(meta["flip_prob"]) == 0.0
+        assert "flip_prob" not in meta  # the flip channel acts on count stacks
 
     def test_signal_tags_cover_every_class(self, tmp_path):
         specs = {

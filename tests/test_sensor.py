@@ -164,7 +164,7 @@ class TestMeanPopulation:
         shots = 40_000
         for i, t in enumerate((0.6e-3, 1.7e-3)):
             table = simulate_shots(spec, s, EnsembleConfig(shots, 1), t, derive_stream(31, 40, i))
-            p_hat = estimate_population(table).p_hat
+            p_hat = estimate_population(table.counts, 1).p_hat
             p = mean_population(spec, s, t)
             assert abs(p_hat - p) < 4 * math.sqrt(p * (1 - p) / shots)
 
