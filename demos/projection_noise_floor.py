@@ -45,7 +45,7 @@ rng = derive_stream(SEED, 1)
 jit = derive_stream(SEED, 2)
 p_hats = [
     excess_noise_channel(estimate_population(
-        simulate_shots(spec, sensor, ensemble, t_i, rng).counts, 1), factor, jit).p_hat
+        simulate_shots(spec, sensor, ensemble, t_i, rng).counts, 1), factor, [jit]).p_hat
     for _ in range(REPS)
 ]
 measured = float(np.std(p_hats, ddof=1))

@@ -8,7 +8,6 @@ and how many degraded sensors buy back a perfect sensor's sensitivity.
 import math
 
 from ramsey_sensing.sensitivity import (
-    compensation_sensors,
     compensation_threshold,
     continuous_optimal_u,
     gmin_constant,
@@ -46,9 +45,9 @@ print(f"  variance: t_opt = {t_v / T2:.4f} T2  "
 print("\nsensors needed to match one F=1 sensor")
 print(f"{'F':>5} {'constant':>9} {'variance':>9} {'variance threshold':>19}")
 for f in (0.9, 0.7, 0.5, 0.3, 0.1):
-    m_c = compensation_sensors("constant", f, n_shots=1000, t2=T2)
-    m_v = compensation_sensors("variance", f, n_shots=1000, t2=T2)
+    m_c = math.ceil(compensation_threshold("constant", f, n_shots=1000, t2=T2))
     th = compensation_threshold("variance", f, n_shots=1000, t2=T2)
+    m_v = math.ceil(th)
     print(f"{f:5.2f} {m_c:9d} {m_v:9d} {th:19.2f}")
 print("\nconstant compensation is exactly ceil(1/F^2); the variance count "
       "stays close to the same law")

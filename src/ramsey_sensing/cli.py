@@ -118,7 +118,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     p.add_argument("--excess", type=float, default=None,
                    help="excess noise factor on the population estimates")
     p.add_argument("--flips", type=_flip_list, default=None,
-                   help="comma-separated readout flip probabilities (degrade)")
+                   help="comma-separated distinct flip probabilities, 0 among them (degrade)")
     p.add_argument("--reps", type=int, default=None,
                    help="repetitions per grid point (degrade)")
 

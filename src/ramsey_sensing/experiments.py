@@ -8,8 +8,9 @@ deterministic under its master seed regardless of worker count: each scan
 point derives its own counter-based stream.
 
 The replica and degradation studies hold their shot tables as one bool
-stack with a row per (grid point, repetition); workers fill disjoint rows,
-and the flip channel and the population estimate run over the whole stack.
+stack of shape (grid, repetitions, N); each worker fills one grid point's
+block, the estimate and the channels run over the whole stack, and both
+studies invert a (grid, repetitions) p_hat table through one scan helper.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import numpy as np
 
 from .estimators import (
     BiasScan,
-    EstimateOutcome,
+    GminEstimate,
     bias_scan_rows,
     empirical_gmin,
     estimate_frequency_separation,
 )
 from .io_utils import write_csv, write_json
 from .montecarlo import (
-    PopulationEstimate,
     apply_readout_degradation,
     estimate_population,
     excess_noise_channel,
@@ -38,7 +38,6 @@ from .montecarlo import (
 )
 from .sensor import EnsembleConfig, SensorModel, mean_population, qpn_variance
 from .sensitivity import (
-    compensation_sensors,
     compensation_threshold,
     excess_sensors,
     gmin_at_optimum,
@@ -165,7 +164,6 @@ def run_fig2(
         for f in f_grid:
             result = gmin_at_optimum(scenario, SensorModel(f, t2), ensemble)
             ratio_rows.append((scenario, f, result.t_i, result.g_min, result.g_min / g_unity))
-            # compensation_sensors is this threshold's ceiling; take it without a second solve
             m_real = compensation_threshold(scenario, f, n_shots=n_shots, t2=t2)
             comp_rows.append((scenario, f, math.ceil(m_real), m_real))
 
@@ -301,8 +299,8 @@ def run_fig3(
     rows_b = []
     for scenario in scenarios:
         unity = gmin(scenario, 1.0)
-        values = _pmap(lambda f, sc=scenario: gmin(sc, f), f_grid, threads)
-        for f, g in zip(f_grid, values):
+        for f in f_grid:
+            g = gmin(scenario, f)
             rows_b.append((scenario, f, g, g / unity))
     report.tables["fig3b_gmin_vs_fidelity"] = (
         ("scenario", "fidelity", "gmin_rad_s", "gmin_over_unity"), rows_b)
@@ -325,11 +323,9 @@ def run_fig3(
         note="log-log slope of intermittent g_min between F=0.9 and 1"))
 
     # (c) integer compensation counts
-    rows_c = []
-    for scenario in ("constant", "variance", "intermittent"):
-        values = _pmap(lambda f, sc=scenario: compensation_sensors(
-            sc, f, n_shots=ensemble.n_shots, t2=t2, **tones), f_grid, threads)
-        rows_c.extend((scenario, f, m) for f, m in zip(f_grid, values))
+    rows_c = [(scenario, f, math.ceil(compensation_threshold(
+                  scenario, f, n_shots=ensemble.n_shots, t2=t2, **tones)))
+              for scenario in ("constant", "variance", "intermittent") for f in f_grid]
     report.tables["fig3c_compensation"] = (("scenario", "fidelity", "m_sensors"), rows_c)
 
     # (d) burst excess-sensor factor
@@ -391,31 +387,31 @@ def _replica_spec(g: float) -> IntermittentTwoTone:
 def _simulate_replica_tables(seed: int, reps: int, threads: int):
     """Counts of every (grid point, repetition) table, shared with degrade.
 
-    One bool stack of shape (grid * reps, n_shots): table (gi, rep) is row
-    gi * reps + rep, written by the worker that simulates it, so the stack
+    One bool stack of shape (grid, reps, n_shots). Each task fills one grid
+    point's block stack[gi], every table from its own stream, so the stack
     is the same whatever the worker count.
     """
-    grid = _replica_grid()
+    specs = [_replica_spec(g) for g in _replica_grid()]
     sensor = _replica_sensor()
     ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
     t1 = REPLICA_PARAMS["t1"]
-    stack = np.empty((len(grid) * reps, ensemble.n_shots), dtype=bool)
+    stack = np.empty((len(specs), reps, ensemble.n_shots), dtype=bool)
 
-    def one(row: int) -> None:
-        gi, rep = divmod(row, reps)
-        path = (_NS_REPLICA, 0, gi, rep)
-        stack[row] = simulate_shots(_replica_spec(grid[gi]), sensor, ensemble, t1,
-                                    derive_stream(seed, *path), seed_path=path).counts
+    def fill(gi: int) -> None:
+        for rep in range(reps):
+            rng = derive_stream(seed, _NS_REPLICA, 0, gi, rep)
+            stack[gi, rep] = simulate_shots(specs[gi], sensor, ensemble, t1, rng).counts
 
-    _pmap(one, range(len(stack)), threads)
-    return grid, sensor, stack
+    _pmap(fill, range(len(specs)), threads)
+    return specs, sensor, stack
 
 
-def _scan_from_estimates(grid, outcomes) -> BiasScan:
-    """BiasScan from outcomes listed row by row, repetitions fastest."""
-    reps = len(outcomes) // len(grid)
-    return BiasScan(tuple(
-        (g, tuple(outcomes[gi * reps:(gi + 1) * reps])) for gi, g in enumerate(grid)))
+def _scan(p_hat: np.ndarray, sensor: SensorModel, specs) -> tuple[BiasScan, GminEstimate]:
+    """Invert a (grid, reps) p_hat table point by point; the scan and its g_min."""
+    scan = BiasScan(tuple(
+        (spec.g, tuple(estimate_frequency_separation(p, sensor, spec) for p in row))
+        for spec, row in zip(specs, p_hat.tolist())))
+    return scan, empirical_gmin(scan)
 
 
 def run_experiment_replica(
@@ -430,33 +426,20 @@ def run_experiment_replica(
     emulates the measured noise floor sitting above projection noise.
     """
     reps = REPLICA_PARAMS["repetitions"]
-    grid, sensor, stack = _simulate_replica_tables(seed, reps, threads)
+    specs, sensor, stack = _simulate_replica_tables(seed, reps, threads)
     ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
     t1 = REPLICA_PARAMS["t1"]
 
-    pop_rows = []
-    stacked = estimate_population(stack, ensemble.m_sensors)
-    estimates = [PopulationEstimate(p, s, q, stacked.n_shots, stacked.n_sensors)
-                 for p, s, q in zip(stacked.p_hat.tolist(), stacked.std_err.tolist(),
-                                    stacked.qpn_err.tolist())]
-    outcomes_qpn: list[EstimateOutcome] = []
-    outcomes_exc: list[EstimateOutcome] = []
-    for gi, g in enumerate(grid):
-        spec = _replica_spec(g)
-        p_model = mean_population(spec, sensor, t1)
-        for rep in range(reps):
-            est = estimates[gi * reps + rep]
-            est_x = excess_noise_channel(
-                est, excess_factor, derive_stream(seed, _NS_REPLICA, 1, gi, rep))
-            outcomes_qpn.append(estimate_frequency_separation(est.p_hat, sensor, spec))
-            outcomes_exc.append(estimate_frequency_separation(est_x.p_hat, sensor, spec))
-            pop_rows.append((g / TWO_PI, rep, est_x.p_hat, est_x.std_err, est_x.qpn_err,
-                             est.p_hat, p_model))
-
-    scan_qpn = _scan_from_estimates(grid, outcomes_qpn)
-    scan_exc = _scan_from_estimates(grid, outcomes_exc)
-    gmin_qpn = empirical_gmin(scan_qpn)
-    gmin_exc = empirical_gmin(scan_exc)
+    est = estimate_population(stack, ensemble.m_sensors)
+    est_x = excess_noise_channel(est, excess_factor, (
+        derive_stream(seed, _NS_REPLICA, 1, *key) for key in np.ndindex(stack.shape[:2])))
+    scan_qpn, gmin_qpn = _scan(est.p_hat, sensor, specs)
+    scan_exc, gmin_exc = _scan(est_x.p_hat, sensor, specs)
+    p_models = [mean_population(spec, sensor, t1) for spec in specs]
+    cells = np.stack([est_x.p_hat, est_x.std_err, est_x.qpn_err, est.p_hat], axis=-1).tolist()
+    pop_rows = [(spec.g / TWO_PI, rep, *row, p_model)
+                for spec, p_model, block in zip(specs, p_models, cells)
+                for rep, row in enumerate(block)]
     analytic = gmin_intermittent(sensor, ensemble, REPLICA_PARAMS["omega_s"],
                                  REPLICA_PARAMS["sigma"])
 
@@ -485,9 +468,8 @@ def run_experiment_replica(
     report.tables["gmin_summary"] = (("variant", "gmin_hz", "resolved"), summary)
 
     # baseline population concordance, averaged over repetitions
-    p0_model = mean_population(_replica_spec(0.0), sensor, t1)
-    p0_rows = [r[5] for r in pop_rows[: reps]]
-    p0_mean = sum(p0_rows) / reps
+    p0_model = p_models[0]
+    p0_mean = sum(est.p_hat[0].tolist()) / reps
     sigma_p0 = math.sqrt(qpn_variance(p0_model, ensemble) / reps)
     report.checks.append(Check(
         "baseline_population", abs(p0_mean - p0_model) <= 3 * sigma_p0,
@@ -495,9 +477,8 @@ def run_experiment_replica(
         note="mean p_hat at g=0 vs model, 3 sigma of the rep average"))
 
     # empirical error vs projection noise at g=0 (projection-limited data)
-    emp_errs = [estimates[rep].std_err for rep in range(reps)]
     qpn_err = math.sqrt(qpn_variance(p0_model, ensemble))
-    err_ratio = (sum(emp_errs) / reps) / qpn_err
+    err_ratio = (sum(est.std_err[0].tolist()) / reps) / qpn_err
     report.checks.append(Check(
         "qpn_error_ratio_g0", 0.9 <= err_ratio <= 1.1, err_ratio, 1.0, 0.1,
         note="mean empirical error over QPN prediction at g=0"))
@@ -540,41 +521,39 @@ def run_fidelity_degradation(
     probability f uses the channel-scaled calibration C -> (1-2f) C; the
     fidelity is also re-measured from the degraded g=0 tables as a check.
     The g_min(F_eff) curve is compared against the burst closed form and
-    against a 1/sqrt(F) scaling anchored at flip=0.
+    against a 1/sqrt(F) scaling anchored at flip=0, so the grid must hold
+    0.0 and no probability twice.
     """
     if not flip_grid:
         raise ValueError("flip grid must hold at least one probability")
     if any(not (0 <= f < 0.5) for f in flip_grid):
         raise ValueError("flip probabilities must lie in [0, 0.5)")
+    if len(set(flip_grid)) != len(flip_grid):
+        raise ValueError("flip probabilities must not repeat")
+    if 0.0 not in flip_grid:
+        raise ValueError("flip grid must hold 0.0, the anchor of the 1/sqrt(F) curve")
     if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 2):
         raise ValueError("repetitions must be an integer >= 2")
     flip_grid = tuple(sorted(flip_grid))
     reps = repetitions
-    grid, sensor, stack = _simulate_replica_tables(seed, reps, threads)
+    specs, sensor, stack = _simulate_replica_tables(seed, reps, threads)
     ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
     t1 = REPLICA_PARAMS["t1"]
     decay = math.exp(-(t1**2) / (2 * sensor.t2**2))
-    specs = [_replica_spec(g) for g in grid]
 
     deg_rows, est_rows = [], []
     feff_sigmas = []
     for fi, flip in enumerate(flip_grid):
         f_eff_expected = (1.0 - 2.0 * flip) * REPLICA_PARAMS["fidelity"]
         sensor_eff = SensorModel(f_eff_expected, sensor.t2, sensor.theta)
-        streams = (derive_stream(seed, _NS_DEGRADE, fi, gi, rep)
-                   for gi in range(len(grid)) for rep in range(reps))
-        degraded = apply_readout_degradation(stack, flip, streams)
-        p_hat = estimate_population(degraded, ensemble.m_sensors).p_hat.tolist()
-        outcomes = [estimate_frequency_separation(p, sensor_eff, specs[row // reps])
-                    for row, p in enumerate(p_hat)]
-        p0_sum = sum(p_hat[:reps])
-        scan = _scan_from_estimates(grid, outcomes)
-        gmin = empirical_gmin(scan)
-        for g_hz, rep, status, g_hat_hz in bias_scan_rows(scan):
-            est_rows.append((flip, g_hz, rep, status, g_hat_hz))
+        degraded = apply_readout_degradation(stack, flip, (
+            derive_stream(seed, _NS_DEGRADE, fi, *key) for key in np.ndindex(stack.shape[:2])))
+        p_hat = estimate_population(degraded, ensemble.m_sensors).p_hat
+        scan, gmin = _scan(p_hat, sensor_eff, specs)
+        est_rows.extend((flip, *row) for row in bias_scan_rows(scan))
 
         # re-measure the effective fidelity from the degraded baseline
-        p0_mean = p0_sum / reps
+        p0_mean = sum(p_hat[0].tolist()) / reps
         f_eff_measured = (1.0 - 2.0 * p0_mean) / decay
         p0_model = 0.5 * (1.0 - f_eff_expected * decay)
         sigma_f = 2.0 * math.sqrt(qpn_variance(p0_model, ensemble) / reps) / decay
@@ -586,15 +565,9 @@ def run_fidelity_degradation(
         deg_rows.append((flip, f_eff_expected, f_eff_measured, sigma_f, c_eff,
                          gmin.g_min / TWO_PI, gmin.resolved, model_hz))
 
-    # sqrt-fidelity comparison curve anchored at the flip=0 model value
-    anchor_hz = deg_rows[0][7]
-    sqrt_rows = [
-        (flip, row[1], row[7], anchor_hz / math.sqrt(row[1] / deg_rows[0][1]))
-        for flip, row in zip(flip_grid, deg_rows)
-    ]
-    deg_rows = [
-        row + (sqrt_rows[i][3],) for i, row in enumerate(deg_rows)
-    ]
+    # 1/sqrt(F) comparison curve anchored at the flip = 0 row's model value
+    zero = deg_rows[0]
+    deg_rows = [row + (zero[7] / math.sqrt(row[1] / zero[1]),) for row in deg_rows]
 
     report = PipelineReport(
         "degrade",

@@ -9,10 +9,11 @@ outcome is one uniform compared with p. The population estimate
 p_hat = sum(k)/(N*M) is unbiased and its noise floor is the projection-noise
 variance p(1-p)/(N*M).
 
-A study that runs many tables of one size holds their counts as one stack,
-one table per row. The population estimate and the readout flip channel act
-row by row along the last axis: row r draws only from its own stream and
-gets exactly the bits its table would get alone.
+A study that runs many tables of one size holds their counts as one stack
+of shape (..., N), one table per row. The population estimate reduces the
+last axis, and every Monte-Carlo channel takes one table or a stack
+together with one stream per table in row order: row r draws only from its
+own stream and gets exactly the bits its table would get alone.
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
                               qpn_err.reshape(shape), n, m)
 
 
+def _check_streams(rngs) -> None:
+    if isinstance(rngs, np.random.Generator):
+        raise ValueError("rngs must yield one stream per table, not be one stream")
+
+
 def apply_readout_degradation(
     counts, flip_prob: float, rngs: Iterable[np.random.Generator]
 ) -> np.ndarray:
@@ -170,6 +176,7 @@ def apply_readout_degradation(
     if counts.dtype != np.bool_ or counts.ndim == 0:
         raise ValueError("readout degradation is defined for single-sensor outcomes, "
                          "given as a bool array")
+    _check_streams(rngs)
     if flip_prob == 0.0:
         return counts
     out = counts.copy()
@@ -183,23 +190,26 @@ def apply_readout_degradation(
 
 
 def excess_noise_channel(
-    est: PopulationEstimate, excess_factor: float, rng: np.random.Generator
+    est: PopulationEstimate, excess_factor: float, rngs: Iterable[np.random.Generator]
 ) -> PopulationEstimate:
     """Emulate uncorrelated noise above the projection-noise floor.
 
     The reported error of the estimate grows by excess_factor and p_hat
     picks up matching zero-mean Gaussian jitter (std
-    qpn_err*sqrt(excess_factor^2-1), clamped to [0,1]). excess_factor=1
-    returns the estimate untouched.
+    qpn_err*sqrt(excess_factor^2-1), clamped to [0,1]). est is the estimate
+    of one table or of a stack; rngs yields one stream per table in row
+    order, and row r draws its one normal from its own stream.
+    excess_factor=1 returns est itself and takes nothing from rngs.
     """
     if not (excess_factor >= 1 and math.isfinite(excess_factor)):
         raise ValueError("excess_factor must be finite and >= 1")
-    if np.ndim(est.p_hat):
-        raise ValueError("excess_noise_channel takes the estimate of one table")
+    _check_streams(rngs)
     if excess_factor == 1.0:
         return est
-    jitter = rng.normal(0.0, est.qpn_err * math.sqrt(excess_factor**2 - 1.0))
-    p_hat = min(1.0, max(0.0, est.p_hat + jitter))
+    scale = math.sqrt(excess_factor**2 - 1.0)
+    jitter = [rng.normal(0.0, q * scale)
+              for rng, q in zip(rngs, np.ravel(est.qpn_err), strict=True)]
+    p_hat = np.clip(est.p_hat + np.reshape(jitter, np.shape(est.p_hat)), 0.0, 1.0)
     return replace(est, p_hat=p_hat, std_err=est.std_err * excess_factor)
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "mc_gmin_crossing",
     "snr_curve",
     "optimal_integration_time",
-    "compensation_sensors",
     "compensation_threshold",
     "excess_sensors",
     "continuous_optimal_u",
@@ -456,27 +455,6 @@ def gmin_at_optimum(
     return two_tone[scenario](sensor, ensemble, omega_s, sigma, convention)
 
 
-def compensation_sensors(
-    scenario: str,
-    fidelity: float,
-    *,
-    n_shots: int,
-    t2: float,
-    omega_s: float | None = None,
-    sigma: float | None = None,
-    convention: ToneConvention = ToneConvention.FULL_SPLIT,
-) -> int:
-    """Smallest sensor count matching one unity-fidelity sensor's g_min.
-
-    The ceiling of compensation_threshold: both sides use the same N and
-    their scenario-optimal integration time (the burst scenario is pinned
-    to t1 = one center period on both sides).
-    """
-    return math.ceil(compensation_threshold(
-        scenario, fidelity, n_shots=n_shots, t2=t2, omega_s=omega_s, sigma=sigma,
-        convention=convention))
-
-
 def compensation_threshold(
     scenario: str,
     fidelity: float,
@@ -505,10 +483,11 @@ def compensation_threshold(
         raise ValueError(f"unknown scenario: {scenario}")
     if not (0 < fidelity <= 1):
         raise ValueError("fidelity must be in (0, 1]")
-    target = gmin_at_optimum(scenario, SensorModel(1.0, t2), EnsembleConfig(n_shots, 1),
-                             omega_s=omega_s, sigma=sigma, convention=convention).g_min
+    unity, ensemble = SensorModel(1.0, t2), EnsembleConfig(n_shots, 1)
     if scenario == "constant":
         return 1.0 / fidelity**2
+    target = gmin_at_optimum(scenario, unity, ensemble, omega_s=omega_s, sigma=sigma,
+                             convention=convention).g_min
     if fidelity == 1.0:
         return 1.0
     sensor = SensorModel(fidelity, t2)

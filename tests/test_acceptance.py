@@ -24,7 +24,6 @@ from ramsey_sensing.experiments import (
 )
 from ramsey_sensing.montecarlo import estimate_population, simulate_shots
 from ramsey_sensing.sensitivity import (
-    compensation_sensors,
     compensation_threshold,
     excess_sensors,
     gmin_constant,
@@ -95,9 +94,9 @@ def test_sensor_compensation_follows_inverse_square_fidelity():
         # has no headroom; the threshold is computed so the count still
         # matches the mathematical ceil(1/F^2) on every grid value
         expected = math.ceil(1 / Fraction(k, 10) ** 2)
-        m_const = compensation_sensors("constant", f, n_shots=1000, t2=10e-3)
-        m_var = compensation_sensors("variance", f, n_shots=1000, t2=10e-3)
+        m_const = math.ceil(compensation_threshold("constant", f, n_shots=1000, t2=10e-3))
         th_var = compensation_threshold("variance", f, n_shots=1000, t2=10e-3)
+        m_var = math.ceil(th_var)
         rows.append((f, expected, m_const, m_var, th_var))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f} s"
@@ -290,9 +289,9 @@ def test_burst_excess_sensor_factor_scales_inverse_square_duration():
     chi = t1**2 / (2.0 * t2**2)
     ratios = []
     for f in (0.05, 0.01):
-        m = compensation_sensors(
+        m = math.ceil(compensation_threshold(
             "intermittent", f, n_shots=10**11, t2=t2,
-            omega_s=TWO_PI / t1, sigma=TWO_PI * 100)
+            omega_s=TWO_PI / t1, sigma=TWO_PI * 100))
         asymptote = (1.0 / f**2) / (-math.expm1(-2.0 * chi))
         ratios.append(m / asymptote)
     elapsed = time.perf_counter() - start

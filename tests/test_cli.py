@@ -416,6 +416,17 @@ class TestReplicaCommand:
         assert rc == 2
         assert "flip grid must hold at least one probability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flips, message", [
+        ("0.1,0.1", "flip probabilities must not repeat"),
+        ("0.1,0.2", "flip grid must hold 0.0"),
+    ])
+    def test_flip_grid_needs_distinct_values_and_zero(self, capsys, tmp_path, flips, message):
+        out = tmp_path / "degrade"
+        rc = run_cli(["replica", "degrade", "--flips", flips, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "1", "-3"])
     def test_too_few_repetitions_is_a_usage_error(self, capsys, reps):
         rc = run_cli(["replica", "degrade", "--reps", reps])

@@ -225,14 +225,14 @@ class TestDegradation:
 
     def test_workers_fill_disjoint_rows_of_the_table_stack(self):
         # more workers than cores, switching threads as often as possible
-        grid, _, serial = experiments._simulate_replica_tables(REPLICA_SEED, 3, threads=1)
+        specs, _, serial = experiments._simulate_replica_tables(REPLICA_SEED, 3, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             _, _, threaded = experiments._simulate_replica_tables(REPLICA_SEED, 3, threads=8)
         finally:
             sys.setswitchinterval(interval)
-        assert serial.shape == (len(grid) * 3, 1000) and serial.dtype == bool
+        assert serial.shape == (len(specs), 3, 1000) and serial.dtype == bool
         assert np.array_equal(threaded, serial)
 
     def test_one_stream_per_table_and_drawing_flip(self, monkeypatch):
@@ -258,12 +258,26 @@ class TestDegradation:
         with pytest.raises(ValueError, match="at least one"):
             run_fidelity_degradation(REPLICA_SEED, ())
 
-    @pytest.mark.parametrize("reps", [0, 1, -3, 2.5])
-    def test_rejects_too_few_repetitions_before_simulating(self, monkeypatch, reps):
+    @pytest.fixture
+    def no_shots(self, monkeypatch):
         def no_shots(*args, **kwargs):
-            raise AssertionError("simulated a table before checking the repetitions")
+            raise AssertionError("simulated a table before checking the inputs")
 
         monkeypatch.setattr(experiments, "simulate_shots", no_shots)
+
+    @pytest.mark.parametrize("flips", [(0.0, 0.1, 0.1), (0.0, 0.0)])
+    def test_rejects_repeated_flip_probabilities_before_simulating(self, no_shots, flips):
+        with pytest.raises(ValueError, match="must not repeat"):
+            run_fidelity_degradation(REPLICA_SEED, flips, repetitions=2)
+
+    @pytest.mark.parametrize("flips", [(0.1, 0.2), (0.05,)])
+    def test_rejects_a_flip_grid_without_zero_before_simulating(self, no_shots, flips):
+        # the 1/sqrt(F) comparison curve is anchored at the flip = 0 row
+        with pytest.raises(ValueError, match="must hold 0.0"):
+            run_fidelity_degradation(REPLICA_SEED, flips, repetitions=2)
+
+    @pytest.mark.parametrize("reps", [0, 1, -3, 2.5])
+    def test_rejects_too_few_repetitions_before_simulating(self, no_shots, reps):
         with pytest.raises(ValueError, match="repetitions must be an integer"):
             run_fidelity_degradation(REPLICA_SEED, repetitions=reps)
 

@@ -293,34 +293,70 @@ class TestReadoutDegradation:
 class TestExcessNoiseChannel:
     def test_unit_factor_returns_plain_estimate_without_drawing(self):
         est = estimate_population(_constant_table(n=200, seed_path=(41, 28)).counts, 1)
-        assert excess_noise_channel(est, 1.0, None) is est
+
+        def streams():
+            raise AssertionError("no stream may be taken at factor 1")
+            yield
+
+        assert excess_noise_channel(est, 1.0, streams()) is est
 
     def test_factor_below_one_rejected(self):
         est = estimate_population(_constant_table(n=10, seed_path=(41, 29)).counts, 1)
         with pytest.raises(ValueError):
-            excess_noise_channel(est, 0.9, derive_stream(41, 30))
-
-    def test_stacked_estimate_rejected(self):
-        est = estimate_population(np.zeros((2, 10), dtype=bool), 1)
-        with pytest.raises(ValueError):
-            excess_noise_channel(est, 2.0, derive_stream(41, 30))
+            excess_noise_channel(est, 0.9, [derive_stream(41, 30)])
 
     def test_non_finite_factor_rejected(self):
         est = estimate_population(_constant_table(n=10, seed_path=(41, 29)).counts, 1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                excess_noise_channel(est, bad, derive_stream(41, 30))
+                excess_noise_channel(est, bad, [derive_stream(41, 30)])
+
+    def test_one_stream_per_row(self):
+        est = estimate_population(np.zeros((3, 8), dtype=bool), 1)
+        for rows in (2, 4):
+            with pytest.raises(ValueError):
+                excess_noise_channel(est, 2.0, _streams(41, 38, rows=rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)), n=st.integers(1, 300),
+           factor=st.just(1.0) | st.floats(1.0, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_rows_of_a_stack_match_their_tables_bit_for_bit(self, shape, n, factor, seed):
+        counts = np.random.default_rng(seed).random((*shape, n)) < 0.3
+        keys = list(np.ndindex(shape))
+        taken = []
+
+        def streams():
+            for key in keys:
+                taken.append(key)
+                yield derive_stream(41, 36, *key)
+
+        stack = estimate_population(counts, 1)
+        noisy = excess_noise_channel(stack, factor, streams())
+        if factor == 1.0:
+            assert noisy is stack and taken == []
+            return
+        assert taken == keys
+        assert np.array_equal(noisy.qpn_err, stack.qpn_err)
+        for key in keys:
+            est = estimate_population(counts[key], 1)
+            alone = excess_noise_channel(est, factor, [derive_stream(41, 36, *key)])
+            assert (noisy.p_hat[key], noisy.std_err[key]) == (alone.p_hat, alone.std_err)
+            # one normal from the table's own stream, clamped to [0, 1]
+            jitter = derive_stream(41, 36, *key).normal(
+                0.0, est.qpn_err * math.sqrt(factor**2 - 1.0))
+            assert alone.p_hat == min(1.0, max(0.0, est.p_hat + jitter))
+            assert alone.std_err == est.std_err * factor
 
     def test_error_scales_and_population_jitters(self):
         est = estimate_population(_constant_table().counts, 1)
-        noisy = excess_noise_channel(est, 2.0, derive_stream(41, 5))
+        noisy = excess_noise_channel(est, 2.0, [derive_stream(41, 5)])
         assert noisy.std_err == 2.0 * est.std_err
         assert noisy.p_hat != est.p_hat
 
     def test_jitter_is_zero_mean(self):
         est = estimate_population(_constant_table().counts, 1)
         shifts = [
-            excess_noise_channel(est, 2.0, derive_stream(41, 4, k)).p_hat - est.p_hat
+            excess_noise_channel(est, 2.0, [derive_stream(41, 4, k)]).p_hat - est.p_hat
             for k in range(400)
         ]
         jitter_std = est.qpn_err * math.sqrt(3.0)  # sqrt(factor^2 - 1)
@@ -332,8 +368,27 @@ class TestExcessNoiseChannel:
         table = simulate_shots(spec, sensor, EnsembleConfig(50, 1), 1e-5, derive_stream(41, 31))
         est = estimate_population(table.counts, 1)
         for k in range(50):
-            jittered = excess_noise_channel(est, 40.0, derive_stream(41, 32, k))
+            jittered = excess_noise_channel(est, 40.0, [derive_stream(41, 32, k)])
             assert 0.0 <= jittered.p_hat <= 1.0
+
+
+class TestOneStreamPerTable:
+    """Both channels take an iterable of streams, one per table in row order;
+    a bare Generator is a usage error even where the channel would draw
+    nothing."""
+
+    CHANNELS = {
+        "flip": lambda rngs, strength: apply_readout_degradation(
+            np.zeros((2, 8), dtype=bool), 0.1 * strength, rngs),
+        "excess": lambda rngs, strength: excess_noise_channel(
+            estimate_population(np.zeros((2, 8), dtype=bool), 1), 1.0 + strength, rngs),
+    }
+
+    @pytest.mark.parametrize("strength", [0, 1])
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_a_bare_generator_is_rejected(self, channel, strength):
+        with pytest.raises(ValueError, match="one stream per table"):
+            self.CHANNELS[channel](derive_stream(41, 37), strength)
 
 
 class TestShotTableIO:

@@ -1,8 +1,9 @@
 """Every name a module exports must exist: a stale `__all__` entry breaks
 `from module import *` and misleads readers about the public API. Every
 exported function must have a caller in the package or its demos, unless
-it is one of the few references the tests check the package against. The
-runtime needs numpy only: scipy is a test dependency."""
+it is one of the few references the tests check the package against, and
+every demo must run. The runtime needs numpy only: scipy is a test
+dependency."""
 
 from __future__ import annotations
 
@@ -90,14 +91,27 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_runtime_imports_no_scipy():
-    # a fresh interpreter: this test process has scipy loaded by other tests
+def _package_env() -> dict[str, str]:
+    """Environment of a fresh interpreter that imports the package under test."""
     package_root = str(Path(ramsey_sensing.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+
+
+def test_runtime_imports_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded by other tests
     code = ("import sys, ramsey_sensing, ramsey_sensing.cli, ramsey_sensing.experiments; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs_to_completion(demo, tmp_path):
+    # the caller check above only parses the demos; a call that no longer
+    # matches a signature fails only when the demo runs
+    proc = subprocess.run([sys.executable, str(demo)], env=_package_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

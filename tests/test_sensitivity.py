@@ -25,7 +25,6 @@ from ramsey_sensing.sensitivity import (
     VALIDITY_LIMIT,
     SensitivityResult,
     brentq,
-    compensation_sensors,
     compensation_threshold,
     continuous_optimal_u,
     exact_snr,
@@ -375,17 +374,11 @@ class TestCompensation:
         # F = 0.5 lands exactly on the 1/F^2 = 4 boundary and must not
         # round up to 5
         for f in [round(0.1 * k, 1) for k in range(1, 10)]:
-            m = compensation_sensors("constant", f, n_shots=1000, t2=10e-3)
+            m = math.ceil(compensation_threshold("constant", f, n_shots=1000, t2=10e-3))
             assert m == math.ceil(1.0 / f**2)
 
     def test_constant_threshold_is_exact(self):
         assert compensation_threshold("constant", 0.25, n_shots=1000, t2=10e-3) == 16.0
-
-    def test_variance_counts_are_the_threshold_ceiling(self):
-        for f in (0.1, 0.3, 0.5, 0.7, 0.9):
-            m = compensation_sensors("variance", f, n_shots=1000, t2=10e-3)
-            th = compensation_threshold("variance", f, n_shots=1000, t2=10e-3)
-            assert m == math.ceil(th)
 
     def test_variance_threshold_band(self):
         # the kernel costs a little more than the constant signal's 1/F^2
@@ -393,34 +386,29 @@ class TestCompensation:
             th = compensation_threshold("variance", f, n_shots=1000, t2=10e-3)
             assert 1.03 < th * f * f < 1.16
 
-    def test_intermittent_counts_are_the_threshold_ceiling(self):
-        kwargs = dict(n_shots=1000, t2=7.97e-3, omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
-        m = compensation_sensors("intermittent", 0.5, **kwargs)
-        th = compensation_threshold("intermittent", 0.5, **kwargs)
-        assert m == math.ceil(th)
-
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            compensation_sensors("constant", 0.0, n_shots=10, t2=1.0)
-        with pytest.raises(ValueError):
-            compensation_sensors("ramp", 0.5, n_shots=10, t2=1.0)
         with pytest.raises(ValueError):
             compensation_threshold("ramp", 0.5, n_shots=10, t2=1.0)
 
-    @pytest.mark.parametrize("solver", [compensation_sensors, compensation_threshold])
+    @pytest.mark.parametrize("kwargs", [dict(n_shots=0, t2=1.0), dict(n_shots=10, t2=-1.0)])
+    def test_constant_validates_the_inputs_its_closed_form_does_not_read(self, kwargs):
+        # 1/F^2 needs neither N nor T2, but a bad value is still a usage error
+        with pytest.raises(ValueError):
+            compensation_threshold("constant", 0.5, **kwargs)
+
     @pytest.mark.parametrize("scenario", ["constant", "variance", "intermittent"])
     @pytest.mark.parametrize("fidelity", [0.0, 1.5, math.nan])
-    def test_fidelity_outside_unit_interval_rejected(self, solver, scenario, fidelity):
+    def test_fidelity_outside_unit_interval_rejected(self, scenario, fidelity):
         kwargs = dict(n_shots=1000, t2=7.97e-3, omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
         with pytest.raises(ValueError, match="fidelity"):
-            solver(scenario, fidelity, **kwargs)
+            compensation_threshold(scenario, fidelity, **kwargs)
 
-    @pytest.mark.parametrize("solver", [compensation_sensors, compensation_threshold])
-    def test_intermittent_needs_its_tones(self, solver):
+    def test_intermittent_needs_its_tones(self):
         with pytest.raises(ValueError, match="needs omega_s and sigma"):
-            solver("intermittent", 0.5, n_shots=1000, t2=7.97e-3)
+            compensation_threshold("intermittent", 0.5, n_shots=1000, t2=7.97e-3)
         with pytest.raises(ValueError, match="needs omega_s and sigma"):
-            solver("intermittent", 0.5, n_shots=1000, t2=7.97e-3, omega_s=TWO_PI * 2000)
+            compensation_threshold("intermittent", 0.5, n_shots=1000, t2=7.97e-3,
+                                   omega_s=TWO_PI * 2000)
 
     def test_continuous_two_tone_has_no_compensation_count(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -521,7 +509,7 @@ class TestCompensationThresholdProperties:
     @pytest.mark.parametrize("fidelity", [1e-200, 5e-324])  # count ~1e400; contrast 0
     def test_count_past_the_float_range_is_rejected(self, scenario, fidelity):
         with pytest.raises(ValueError, match="overflows"):
-            compensation_sensors(scenario, fidelity, n_shots=1000, t2=7.97e-3,
+            compensation_threshold(scenario, fidelity, n_shots=1000, t2=7.97e-3,
                                  omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
 
 
