@@ -8,10 +8,12 @@
 
 import math
 
+import numpy as np
+
 from ramsey_sensing.estimators import (
     BiasScan,
     empirical_gmin,
-    estimate_frequency_separation,
+    invert_frequency_separation,
 )
 from ramsey_sensing.montecarlo import estimate_population, simulate_shots
 from ramsey_sensing.sensitivity import gmin_intermittent
@@ -41,22 +43,22 @@ print(f"closed-form g_min: {analytic.g_min / TWO_PI:.1f} Hz "
 # repetitions each, and estimate g back from the mean population
 print(f"\napplied vs estimated g, {REPS} repetitions of N=1000 shots")
 print(f"{'g applied [Hz]':>15} {'defined':>8} {'median estimate [Hz]':>21}")
-rows = []
-for gi, g_hz in enumerate((0.0, 60.0, 120.0, 240.0, 480.0, 960.0)):
+G_HZ = (0.0, 60.0, 120.0, 240.0, 480.0, 960.0)
+p_hat = np.empty((len(G_HZ), REPS))
+for gi, g_hz in enumerate(G_HZ):
     spec = IntermittentTwoTone(OMEGA_S, TWO_PI * g_hz, SIGMA, T1)
-    outcomes = []
     for rep in range(REPS):
         rng = derive_stream(SEED, 0, gi, rep)
         table = simulate_shots(spec, sensor, ensemble, T1, rng)
-        outcomes.append(
-            estimate_frequency_separation(
-                estimate_population(table.counts, ensemble.m_sensors).p_hat, sensor, spec))
-    rows.append((TWO_PI * g_hz, tuple(outcomes)))
-    defined = [o.g_hat for o in outcomes if o.defined]
-    med = sorted(defined)[len(defined) // 2] / TWO_PI if defined else float("nan")
+        p_hat[gi, rep] = estimate_population(table.counts, ensemble.m_sensors).p_hat
+# the inversion reads the tones and the calibration, not g: one call for the scan
+g_hat, reason = invert_frequency_separation(p_hat, sensor, spec)
+for g_hz, row in zip(G_HZ, g_hat):
+    defined = np.sort(row[~np.isnan(row)])
+    med = defined[len(defined) // 2] / TWO_PI if len(defined) else float("nan")
     print(f"{g_hz:15.0f} {len(defined):>5}/{REPS} {med:21.1f}")
 
-result = empirical_gmin(BiasScan(tuple(rows)))
+result = empirical_gmin(BiasScan(TWO_PI * np.array(G_HZ), g_hat, reason))
 print(f"\nempirical g_min from this scan: {result.g_min / TWO_PI:.0f} Hz "
       f"(resolved={result.resolved})")
 print("below the threshold most repetitions fall under the zero-signal "

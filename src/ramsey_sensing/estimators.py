@@ -1,110 +1,99 @@
 """Inversion of burst-signal population estimates to frequency-separation
 estimates, and the empirical detection threshold of a scan of them.
 
-estimate_frequency_separation inverts the small-g model of the burst
-signal, so it reads large separations low: its noiseless g_hat/g on the
-replica grid is 0.996 at 316 Hz and 0.949 at 1000 Hz. Measurements that
-cannot be inverted (below the g=0 baseline, or past the fringe turnover)
-are excluded as values, not errors; repetitions aggregate by the median of
-the defined estimates, which is robust to the heavy upper tail the
-exclusion rule creates.
+invert_frequency_separation maps any array of p_hat to g_hat and an int8
+reason code (STATUS holds each code's CSV token). Values that cannot be
+inverted (below the g=0 baseline, or past the fringe turnover) are excluded
+as NaN, not errors. The small-g model reads large separations low: its
+noiseless g_hat/g on the replica grid is 0.996 at 316 Hz and 0.949 at
+1000 Hz. Repetitions aggregate by the median of the defined estimates,
+which is robust to the heavy upper tail the exclusion rule creates.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from statistics import median
+
+import numpy as np
 
 from .sensor import SensorModel, contrast
 from .signals import IntermittentTwoTone, small_g_curvature
 
 __all__ = [
-    "ExclusionReason",
-    "EstimateOutcome",
+    "STATUS",
     "BiasScan",
     "GminEstimate",
-    "estimate_frequency_separation",
+    "invert_frequency_separation",
     "empirical_gmin",
     "bias_scan_rows",
 ]
 
 TWO_PI = 2 * math.pi
 
-
-class ExclusionReason(enum.Enum):
-    BELOW_BASELINE = "below_baseline"
-    OUT_OF_DOMAIN = "out_of_domain"
+# CSV token of each reason code
+STATUS = ("defined", "below_baseline", "out_of_domain")
 
 
-@dataclass(frozen=True)
-class EstimateOutcome:
-    """Either a defined estimate g_hat (rad/s) or an exclusion reason."""
-
-    g_hat: float | None = None
-    reason: ExclusionReason | None = None
-
-    def __post_init__(self) -> None:
-        if (self.g_hat is None) == (self.reason is None):
-            raise ValueError("outcome is exactly one of defined or excluded")
-
-    @property
-    def defined(self) -> bool:
-        return self.g_hat is not None
-
-    @classmethod
-    def of(cls, g_hat: float) -> "EstimateOutcome":
-        return cls(g_hat=g_hat)
-
-    @classmethod
-    def excluded(cls, reason: ExclusionReason) -> "EstimateOutcome":
-        return cls(reason=reason)
-
-
-def estimate_frequency_separation(
-    p_hat: float, sensor: SensorModel, spec: IntermittentTwoTone
-) -> EstimateOutcome:
-    """Invert a population estimate p_hat under the small-g model at one
-    center period.
+def invert_frequency_separation(
+    p_hat, sensor: SensorModel, spec: IntermittentTwoTone
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert population estimates p_hat under the small-g model at one
+    center period; returns (g_hat, reason), both of p_hat's shape.
 
     p = (1 - C_t e^{-kappa g^2})/2 with kappa the small-g curvature of half
     the phase variance under the spec's tone convention. The model holds at
     bias theta = 0; a theta = pi measurement is mirrored (p -> 1 - p) onto
     it, and any other bias raises. p below the g = 0 baseline (1 - C_t)/2
-    is excluded as BELOW_BASELINE, p >= 1/2 as OUT_OF_DOMAIN.
+    is excluded with code 1, p >= 1/2 with code 2; g_hat is NaN there.
+    The inversion reads the spec's tones, period and convention, never its
+    g, so one call covers a whole scan over g. Each distinct value is
+    inverted once with math.log, whose last bit np.log does not always match.
     """
-    if not (0 <= p_hat <= 1):
+    p_hat = np.asarray(p_hat, dtype=float)
+    if not np.all((p_hat >= 0) & (p_hat <= 1)):
         raise ValueError("p_hat must be a probability")
+    values, inverse = np.unique(p_hat, return_inverse=True)
     if math.isclose(sensor.theta, 0.0, rel_tol=0, abs_tol=1e-12):
-        p = p_hat
+        p = values
     elif math.isclose(sensor.theta, math.pi, rel_tol=0, abs_tol=1e-12):
-        p = 1.0 - p_hat
+        p = 1.0 - values
     else:
         raise ValueError("frequency-separation estimation requires bias theta in {0, pi}")
     c = contrast(sensor, spec.period)
     baseline = (1.0 - c) / 2.0
-    if p < baseline:
-        return EstimateOutcome.excluded(ExclusionReason.BELOW_BASELINE)
-    if p >= 0.5:
-        return EstimateOutcome.excluded(ExclusionReason.OUT_OF_DOMAIN)
-    x = 0.0 if p == baseline else -math.log((1.0 - 2.0 * p) / c)
     kappa = small_g_curvature(spec.omega_s, spec.sigma, spec.convention)
+    reason = np.where(p < baseline, 1, np.where(p >= 0.5, 2, 0)).astype(np.int8)
+    g_hat = np.full(p.shape, np.nan)
+    defined = reason == 0
     # rounding can push the ratio one ulp above 1 when p hugs the baseline
-    return EstimateOutcome.of(math.sqrt(max(x, 0.0) / kappa))
+    g_hat[defined] = [
+        math.sqrt(max(0.0 if q == baseline else -math.log((1.0 - 2.0 * q) / c), 0.0) / kappa)
+        for q in p[defined].tolist()]
+    return g_hat[inverse].reshape(p_hat.shape), reason[inverse].reshape(p_hat.shape)
 
 
 @dataclass(frozen=True)
 class BiasScan:
-    """Estimate outcomes over repetitions at each applied parameter value."""
+    """Inversions over repetitions at each applied parameter value: the
+    applied grid (G,), g_hat (G, R) with NaN where excluded, and the reason
+    codes (G, R)."""
 
-    rows: tuple[tuple[float, tuple[EstimateOutcome, ...]], ...]
+    applied: np.ndarray
+    g_hat: np.ndarray
+    reason: np.ndarray
 
     def __post_init__(self) -> None:
-        applied = [g for g, _ in self.rows]
-        if any(b <= a for a, b in zip(applied, applied[1:])):
+        for name, dtype in (("applied", float), ("g_hat", float), ("reason", np.int8)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if (self.g_hat.ndim != 2 or self.reason.shape != self.g_hat.shape
+                or self.applied.shape != self.g_hat.shape[:1]):
+            raise ValueError("scan needs applied (G,) and g_hat, reason (G, R)")
+        if not np.array_equal(np.isnan(self.g_hat), self.reason != 0):
+            raise ValueError("g_hat must be NaN exactly where a reason excludes it")
+        if (np.diff(self.applied) <= 0).any():
             raise ValueError("applied values must be strictly increasing")
-        if any(len(reps) < 2 for _, reps in self.rows):
+        if self.g_hat.shape[1] < 2:
             raise ValueError("each row needs at least 2 repetitions")
 
 
@@ -112,13 +101,6 @@ class BiasScan:
 class GminEstimate:
     g_min: float  # rad/s
     resolved: bool  # False: no grid point qualified, g_min is the scan's top
-
-
-def _row_qualifies(g_applied: float, reps: tuple[EstimateOutcome, ...], rel_tol: float) -> bool:
-    defined = [o.g_hat for o in reps if o.defined]
-    if 2 * len(defined) < len(reps):
-        return False
-    return abs(median(defined) - g_applied) <= rel_tol * g_applied
 
 
 def empirical_gmin(scan: BiasScan, rel_tol: float = 0.1) -> GminEstimate:
@@ -130,28 +112,32 @@ def empirical_gmin(scan: BiasScan, rel_tol: float = 0.1) -> GminEstimate:
     qualify; if none does, returns the grid's upper bound flagged
     unresolved.
     """
-    if len(scan.rows) < 4:
+    n_points, reps = scan.g_hat.shape
+    if n_points < 4:
         raise ValueError("scan needs at least 4 grid points")
     if not (0 < rel_tol < math.inf):
         raise ValueError("rel_tol must be finite and > 0")
-    qualifying_from = None
-    for g_applied, reps in reversed(scan.rows):
-        if _row_qualifies(g_applied, reps, rel_tol):
-            qualifying_from = g_applied
-        else:
-            break
-    if qualifying_from is None:
-        return GminEstimate(scan.rows[-1][0], resolved=False)
-    return GminEstimate(qualifying_from, resolved=True)
+    defined = np.count_nonzero(scan.reason == 0, axis=1)
+    # excluded cells are NaN and sort last; the median is the mean of the
+    # middle pair of the defined ones (of the middle one twice), as in
+    # statistics.median, and NaN on a row with none defined
+    ordered = np.sort(scan.g_hat, axis=1)
+    rows = np.arange(n_points)
+    median = (ordered[rows, (defined - 1) // 2] + ordered[rows, defined // 2]) / 2
+    qualifies = (2 * defined >= reps) & (np.abs(median - scan.applied) <= rel_tol * scan.applied)
+    failing = np.flatnonzero(~qualifies)
+    start = failing[-1] + 1 if failing.size else 0
+    if start == n_points:
+        return GminEstimate(float(scan.applied[-1]), resolved=False)
+    return GminEstimate(float(scan.applied[start]), resolved=True)
 
 
 def bias_scan_rows(scan: BiasScan) -> list[tuple]:
-    """Flatten to (g_applied_hz, rep_index, status, g_hat_hz) rows."""
-    out = []
-    for g_applied, reps in scan.rows:
-        for idx, outcome in enumerate(reps):
-            if outcome.defined:
-                out.append((g_applied / TWO_PI, idx, "defined", outcome.g_hat / TWO_PI))
-            else:
-                out.append((g_applied / TWO_PI, idx, outcome.reason.value, None))
-    return out
+    """Flatten to (g_applied_hz, rep_index, status, g_hat_hz) rows; g_hat_hz
+    is None where excluded."""
+    return [
+        (g_hz, idx, STATUS[code], None if code else hat_hz)
+        for g_hz, hats, codes in zip((scan.applied / TWO_PI).tolist(),
+                                     (scan.g_hat / TWO_PI).tolist(), scan.reason.tolist())
+        for idx, (hat_hz, code) in enumerate(zip(hats, codes))
+    ]

@@ -27,7 +27,7 @@ from .estimators import (
     GminEstimate,
     bias_scan_rows,
     empirical_gmin,
-    estimate_frequency_separation,
+    invert_frequency_separation,
 )
 from .io_utils import write_csv, write_json
 from .montecarlo import (
@@ -407,10 +407,10 @@ def _simulate_replica_tables(seed: int, reps: int, threads: int):
 
 
 def _scan(p_hat: np.ndarray, sensor: SensorModel, specs) -> tuple[BiasScan, GminEstimate]:
-    """Invert a (grid, reps) p_hat table point by point; the scan and its g_min."""
-    scan = BiasScan(tuple(
-        (spec.g, tuple(estimate_frequency_separation(p, sensor, spec) for p in row))
-        for spec, row in zip(specs, p_hat.tolist())))
+    """Invert a (grid, reps) p_hat table in one call, as the specs differ
+    only in g, which the inversion does not read; the scan and its g_min."""
+    scan = BiasScan(np.array([spec.g for spec in specs]),
+                    *invert_frequency_separation(p_hat, sensor, specs[0]))
     return scan, empirical_gmin(scan)
 
 
@@ -534,7 +534,7 @@ def run_fidelity_degradation(
         raise ValueError("flip grid must hold 0.0, the anchor of the 1/sqrt(F) curve")
     if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 2):
         raise ValueError("repetitions must be an integer >= 2")
-    flip_grid = tuple(sorted(flip_grid))
+    flip_grid = tuple(sorted(abs(f) for f in flip_grid))  # -0.0 reads as 0.0
     reps = repetitions
     specs, sensor, stack = _simulate_replica_tables(seed, reps, threads)
     ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
@@ -599,7 +599,8 @@ def run_fidelity_degradation(
         "f_eff_recovery", worst_sigma <= 3.0, worst_sigma, 0.0, 3.0,
         note="worst |measured - expected| effective fidelity in sigma units"))
     n_resolved = len(resolved)
+    need = min(4, len(deg_rows))  # every row of a grid shorter than four
     report.checks.append(Check(
-        "gmin_resolved_rows", n_resolved >= 4, n_resolved, len(deg_rows), 0.0,
+        "gmin_resolved_rows", n_resolved >= need, n_resolved, need, 0.0,
         note="degraded scans that still resolve an empirical g_min"))
     return report

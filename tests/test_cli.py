@@ -405,6 +405,28 @@ class TestReplicaCommand:
         lines = (out / "degradation.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4
 
+    def test_degrade_run_with_two_flips(self, capsys, tmp_path):
+        # a grid shorter than four flips needs every row resolved, not four
+        out = tmp_path / "degrade"
+        rc = run_cli(["replica", "degrade", "--seed", "7", "--flips=0,0.1", "--reps", "2",
+                      "--out", str(out)])
+        assert rc == 0
+        assert "3/3 checks passed" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        by_name = {c["name"]: c for c in manifest["checks"]}
+        assert by_name["gmin_resolved_rows"]["expected"] == 2
+
+    def test_degrade_negative_zero_flip_is_written_as_zero(self, capsys, tmp_path):
+        out = tmp_path / "degrade"
+        rc = run_cli(["replica", "degrade", "--seed", "7", "--flips=-0,0.1", "--reps", "2",
+                      "--out", str(out)])
+        assert rc == 0
+        lines = (out / "degradation.csv").read_text().splitlines()
+        assert lines[1].startswith("0.0,")
+        manifest = (out / "manifest.json").read_text()
+        assert json.loads(manifest)["parameters"]["flip_grid"] == [0.0, 0.1]
+        assert "-0.0" not in manifest
+
     def test_degrade_flags_rejected_on_plain_replica(self, capsys):
         rc = run_cli(["replica", "--flips", "0.0,0.1"])
         assert rc == 2

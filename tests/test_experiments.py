@@ -3,6 +3,7 @@ schemas, and determinism across runs and worker counts."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -250,6 +251,18 @@ class TestDegradation:
         assert sorted(p for p in paths if p[0] == 5) == [
             (5, 1, gi, rep) for gi in range(22) for rep in range(2)]
 
+    def test_default_grid_needs_four_resolved_rows(self, degrade_report):
+        # a grid of fewer than four flips needs every row (tests/test_cli.py)
+        check = degrade_report.check("gmin_resolved_rows")
+        assert (check.passed, check.expected) == (True, 4)
+
+    def test_negative_zero_flip_is_the_zero_anchor(self):
+        report = run_fidelity_degradation(REPLICA_SEED, (0.1, -0.0), repetitions=2)
+        _, rows = report.tables["degradation"]
+        _, est_rows = report.tables["estimates_degraded"]
+        for flip in (rows[0][0], report.parameters["flip_grid"][0], est_rows[0][0]):
+            assert flip == 0.0 and math.copysign(1.0, flip) == 1.0
+
     def test_rejects_flip_probabilities_at_or_above_half(self):
         with pytest.raises(ValueError):
             run_fidelity_degradation(REPLICA_SEED, flip_grid=(0.0, 0.5))
@@ -280,6 +293,26 @@ class TestDegradation:
     def test_rejects_too_few_repetitions_before_simulating(self, no_shots, reps):
         with pytest.raises(ValueError, match="repetitions must be an integer"):
             run_fidelity_degradation(REPLICA_SEED, repetitions=reps)
+
+
+class TestEstimateTableBytes:
+    # sha256 of the per-repetition estimate tables of the canonical seed;
+    # they pin every g_hat bit and every exclusion code
+    SHA256 = {
+        ("replica", "estimates.csv"):
+            "1f6e0bdfc33ee2d5dbcfec5d7063cb5e62f49cf303b3b3cac6a24116abf85195",
+        ("replica", "estimates_qpn_limited.csv"):
+            "154ee297d1f93b22d296691ec3cc9e0ee28c30fae7491b92b017759988ce5866",
+        ("degrade", "estimates_degraded.csv"):
+            "4da8ee1d28296c603ead72e72f79eae01a489bfdac9f65ea77c5acbf6354f251",
+    }
+
+    def test_written_estimate_tables_are_pinned(self, replica_report, degrade_report, tmp_path):
+        write_report(replica_report, tmp_path / "replica")
+        write_report(degrade_report, tmp_path / "degrade")
+        digests = {key: hashlib.sha256((tmp_path / key[0] / key[1]).read_bytes()).hexdigest()
+                   for key in self.SHA256}
+        assert digests == self.SHA256
 
 
 class TestReportPlumbing:
