@@ -47,17 +47,16 @@ def invert_frequency_separation(
     it, and any other bias raises. p below the g = 0 baseline (1 - C_t)/2
     is excluded with code 1, p >= 1/2 with code 2; g_hat is NaN there.
     The inversion reads the spec's tones, period and convention, never its
-    g, so one call covers a whole scan over g. Each distinct value is
-    inverted once with math.log, whose last bit np.log does not always match.
+    g, so one call covers a whole scan over g. Each value is inverted with
+    math.log, whose last bit np.log does not always match.
     """
     p_hat = np.asarray(p_hat, dtype=float)
     if not np.all((p_hat >= 0) & (p_hat <= 1)):
         raise ValueError("p_hat must be a probability")
-    values, inverse = np.unique(p_hat, return_inverse=True)
     if math.isclose(sensor.theta, 0.0, rel_tol=0, abs_tol=1e-12):
-        p = values
+        p = p_hat
     elif math.isclose(sensor.theta, math.pi, rel_tol=0, abs_tol=1e-12):
-        p = 1.0 - values
+        p = 1.0 - p_hat
     else:
         raise ValueError("frequency-separation estimation requires bias theta in {0, pi}")
     c = contrast(sensor, spec.period)
@@ -70,7 +69,7 @@ def invert_frequency_separation(
     g_hat[defined] = [
         math.sqrt(max(0.0 if q == baseline else -math.log((1.0 - 2.0 * q) / c), 0.0) / kappa)
         for q in p[defined].tolist()]
-    return g_hat[inverse].reshape(p_hat.shape), reason[inverse].reshape(p_hat.shape)
+    return g_hat, reason
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,8 @@ class BiasScan:
         if (self.g_hat.ndim != 2 or self.reason.shape != self.g_hat.shape
                 or self.applied.shape != self.g_hat.shape[:1]):
             raise ValueError("scan needs applied (G,) and g_hat, reason (G, R)")
+        if not ((self.reason >= 0) & (self.reason < len(STATUS))).all():
+            raise ValueError("reason codes must index STATUS")
         if not np.array_equal(np.isnan(self.g_hat), self.reason != 0):
             raise ValueError("g_hat must be NaN exactly where a reason excludes it")
         if (np.diff(self.applied) <= 0).any():

@@ -218,6 +218,11 @@ class TestBiasScanValidation:
         with pytest.raises(ValueError, match="NaN exactly"):
             BiasScan([1.0], [[1.0, math.nan]], [[0, 0]])
 
+    def test_reason_codes_index_status(self):
+        for code in (-1, len(STATUS)):
+            with pytest.raises(ValueError, match="index STATUS"):
+                BiasScan([1.0], [[1.0, math.nan]], [[0, code]])
+
     def test_shapes_must_match(self):
         with pytest.raises(ValueError, match="G, R"):
             BiasScan([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [[0, 0, 0], [0, 0, 0]])
