@@ -3,9 +3,10 @@ simulation, and the study pipelines.
 
 Subcommands: analytic, simulate, scan {fig2|fig3}, replica [degrade].
 Frequencies cross the boundary in Hz (every flag named *-hz); times are
-seconds except the explicit --t2-ms convenience on `scan fig3`. Exit codes:
-0 success / all checks passed, 1 pipeline checks failed, 2 usage or config
-error.
+seconds except the explicit --t2-ms convenience on `scan fig3`. A flag or
+config key that the command path does not read (_READS) is a usage error.
+Exit codes: 0 success / all checks passed, 1 pipeline checks failed, 2 usage
+or config error.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ def _flip_list(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object]]]:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_u64, default=None, metavar="U64")
-    common.add_argument("--out", default=None, metavar="DIR")
-    common.add_argument("--threads", type=int, default=None, metavar="N")
-    common.add_argument("--config", default=None, metavar="PATH")
-
     parser = argparse.ArgumentParser(
         prog="ramsey-sensing",
         description="Sensitivity analysis and simulation for finite-fidelity "
@@ -67,8 +62,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analytic", parents=[common],
-                       help="closed-form minimum detectable signal")
+    p = sub.add_parser("analytic", help="closed-form minimum detectable signal")
     p.add_argument("--scenario", choices=("constant", "variance", "intermittent"),
                    default=None)
     p.add_argument("--fidelity", type=float, default=None)
@@ -86,8 +80,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write the result as a one-row CSV")
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="simulate a shot table and estimate the population")
+    p = sub.add_parser("simulate", help="simulate a shot table and estimate the population")
     p.add_argument("--scenario",
                    choices=("constant", "stochastic", "two_tone", "intermittent"),
                    default=None)
@@ -105,15 +98,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     p.add_argument("--convention", choices=tuple(c.value for c in ToneConvention),
                    default=None)
 
-    p = sub.add_parser("scan", parents=[common], help="run a study pipeline")
+    p = sub.add_parser("scan", help="run a study pipeline")
     p.add_argument("preset", choices=("fig2", "fig3"))
     p.add_argument("--t2-ms", type=float, default=None,
                    help="coherence time for the fig3 preset, milliseconds")
     p.add_argument("--mc-shots", type=int, default=None,
                    help="shots per Monte-Carlo point in the fig3 preset")
 
-    p = sub.add_parser("replica", parents=[common],
-                       help="measurement replica; 'degrade' adds readout bit flips")
+    p = sub.add_parser("replica", help="measurement replica; 'degrade' adds readout bit flips")
     p.add_argument("mode", nargs="?", choices=("degrade",), default=None)
     p.add_argument("--excess", type=float, default=None,
                    help="excess noise factor on the population estimates")
@@ -122,10 +114,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     p.add_argument("--reps", type=int, default=None,
                    help="repetitions per grid point (degrade)")
 
-    actions = {
-        name: {a.dest: a for a in sp._actions if a.dest != "help"}
-        for name, sp in sub.choices.items()
-    }
+    actions = {}
+    for name, p in sub.choices.items():
+        # after the command's own flags: an unread-flag error names those first
+        p.add_argument("--seed", type=_u64, default=None, metavar="U64")
+        p.add_argument("--out", default=None, metavar="DIR")
+        p.add_argument("--threads", type=int, default=None, metavar="N",
+                       help="worker threads for scan fig3 and replica; outputs do not depend on it")
+        p.add_argument("--config", default=None, metavar="PATH")
+        actions[name] = {a.dest: a for a in p._actions if a.dest != "help"}
     return parser, actions
 
 
@@ -192,31 +189,46 @@ def _print_kv(pairs) -> None:
         print(f"{key}={format_value(value)}")
 
 
-# flags analytic reads per scenario besides --scenario, --n, --m, --csv and --config
-_ANALYTIC_READS = {
-    "constant": {"fidelity", "t2", "ti"},
-    "variance": {"fidelity", "t2", "ti"},
-    "intermittent": {"omega_s_hz", "sigma_hz", "convention", "fidelity", "t2"},
+# the flags each command path reads besides --config
+_ANALYTIC = {"scenario", "n", "m", "csv"}
+_SIMULATE = {"scenario", "g_hz", "fidelity", "t2", "ti", "theta", "n", "m", "seed", "out"}
+_TONES = {"omega_s_hz", "sigma_hz", "convention"}
+_READS = {
+    "analytic --scenario constant": _ANALYTIC | {"fidelity", "t2", "ti"},
+    "analytic --scenario variance": _ANALYTIC | {"fidelity", "t2", "ti"},
+    "analytic --scenario intermittent": _ANALYTIC | _TONES | {"fidelity", "t2"},
+    "analytic --scenario intermittent --contrast": _ANALYTIC | _TONES | {"contrast"},
+    "simulate --scenario constant": _SIMULATE,
+    "simulate --scenario stochastic": _SIMULATE,
+    "simulate --scenario two_tone": _SIMULATE | _TONES,
+    "simulate --scenario intermittent": _SIMULATE | _TONES | {"t_sig"},
+    "scan fig2": {"out"},
+    "scan fig3": {"t2_ms", "mc_shots", "seed", "out", "threads"},
+    "replica": {"excess", "seed", "out", "threads"},
+    "replica degrade": {"flips", "reps", "seed", "out", "threads"},
 }
-_ANALYTIC_CONTRAST_READS = {"omega_s_hz", "sigma_hz", "convention", "contrast"}
-_ANALYTIC_OPTIONAL = ("fidelity", "t2", "ti", "contrast", "omega_s_hz", "sigma_hz",
-                      "convention", "seed", "out", "threads")
 
 
-def _reject_unread(args: argparse.Namespace) -> None:
-    """Exit 2 naming every given flag the chosen analytic path would ignore."""
-    by_contrast = args.scenario == "intermittent" and args.contrast is not None
-    reads = _ANALYTIC_CONTRAST_READS if by_contrast else _ANALYTIC_READS[args.scenario]
-    unread = [f"--{dest.replace('_', '-')}" for dest in _ANALYTIC_OPTIONAL
-              if getattr(args, dest) is not None and dest not in reads]
+def _reject_unread(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+    """Exit 2 naming, in parser order, every flag or config key given that
+    the command path does not read; runs before any default is filled."""
+    if args.command == "scan":
+        path = f"scan {args.preset}"
+    elif args.command == "replica":
+        path = "replica degrade" if args.mode else "replica"
+    else:
+        _require(args, "scenario")
+        by_contrast = args.command == "analytic" and args.contrast is not None
+        path = f"{args.command} --scenario {args.scenario}"
+        path += " --contrast" if by_contrast and args.scenario == "intermittent" else ""
+    unread = [a.option_strings[0] for dest, a in actions.items()
+              if a.option_strings and dest != "config" and dest not in _READS[path]
+              and getattr(args, dest) is not None]
     if unread:
-        path = f"--scenario {args.scenario}" + (" --contrast" if by_contrast else "")
-        raise SystemExit(f"error: analytic {path} does not read {', '.join(unread)}")
+        raise SystemExit(f"error: {path} does not read {', '.join(unread)}")
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    _require(args, "scenario")
-    _reject_unread(args)
     _default(args, n=1000, m=1, convention=ToneConvention.FULL_SPLIT.value)
     ensemble = EnsembleConfig(args.n, args.m)
     convention = ToneConvention(args.convention)
@@ -276,7 +288,7 @@ def _signal_from_args(args: argparse.Namespace):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _require(args, "scenario", "fidelity", "t2", "ti", "n", "m")
+    _require(args, "fidelity", "t2", "ti", "n", "m")
     _default(args, seed=0, theta=0.0, out="runs/simulate",
              convention=ToneConvention.FULL_SPLIT.value)
     spec = _signal_from_args(args)
@@ -314,14 +326,11 @@ def _finish_pipeline(report, out_dir: str) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    _default(args, seed=0, threads=1)
     if args.preset == "fig2":
-        if args.t2_ms is not None or args.mc_shots is not None:
-            raise SystemExit("error: --t2-ms/--mc-shots apply to the fig3 preset only")
         report = experiments.run_fig2()
         _default(args, out="runs/fig2")
     else:
-        _default(args, t2_ms=10.0, mc_shots=200_000, out="runs/fig3")
+        _default(args, seed=0, threads=1, t2_ms=10.0, mc_shots=200_000, out="runs/fig3")
         report = experiments.run_fig3(
             args.seed, t2=args.t2_ms * 1e-3, threads=args.threads,
             mc_shots=args.mc_shots)
@@ -331,14 +340,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_replica(args: argparse.Namespace) -> int:
     _default(args, seed=0, threads=1)
     if args.mode == "degrade":
-        if args.excess is not None:
-            raise SystemExit("error: --excess applies to the plain replica only")
         _default(args, flips=(0.0, 0.05, 0.1, 0.2, 0.3), reps=44, out="runs/degrade")
         report = experiments.run_fidelity_degradation(
             args.seed, args.flips, repetitions=args.reps, threads=args.threads)
     else:
-        if args.flips is not None or args.reps is not None:
-            raise SystemExit("error: --flips/--reps apply to 'replica degrade'")
         _default(args, excess=1.17, out="runs/replica")
         report = experiments.run_experiment_replica(
             args.seed, args.excess, threads=args.threads)
@@ -360,6 +365,7 @@ def main(argv=None) -> int:
         _merge_config(args, actions_by_command[args.command])
         if args.threads is not None and args.threads < 1:
             raise SystemExit("error: --threads must be >= 1")
+        _reject_unread(args, actions_by_command[args.command])
         return _DISPATCH[args.command](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

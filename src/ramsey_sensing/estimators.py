@@ -65,9 +65,9 @@ def invert_frequency_separation(
     reason = np.where(p < baseline, 1, np.where(p >= 0.5, 2, 0)).astype(np.int8)
     g_hat = np.full(p.shape, np.nan)
     defined = reason == 0
-    # rounding can push the ratio one ulp above 1 when p hugs the baseline
+    # (1 - 2p)/c rounds above 1 only at the baseline; 0.0 - log keeps g_hat(1) at +0.0
     g_hat[defined] = [
-        math.sqrt(max(0.0 if q == baseline else -math.log((1.0 - 2.0 * q) / c), 0.0) / kappa)
+        math.sqrt((0.0 if q == baseline else 0.0 - math.log((1.0 - 2.0 * q) / c)) / kappa)
         for q in p[defined].tolist()]
     return g_hat, reason
 

@@ -128,9 +128,9 @@ def _pmap(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _fidelity_grid(extra=(0.5,)) -> list[float]:
+def _fidelity_grid() -> list[float]:
     grid = set(np.logspace(math.log10(0.05), 0.0, 50).tolist())
-    grid.update(extra)
+    grid.add(0.5)  # fig2's half-fidelity checks read this point
     return sorted(grid)
 
 
@@ -142,20 +142,15 @@ def _loglog_slope(xs, ys) -> float:
 # ----------------------------------------------------------------------
 # fidelity compensation study
 
-def run_fig2(
-    f_grid=None,
-    scenarios: tuple[str, ...] = ("constant", "variance"),
-    *,
-    n_shots: int = 1000,
-    t2: float = 10e-3,
-) -> PipelineReport:
+def run_fig2(*, n_shots: int = 1000, t2: float = 10e-3) -> PipelineReport:
     """Sensitivity loss and sensor compensation versus fidelity.
 
     Emits the g_min(F)/g_min(1) ratio at fixed M=1 (each point at its
     scenario-optimal integration time) and the integer/real sensor counts
     that recover the unity-fidelity sensitivity.
     """
-    f_grid = _fidelity_grid() if f_grid is None else sorted(f_grid)
+    f_grid = _fidelity_grid()
+    scenarios = ("constant", "variance")
     ensemble = EnsembleConfig(n_shots, 1)
 
     ratio_rows, comp_rows = [], []
@@ -180,24 +175,22 @@ def run_fig2(
 
     by = {(r[0], r[1]): r for r in ratio_rows}
     comp_by = {(r[0], r[1]): r for r in comp_rows}
-    if "constant" in scenarios and 0.5 in f_grid:
-        ratio = by[("constant", 0.5)][4]
-        report.checks.append(Check(
-            "constant_half_fidelity_ratio", abs(ratio - 2.0) < 1e-9, ratio, 2.0, 1e-9))
-        m = comp_by[("constant", 0.5)][2]
-        report.checks.append(Check(
-            "constant_half_fidelity_sensors", m == 4, m, 4, 0))
+    ratio = by[("constant", 0.5)][4]
+    report.checks.append(Check(
+        "constant_half_fidelity_ratio", abs(ratio - 2.0) < 1e-9, ratio, 2.0, 1e-9))
+    m = comp_by[("constant", 0.5)][2]
+    report.checks.append(Check(
+        "constant_half_fidelity_sensors", m == 4, m, 4, 0))
     for scenario in scenarios:
         ratio1 = by[(scenario, 1.0)][4]
         m1 = comp_by[(scenario, 1.0)][2]
         report.checks.append(Check(
             f"{scenario}_unity_ratio", abs(ratio1 - 1.0) < 1e-12, ratio1, 1.0, 1e-12))
         report.checks.append(Check(f"{scenario}_unity_sensors", m1 == 1, m1, 1, 0))
-    if "variance" in scenarios:
-        small = [f for f in f_grid if f <= 0.2]
-        slope = _loglog_slope(small, [by[("variance", f)][4] for f in small])
-        report.checks.append(Check(
-            "variance_small_f_slope", abs(slope + 0.5) < 0.05, slope, -0.5, 0.05))
+    small = [f for f in f_grid if f <= 0.2]
+    slope = _loglog_slope(small, [by[("variance", f)][4] for f in small])
+    report.checks.append(Check(
+        "variance_small_f_slope", abs(slope + 0.5) < 0.05, slope, -0.5, 0.05))
     return report
 
 
@@ -217,8 +210,6 @@ FIG3_PARAMS = {
 def run_fig3(
     seed: int,
     *,
-    f_grid=None,
-    t1_grid=None,
     t2: float = FIG3_PARAMS["t2"],
     threads: int = 1,
     mc_shots: int = 200_000,
@@ -234,8 +225,8 @@ def run_fig3(
     ensemble = EnsembleConfig(FIG3_PARAMS["n_shots"], FIG3_PARAMS["m_sensors"])
     sensor = SensorModel(1.0, t2, theta=0.0)
     spec = TwoToneStochastic(omega_s, g_probe, sigma_amp)
-    f_grid = _fidelity_grid() if f_grid is None else sorted(f_grid)
-    t1_grid = np.logspace(-3, 0, 30).tolist() if t1_grid is None else sorted(t1_grid)
+    f_grid = _fidelity_grid()
+    t1_grid = np.logspace(-3, 0, 30).tolist()
 
     report = PipelineReport(
         "fig3",

@@ -381,7 +381,7 @@ class TestScan:
     def test_fig3_flags_rejected_for_fig2(self, capsys):
         rc = run_cli(["scan", "fig2", "--mc-shots", "5"])
         assert rc == 2
-        assert "apply to the fig3 preset only" in capsys.readouterr().err
+        assert "error: scan fig2 does not read --mc-shots" in capsys.readouterr().err
 
 
 class TestReplicaCommand:
@@ -430,7 +430,7 @@ class TestReplicaCommand:
     def test_degrade_flags_rejected_on_plain_replica(self, capsys):
         rc = run_cli(["replica", "--flips", "0.0,0.1"])
         assert rc == 2
-        assert "apply to 'replica degrade'" in capsys.readouterr().err
+        assert "error: replica does not read --flips" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flips", [",", ""])
     def test_empty_flip_grid_is_a_usage_error(self, capsys, flips):
@@ -458,7 +458,48 @@ class TestReplicaCommand:
     def test_excess_rejected_on_degrade(self, capsys):
         rc = run_cli(["replica", "degrade", "--excess", "2.0"])
         assert rc == 2
-        assert "applies to the plain replica only" in capsys.readouterr().err
+        assert "error: replica degrade does not read --excess" in capsys.readouterr().err
+
+
+# (command path, its other flags, a flag the path does not read, its value)
+SHOT_FLAGS = ["--g-hz", "120", "--fidelity", "0.9", "--t2", "8e-3", "--ti", "5e-4",
+              "--n", "40", "--m", "1"]
+TONE_FLAGS = ["--omega-s-hz", "2000", "--sigma-hz", "275"]
+UNREAD = [
+    *((f"simulate --scenario {scenario}", SHOT_FLAGS, flag, value)
+      for scenario in ("constant", "stochastic")
+      for flag, value in (("--omega-s-hz", "2000"), ("--sigma-hz", "275"), ("--t-sig", "5e-4"),
+                          ("--convention", "full_split"), ("--threads", "2"))),
+    ("simulate --scenario two_tone", SHOT_FLAGS + TONE_FLAGS, "--t-sig", "5e-4"),
+    ("simulate --scenario two_tone", SHOT_FLAGS + TONE_FLAGS, "--threads", "2"),
+    ("simulate --scenario intermittent", SHOT_FLAGS + TONE_FLAGS, "--threads", "2"),
+    ("scan fig2", [], "--seed", "3"),
+    ("scan fig2", [], "--threads", "4"),
+]
+
+
+class TestUnreadFlags:
+    """Every command path exits 2 on a flag it does not read, before it
+    writes anything."""
+
+    @pytest.mark.parametrize("path, flags, flag, value", UNREAD,
+                             ids=[f"{path}:{flag}" for path, _, flag, _ in UNREAD])
+    def test_flag_the_path_does_not_read(self, capsys, tmp_path, path, flags, flag, value):
+        out = tmp_path / "out"
+        rc = run_cli([*path.split(), *flags, flag, value, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} does not read {flag}\n"
+        assert not out.exists()
+
+    def test_config_key_the_path_does_not_read(self, capsys, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("threads = 2\n")
+        rc = run_cli(["scan", "fig2", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: scan fig2 does not read --threads\n"
+        assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

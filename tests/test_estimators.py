@@ -102,9 +102,11 @@ class TestFrequencySeparationEstimator:
             assert np.array_equal(one_g, g_hat[idx], equal_nan=True)
 
     def test_one_ulp_above_baseline_stays_defined(self):
+        # at C = 0.903 the ratio (1 - 2p)/C rounds to exactly 1 here: g_hat
+        # is +0.0, never -0.0
         p = math.nextafter(self._baseline(), 1.0)
         g_hat, reason = invert_frequency_separation(p, self.SENSOR, self.SPEC)
-        assert reason == DEFINED and g_hat >= 0.0
+        assert reason == DEFINED and g_hat == 0.0 and not np.signbit(g_hat)
 
     def test_mirrored_bias_round_trip(self):
         # at theta = pi the fringe is inverted: p = (1 + C e^{-kappa g^2})/2
@@ -150,6 +152,10 @@ TONES = dict(
     convention=st.sampled_from(list(ToneConvention)),
 )
 BIASES = st.sampled_from([0.0, math.pi])
+# contrasts over (0, 1], with extra weight next to 1 and on tiny values
+CONTRASTS = (st.floats(0.0, 1.0, exclude_min=True)
+             | st.integers(0, 64).map(lambda k: 1.0 - k * 2.0**-53)
+             | st.floats(5e-324, 1e-12))
 
 
 def _burst(omega_s_hz, sigma_hz, convention, g=0.0) -> IntermittentTwoTone:
@@ -190,6 +196,21 @@ class TestFrequencySeparationProperties:
             p_hat, sensor, _burst(omega_s_hz, sigma_hz, convention, g))
         assert reason == DEFINED
         assert g_hat == pytest.approx(g, rel=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=CONTRASTS, theta=BIASES, ulps=st.integers(0, 6), p_random=st.floats(0.0, 1.0))
+    def test_defined_estimates_have_a_clear_sign_bit(self, c, theta, ulps, p_random):
+        # at the baseline, a few floats above it and at random; T2 is so
+        # long that the contrast at one period is the fidelity c itself
+        sensor = SensorModel(c, 1e6, theta)
+        spec = TestFrequencySeparationEstimator.SPEC
+        p = (1.0 - contrast(sensor, spec.period)) / 2.0
+        for _ in range(ulps):
+            p = math.nextafter(p, 1.0)
+        p_hat = np.array([p, p_random]) if theta == 0.0 else 1.0 - np.array([p, p_random])
+        g_hat, reason = invert_frequency_separation(p_hat, sensor, spec)
+        defined = g_hat[reason == DEFINED]
+        assert (defined >= 0.0).all() and not np.signbit(defined).any()
 
 
 def _scan(rows):

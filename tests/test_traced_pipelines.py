@@ -1,25 +1,30 @@
-"""The replica pipelines under the benchmark's tracer.
+"""The replica pipelines under the benchmark's tracer and workloads.
 
 perfbench/spans.py wraps every public function of the package, calls a
 work-count hook on some results and builds a span tree; the benchmark runs
 one traced iteration of the replica and degradation studies on every run.
-A change to the package that breaks that iteration must fail here, not
-only in the benchmark. The tracer is loaded from its file and not changed.
+perfbench/workloads.py makes the pipeline calls of each iteration, with the
+keywords it passes. A change to the package that breaks that iteration or
+those calls must fail here, not only in the benchmark. Both files are loaded
+from perfbench/ and not changed.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+from ramsey_sensing import experiments
 from ramsey_sensing.experiments import run_experiment_replica, run_fidelity_degradation
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
@@ -31,7 +36,7 @@ def _pipelines():
 
 
 def test_traced_replica_pipelines_match_an_untraced_run():
-    spans = _load_spans()
+    spans = _load("spans")
     tracer = spans.Tracer()
     with tracer:
         traced, trace = tracer.run(_pipelines)
@@ -42,3 +47,26 @@ def test_traced_replica_pipelines_match_an_untraced_run():
     # replica and one per flip of the default grid
     assert metrics["sensitivity.solves"] == 6
     assert [r.tables for r in traced] == [r.tables for r in _pipelines()]
+
+
+def test_replica_workload_runs_at_one_and_two_threads(tmp_path):
+    workload = _load("workloads").ReplicaDegrade()
+    digests = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        workload.prepare(out)
+        ops = workload.check(workload.run(experiments, 7, threads, out), out)
+        assert [(op.name, op.ok, op.error) for op in ops] == [
+            ("replica", True, None), ("degrade", True, None)]
+        digests.append([op.digest for op in ops])
+    assert digests[0] == digests[1]
+
+
+def test_fig3_workload_call_binds_to_run_fig3(tmp_path):
+    # running fig3 takes seconds; binding its arguments checks the call
+    bound = []
+    ex = SimpleNamespace(
+        run_fig3=lambda *a, **k: bound.append(inspect.signature(experiments.run_fig3).bind(*a, **k)),
+        write_report=lambda report, out: None)
+    [(name, _, error)] = _load("workloads").Fig3MC().run(ex, 42, 2, tmp_path)
+    assert (name, error, len(bound)) == ("fig3", None, 1)
