@@ -3,16 +3,19 @@ simulation, and the study pipelines.
 
 Subcommands: analytic, simulate, scan {fig2|fig3}, replica [degrade].
 Frequencies cross the boundary in Hz (every flag named *-hz); times are
-seconds except the explicit --t2-ms convenience on `scan fig3`. A flag or
-config key that the command path does not read (_READS) is a usage error.
+seconds except the explicit --t2-ms convenience on `scan fig3`. An argument
+@PATH is replaced by the flags in that file (shell-style words, # comments),
+read in order with the command line: the last value of a flag wins. A flag
+that the command path does not read (_READS) is a usage error.
 Exit codes: 0 success / all checks passed, 1 pipeline checks failed, 2 usage
-or config error.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import shlex
 import sys
 from pathlib import Path
 
@@ -58,8 +61,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     parser = argparse.ArgumentParser(
         prog="ramsey-sensing",
         description="Sensitivity analysis and simulation for finite-fidelity "
-                    "Ramsey sensing of constant, stochastic, and burst signals.",
+                    "Ramsey sensing of constant, stochastic, and burst signals. "
+                    "@PATH reads further arguments from a file.",
+        fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = lambda line: shlex.split(line, comments=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form minimum detectable signal")
@@ -121,53 +127,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
         p.add_argument("--out", default=None, metavar="DIR")
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="worker threads for scan fig3 and replica; outputs do not depend on it")
-        p.add_argument("--config", default=None, metavar="PATH")
         actions[name] = {a.dest: a for a in p._actions if a.dest != "help"}
     return parser, actions
-
-
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read config {path}: {exc.strerror}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
-            raise SystemExit(f"error: config line {lineno} is not 'key = value'")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _merge_config(args: argparse.Namespace, parser_actions: dict[str, object]) -> None:
-    """Fill unset flags from the config file; flags always win.
-
-    Unknown keys and malformed values are hard errors (exit 2): a misspelled
-    key silently falling back to a default would poison reproducibility.
-    """
-    if args.config is None:
-        return
-    for key, text in _load_config(args.config).items():
-        dest = key.replace("-", "_")
-        action = parser_actions.get(dest)
-        if action is None or dest in ("config", "preset", "mode", "command"):
-            raise SystemExit(f"error: unknown config key: {key}")
-        if getattr(args, dest) is not None:
-            continue  # explicit flag overrides the file
-        convert = action.type or str
-        try:
-            value = convert(text)
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"error: config key {key}: {exc}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise SystemExit(
-                f"error: config key {key}: {value!r} is not one of "
-                f"{sorted(action.choices)}")
-        setattr(args, dest, value)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -189,7 +150,7 @@ def _print_kv(pairs) -> None:
         print(f"{key}={format_value(value)}")
 
 
-# the flags each command path reads besides --config
+# the flags each command path reads
 _ANALYTIC = {"scenario", "n", "m", "csv"}
 _SIMULATE = {"scenario", "g_hz", "fidelity", "t2", "ti", "theta", "n", "m", "seed", "out"}
 _TONES = {"omega_s_hz", "sigma_hz", "convention"}
@@ -210,8 +171,8 @@ _READS = {
 
 
 def _reject_unread(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
-    """Exit 2 naming, in parser order, every flag or config key given that
-    the command path does not read; runs before any default is filled."""
+    """Exit 2 naming, in parser order, every flag given that the command
+    path does not read; runs before any default is filled."""
     if args.command == "scan":
         path = f"scan {args.preset}"
     elif args.command == "replica":
@@ -222,7 +183,7 @@ def _reject_unread(args: argparse.Namespace, actions: dict[str, argparse.Action]
         path = f"{args.command} --scenario {args.scenario}"
         path += " --contrast" if by_contrast and args.scenario == "intermittent" else ""
     unread = [a.option_strings[0] for dest, a in actions.items()
-              if a.option_strings and dest != "config" and dest not in _READS[path]
+              if a.option_strings and dest not in _READS[path]
               and getattr(args, dest) is not None]
     if unread:
         raise SystemExit(f"error: {path} does not read {', '.join(unread)}")
@@ -302,7 +263,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_shot_table(table, out / "shot_table.csv")
     est = estimate_population(table.counts, ensemble.m_sensors)
     _print_kv([
-        ("shots", est.n_shots), ("sensors", est.n_sensors),
+        ("shots", ensemble.n_shots), ("sensors", ensemble.m_sensors),
         ("p_hat", est.p_hat), ("std_err", est.std_err), ("qpn_err", est.qpn_err),
         ("table", str(out / "shot_table.csv")),
     ])
@@ -360,9 +321,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser, actions_by_command = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _merge_config(args, actions_by_command[args.command])
+        args = parser.parse_args(argv)
         if args.threads is not None and args.threads < 1:
             raise SystemExit("error: --threads must be >= 1")
         _reject_unread(args, actions_by_command[args.command])

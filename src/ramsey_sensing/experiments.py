@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -88,12 +88,6 @@ class PipelineReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def write_report(report: PipelineReport, out_dir) -> None:
     """One CSV per table plus a JSON manifest; stable bytes for fixed inputs."""
@@ -105,17 +99,7 @@ def write_report(report: PipelineReport, out_dir) -> None:
         "pipeline_id": report.pipeline_id,
         "seed": report.seed,
         "parameters": report.parameters,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "measured": c.measured,
-                "expected": c.expected,
-                "tolerance": c.tolerance,
-                "note": c.note,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
         "tables": sorted(f"{name}.csv" for name in report.tables),
     }
     write_json(out / "manifest.json", manifest)

@@ -77,8 +77,6 @@ class PopulationEstimate:
     p_hat: float | np.ndarray
     std_err: float | np.ndarray  # empirical error of the mean
     qpn_err: float | np.ndarray  # projection-noise prediction at p_hat, for comparison
-    n_shots: int
-    n_sensors: int
 
     def __post_init__(self) -> None:
         p_hat = np.asarray(self.p_hat)
@@ -146,10 +144,10 @@ def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
     std_err = std / math.sqrt(n)
     qpn_err = np.sqrt(p_hat * (1.0 - p_hat) / (n * m))
     if counts.ndim == 1:
-        return PopulationEstimate(float(p_hat[0]), float(std_err[0]), float(qpn_err[0]), n, m)
+        return PopulationEstimate(float(p_hat[0]), float(std_err[0]), float(qpn_err[0]))
     shape = counts.shape[:-1]
     return PopulationEstimate(p_hat.reshape(shape), std_err.reshape(shape),
-                              qpn_err.reshape(shape), n, m)
+                              qpn_err.reshape(shape))
 
 
 def _check_streams(rngs) -> None:

@@ -52,6 +52,12 @@ TWO_PI = 2 * math.pi
 MASTER_SEED = 2026  # namespace root for every randomized acceptance check
 
 
+def check_named(report, name):
+    """The one check of report with this name."""
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
 def test_constant_closed_form_concordant_with_projective_monte_carlo():
     """Closed-form minimum detectable constant signal agrees within 3% with
     the SNR=1 crossing found by simulating projective shots (1e5 per
@@ -207,10 +213,10 @@ def test_burst_snr_curve_peaks_at_period_multiples_with_bounded_global_max():
     assert p["sigma_hz"] == pytest.approx(500.0, rel=1e-12)
     assert p["g_hz"] == pytest.approx(10.0, rel=1e-12)
     assert p["n_shots"] == 1000 and p["m_sensors"] == 1
-    assert report.check("snr_local_maxima_at_period_multiples").passed
-    ratio = report.check("snr_global_max_location").measured
+    assert check_named(report, "snr_local_maxima_at_period_multiples").passed
+    ratio = check_named(report, "snr_global_max_location").measured
     assert 1.2 - 1e-9 <= ratio <= 1.7, f"global maximum at {ratio}*T2"
-    assert report.check("snr_mc_concordance").passed
+    assert check_named(report, "snr_mc_concordance").passed
 
 
 def test_burst_two_tone_sensitivity_reproduces_290_hz():
@@ -351,7 +357,7 @@ def test_degraded_readout_follows_burst_closed_form_not_sqrt_fidelity():
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"runtime budget exceeded: {elapsed:.1f} s"
     assert report.parameters["flip_grid"] == [0.0, 0.05, 0.1, 0.2, 0.3]
-    check = report.check("burst_scaling_beats_sqrt")
+    check = check_named(report, "burst_scaling_beats_sqrt")
     assert check.passed
     assert check.measured < check.expected, (
         f"rss closed form {check.measured:.1f} vs sqrt model {check.expected:.1f}")

@@ -1,23 +1,22 @@
-"""Command-line interface: argument plumbing, config-file merging, exit
-codes, printed key=value output, and the files each subcommand writes."""
+"""Command-line interface: argument plumbing, @file arguments, exit codes,
+printed key=value output, and the files each subcommand writes."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import ramsey_sensing
-from ramsey_sensing.cli import _build_parser, _load_config, _merge_config, main
+from ramsey_sensing import experiments
+from ramsey_sensing.cli import main
 
 TWO_PI = 2 * math.pi
 
@@ -129,14 +128,6 @@ class TestAnalytic:
         assert captured.out == ""
         assert captured.err.strip().endswith(f"does not read {unread}")
 
-    def test_config_keys_the_path_does_not_read_are_usage_errors(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("omega-s-hz = 2000\nsigma-hz = 275\nti = 5\n")
-        rc = run_cli(["analytic", "--scenario", "intermittent", "--contrast", "0.903",
-                      "--config", str(cfg)])
-        assert rc == 2
-        assert "does not read --ti" in capsys.readouterr().err
-
     def test_threads_must_be_positive(self, capsys):
         rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "1",
                       "--t2", "1", "--ti", "1", "--threads", "0"])
@@ -144,180 +135,92 @@ class TestAnalytic:
         assert "--threads must be >= 1" in capsys.readouterr().err
 
 
-class TestConfigFile:
-    def test_fills_unset_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# burst example\n"
-            "omega-s-hz = 2000\n"
-            "sigma-hz = 275   # Hz\n"
-            "contrast = 0.903\n")
-        rc = run_cli(["analytic", "--scenario", "intermittent", "--config", str(cfg)])
-        assert rc == 0
-        kv = kv_output(capsys)
-        assert float(kv["g_min_hz"]) == pytest.approx(INTERMITTENT_GMIN_HZ, rel=1e-13)
+class TestArgumentFile:
+    """@PATH stands for the arguments in the file, read in order with the
+    command line and checked by the same parser."""
 
-    def test_explicit_flag_beats_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("contrast = 0.5\nomega-s-hz = 2000\nsigma-hz = 275\n")
-        rc = run_cli(["analytic", "--scenario", "intermittent",
-                      "--contrast", "0.903", "--config", str(cfg)])
-        assert rc == 0
+    BURST = ["analytic", "--scenario", "intermittent"]
+
+    @staticmethod
+    def args_file(tmp_path, text):
+        path = tmp_path / "run.args"
+        path.write_text(text)
+        return f"@{path}"
+
+    def test_fills_flags(self, capsys, tmp_path):
+        f = self.args_file(tmp_path, "--contrast 0.903  # C(t1)\n--omega-s-hz 2000\n"
+                                     "--sigma-hz 275\n")
+        assert run_cli([*self.BURST, f]) == 0
+        assert f"g_min_hz={INTERMITTENT_GMIN_HZ!r}" in capsys.readouterr().out
+
+    def test_comments_blank_lines_and_quoted_values(self, capsys, tmp_path):
+        csv = tmp_path / "a result.csv"
+        f = self.args_file(tmp_path, f"# burst example\n\n--omega-s-hz 2000 --sigma-hz 275\n"
+                                     f"   # indented comment\n--contrast '0.903'\n"
+                                     f'--csv "{csv}"  # a path with a space\n')
+        assert run_cli([*self.BURST, f]) == 0
+        kv = kv_output(capsys)
+        assert float(kv["g_min_hz"]) == INTERMITTENT_GMIN_HZ
+        assert csv.exists()
+
+    @pytest.mark.parametrize("order", ["file_first", "flag_first"])
+    def test_the_later_value_wins(self, capsys, tmp_path, order):
+        tones = ["--omega-s-hz", "2000", "--sigma-hz", "275"]
+        if order == "file_first":
+            argv = [self.args_file(tmp_path, "--contrast 0.5\n"), "--contrast", "0.903"]
+        else:
+            argv = ["--contrast", "0.5", self.args_file(tmp_path, "--contrast 0.903\n")]
+        assert run_cli([*self.BURST, *tones, *argv]) == 0
         kv = kv_output(capsys)
         assert kv["contrast"] == "0.903"
-        assert float(kv["g_min_hz"]) == pytest.approx(INTERMITTENT_GMIN_HZ, rel=1e-13)
+        assert float(kv["g_min_hz"]) == INTERMITTENT_GMIN_HZ
 
-    def test_unknown_key_is_fatal(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seeed = 1\n")
-        rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "1",
-                      "--t2", "1", "--ti", "1", "--config", str(cfg)])
-        assert rc == 2
-        assert "unknown config key: seeed" in capsys.readouterr().err
+    def test_a_file_may_hold_the_whole_command(self, capsys, tmp_path):
+        f = self.args_file(tmp_path, "analytic --scenario constant\n"
+                                     "--fidelity 1.0 --t2 1.0 --ti 1.0\n")
+        assert run_cli([f]) == 0
+        assert f"g_min_rad_s={CONSTANT_GMIN_RAD_S!r}" in capsys.readouterr().out
 
-    def test_malformed_line_is_fatal(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("just some words\n")
-        rc = run_cli(["analytic", "--scenario", "constant", "--config", str(cfg)])
-        assert rc == 2
-        assert "config line 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("text, message", [
+        ("--seeed 1\n", "unrecognized arguments: --seeed 1"),
+        ("--n many\n", "argument --n: invalid int value: 'many'"),
+        ("--convention sideways\n", "argument --convention: invalid choice: 'sideways'"),
+    ])
+    def test_bad_file_flags_exit_2(self, capsys, tmp_path, text, message):
+        constant = ["analytic", "--scenario", "constant", "--fidelity", "1", "--t2", "1",
+                    "--ti", "1"]
+        assert run_cli([*constant, self.args_file(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
-    def test_unparseable_value_is_fatal(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = many\n")
-        rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "1",
-                      "--t2", "1", "--ti", "1", "--config", str(cfg)])
-        assert rc == 2
-        assert "config key n" in capsys.readouterr().err
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        assert run_cli([*self.BURST, f"@{tmp_path / 'absent.args'}"]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
-    def test_choice_keys_are_validated(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("convention = sideways\n")
-        rc = run_cli(["analytic", "--scenario", "constant", "--fidelity", "1",
-                      "--t2", "1", "--ti", "1", "--config", str(cfg)])
-        assert rc == 2
-        assert "is not one of" in capsys.readouterr().err
+    def test_unbalanced_quote_exits_2_without_a_traceback(self, capsys, tmp_path):
+        f = self.args_file(tmp_path, "--omega-s-hz 2000 --sigma-hz '275\n")
+        assert main([*self.BURST, "--contrast", "0.903", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: No closing quotation\n"
 
-    def test_missing_file_is_fatal(self, capsys, tmp_path):
-        rc = run_cli(["analytic", "--scenario", "constant",
-                      "--config", str(tmp_path / "absent.cfg")])
-        assert rc == 2
-        assert "cannot read config" in capsys.readouterr().err
+    def test_file_flag_the_path_does_not_read(self, capsys, tmp_path):
+        f = self.args_file(tmp_path, "--omega-s-hz 2000\n--sigma-hz 275\n--ti 5\n")
+        assert run_cli([*self.BURST, "--contrast", "0.903", f]) == 2
+        assert capsys.readouterr().err == (
+            "error: analytic --scenario intermittent --contrast does not read --ti\n")
 
+    def test_a_value_starting_with_at_joins_its_flag(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--scenario", "constant", "--g-hz", "120", "--fidelity", "0.9",
+                "--t2", "8e-3", "--ti", "5e-4", "--n", "40", "--m", "1"]
+        assert run_cli([*argv, "--out=@sim"]) == 0
+        assert (tmp_path / "@sim" / "shot_table.csv").exists()
 
-# simulate's numeric keys, as written in a config file, with their types
-CONFIG_KEYS = {"fidelity": float, "t2": float, "ti": float, "g-hz": float,
-               "omega-s-hz": float, "theta": float, "n": int, "m": int}
-SPACE = st.sampled_from(["", " ", "  ", "\t", " \t "])
-COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def _config_value(kind):
-    return FINITE if kind is float else st.integers(-10**12, 10**12)
-
-
-@st.composite
-def config_files(draw):
-    """(settings, text): key = value lines amid comments, blank lines and
-    whitespace, each key once."""
-    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=6))
-    values = {k: draw(_config_value(CONFIG_KEYS[k])) for k in keys}
-    lines = []
-    for key, value in values.items():
-        if draw(st.booleans()):
-            lines.append(draw(SPACE) + "#" + draw(COMMENT))
-        if draw(st.booleans()):
-            lines.append(draw(SPACE))
-        tail = draw(st.just("") | COMMENT.map(lambda c: " #" + c))
-        lines.append(draw(SPACE) + key + draw(SPACE) + "=" + draw(SPACE) + repr(value)
-                     + draw(SPACE) + tail)
-    return values, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
-
-
-def _with_config(text, body):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.cfg"
-        path.write_text(text)
-        return body(str(path))
-
-
-def _merged(argv, text):
-    parser, actions = _build_parser()
-
-    def merge(path):
-        args = parser.parse_args(argv + ["--config", path])
-        _merge_config(args, actions[args.command])
-        return args
-    return _with_config(text, merge)
-
-
-class TestConfigProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(config_files())
-    def test_key_value_lines_round_trip(self, config):
-        values, text = config
-        assert _with_config(text, _load_config) == {k: repr(v) for k, v in values.items()}
-        args = _merged(["simulate"], text)
-        for key, value in values.items():
-            assert getattr(args, key.replace("-", "_")) == value
-
-    @settings(max_examples=200, deadline=None)
-    @given(config_files(), st.data())
-    def test_explicit_flags_beat_the_file(self, config, data):
-        values, text = config
-        flags = data.draw(st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS)),
-                                          st.integers(1, 10**6), max_size=4))
-        argv = ["simulate"] + [f"--{k}={v}" for k, v in flags.items()]
-        args = _merged(argv, text)
-        for key in set(values) | set(flags):
-            expected = flags[key] if key in flags else values[key]
-            assert getattr(args, key.replace("-", "_")) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(config_files(), st.text(st.characters(min_codepoint=32, max_codepoint=126,
-                                                 blacklist_characters="=#"), min_size=1),
-           st.data())
-    def test_a_line_without_equals_exits_2(self, config, line, data):
-        assume(line.strip())  # a blank line is allowed
-        _, text = config
-        lines = text.splitlines()
-        at = data.draw(st.integers(0, len(lines)))
-        lines.insert(at, line)
-        with pytest.raises(SystemExit, match=f"config line {at + 1} is not"):
-            _merged(["simulate"], "\n".join(lines))
-
-    @settings(max_examples=100, deadline=None)
-    @given(config_files(), st.text("abcdefghijklmnopqrstuvwxyz-_", min_size=1, max_size=12)
-           | st.sampled_from(["config", "preset", "mode", "command", "excess"]))
-    def test_an_unknown_key_exits_2(self, config, key):
-        _, text = config
-        _, actions = _build_parser()
-        assume(key.replace("-", "_") not in set(actions["simulate"]) - {"config"})
-        with pytest.raises(SystemExit, match="unknown config key"):
-            _merged(["simulate"], text + f"\n{key} = 1\n")
-
-    @settings(max_examples=100, deadline=None)
-    @given(config_files(), st.sampled_from(sorted(CONFIG_KEYS)),
-           st.text(st.characters(min_codepoint=33, max_codepoint=126,
-                                 blacklist_characters="=#"), min_size=1, max_size=8))
-    def test_a_bad_value_exits_2(self, config, key, value):
-        try:
-            CONFIG_KEYS[key](value)
-            parses = True
-        except ValueError:
-            parses = False
-        assume(not parses)
-        _, text = config  # the last line for a key wins
-        with pytest.raises(SystemExit, match=f"config key {key}"):
-            _merged(["simulate"], text + f"\n{key} = {value}\n")
-
-    def test_errors_exit_2_through_main(self, capsys, tmp_path):
-        for text in ("no equals sign\n", "seeed = 1\n", "n = 1.5\n"):
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(text)
-            assert run_cli(["simulate", "--config", str(cfg)]) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+    def test_the_config_flag_is_gone(self, capsys):
+        assert run_cli([*self.BURST, "--config", "x"]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -493,13 +396,43 @@ class TestUnreadFlags:
         assert captured.err == f"error: {path} does not read {flag}\n"
         assert not out.exists()
 
-    def test_config_key_the_path_does_not_read(self, capsys, tmp_path):
-        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
-        cfg.write_text("threads = 2\n")
-        rc = run_cli(["scan", "fig2", "--config", str(cfg), "--out", str(out)])
+    def test_file_flag_the_path_does_not_read(self, capsys, tmp_path):
+        args, out = tmp_path / "run.args", tmp_path / "out"
+        args.write_text("--threads 2\n")
+        rc = run_cli(["scan", "fig2", f"@{args}", "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == "error: scan fig2 does not read --threads\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scan fig2 does not read --threads\n"
         assert not out.exists()
+
+
+class TestPipelineDefaults:
+    """With no optional flag, each pipeline command passes the pipeline its
+    own signature defaults, so the CLI and the Python API run one study."""
+
+    @pytest.mark.parametrize("argv, pipeline", [
+        (["scan", "fig3"], "run_fig3"),
+        (["replica"], "run_experiment_replica"),
+        (["replica", "degrade"], "run_fidelity_degradation"),
+    ])
+    def test_cli_defaults_are_the_signature_defaults(self, capsys, tmp_path, monkeypatch,
+                                                      argv, pipeline):
+        signature = inspect.signature(getattr(experiments, pipeline))
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments)
+            return experiments.PipelineReport(pipeline, None, {})
+
+        monkeypatch.setattr(experiments, pipeline, record)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 0
+        (passed,) = calls
+        defaults = {name: p.default for name, p in signature.parameters.items()
+                    if p.default is not p.empty}
+        assert set(passed) == set(defaults) | {"seed"}
+        assert {name: passed[name] for name in defaults} == defaults
 
 
 def test_module_entry_point(tmp_path):

@@ -126,7 +126,6 @@ class TestEstimatePopulation:
         fractions = np.array([0.0, 0.5, 1.0, 0.5])
         assert_allclose(est.std_err, fractions.std(ddof=1) / 2.0, rtol=1e-15)
         assert_allclose(est.qpn_err, math.sqrt(0.25 / 8), rtol=1e-15)
-        assert (est.n_shots, est.n_sensors) == (4, 2)
 
     def test_single_shot_has_no_empirical_error(self):
         assert estimate_population(np.array([1]), 2).std_err == 0.0
@@ -153,13 +152,13 @@ class TestEstimatePopulation:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
-            PopulationEstimate(1.4, 0.0, 0.0, 1, 1)
+            PopulationEstimate(1.4, 0.0, 0.0)
         with pytest.raises(ValueError):
-            PopulationEstimate(0.5, -0.1, 0.0, 1, 1)
+            PopulationEstimate(0.5, -0.1, 0.0)
         with pytest.raises(ValueError):
-            PopulationEstimate(np.array([0.5, math.nan]), np.zeros(2), np.zeros(2), 1, 1)
+            PopulationEstimate(np.array([0.5, math.nan]), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
-            PopulationEstimate(np.array([0.5, 0.5]), np.array([0.1, -0.1]), np.zeros(2), 1, 1)
+            PopulationEstimate(np.array([0.5, 0.5]), np.array([0.1, -0.1]), np.zeros(2))
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.integers(1, 40), n=st.integers(1, 3) | st.integers(2, 1500),

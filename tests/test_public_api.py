@@ -1,9 +1,10 @@
 """Every name a module exports must exist: a stale `__all__` entry breaks
 `from module import *` and misleads readers about the public API. Every
 exported function must have a caller in the package or its demos, unless
-it is one of the few references the tests check the package against, every
-pipeline parameter must be set by some caller, and every demo must run. The
-runtime needs numpy only: scipy is a test dependency."""
+it is one of the few references the tests check the package against, and so
+must every public method or property of an exported class. Every pipeline
+parameter must be set by some caller, and every demo must run. The runtime
+needs numpy only: scipy is a test dependency."""
 
 from __future__ import annotations
 
@@ -75,6 +76,24 @@ def _exported_functions(name):
 def test_every_exported_function_has_a_caller(name):
     used = _loaded_names([*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
     assert [f for f in _exported_functions(name) if f not in used | REFERENCES] == []
+
+
+def _public_members(name):
+    """(class, member) for each public method or property of an exported class."""
+    module = importlib.import_module(name)
+    classes = [getattr(module, n) for n in module.__all__ if isinstance(getattr(module, n), type)]
+    return [(cls.__name__, member) for cls in classes for member, value in vars(cls).items()
+            if not member.startswith("_")
+            and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_method_has_a_caller(name):
+    # only `obj.member` counts: a bare name (a loop variable `check`) is no call
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")]
+    called = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)}
+    assert [m for m in _public_members(name) if m[1] not in called] == []
 
 
 def test_every_reference_is_defined_and_tested():
