@@ -6,7 +6,10 @@ Frequencies cross the boundary in Hz (every flag named *-hz); times are
 seconds except the explicit --t2-ms convenience on `scan fig3`. An argument
 @PATH is replaced by the flags in that file (shell-style words, # comments),
 read in order with the command line: the last value of a flag wins. A flag
-that the command path does not read (_READS) is a usage error.
+that the command path does not read (_READS) is a usage error. Every --out
+directory is written by experiments.write_report (simulate: shot_table.csv
+and manifest.json). A pipeline gets only the flags given: its defaults live
+in its run_* signature.
 Exit codes: 0 success / all checks passed, 1 pipeline checks failed, 2 usage
 error.
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 
 from . import experiments
 from .io_utils import format_value, write_csv
-from .montecarlo import estimate_population, simulate_shots, write_shot_table
+from .montecarlo import estimate_population, simulate_shots
 from .sensor import EnsembleConfig, SensorModel
 from .sensitivity import (
     VALIDITY_LIMIT,
@@ -256,16 +259,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sensor = SensorModel(args.fidelity, args.t2, args.theta)
     ensemble = EnsembleConfig(args.n, args.m)
     path = (_NS_SIMULATE, 0)
-    table = simulate_shots(spec, sensor, ensemble, args.ti,
-                           derive_stream(args.seed, *path), seed_path=path)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_shot_table(table, out / "shot_table.csv")
-    est = estimate_population(table.counts, ensemble.m_sensors)
+    rng = derive_stream(args.seed, *path)
+    counts = simulate_shots(spec, sensor, ensemble, args.ti, rng).counts
+    parameters = {"signal": type(spec).__name__, "g_hz": args.g_hz}
+    if args.scenario in ("two_tone", "intermittent"):
+        parameters.update(omega_s_hz=args.omega_s_hz, sigma_hz=args.sigma_hz,
+                          convention=args.convention)
+    if args.scenario == "intermittent":
+        parameters["t_sig_s"] = spec.t_sig
+    parameters.update(fidelity=args.fidelity, t2_s=args.t2, theta_rad=args.theta,
+                      n_shots=args.n, m_sensors=args.m, t_i_s=args.ti, stream_path=list(path))
+    experiments.write_report(experiments.PipelineReport(
+        "simulate", args.seed, parameters,
+        tables={"shot_table": (("shot_index", "count"), list(enumerate(counts.tolist())))},
+    ), args.out)
+    est = estimate_population(counts, ensemble.m_sensors)
     _print_kv([
         ("shots", ensemble.n_shots), ("sensors", ensemble.m_sensors),
         ("p_hat", est.p_hat), ("std_err", est.std_err), ("qpn_err", est.qpn_err),
-        ("table", str(out / "shot_table.csv")),
+        ("table", str(Path(args.out) / "shot_table.csv")),
     ])
     return 0
 
@@ -286,28 +298,35 @@ def _finish_pipeline(report, out_dir: str) -> int:
     return 0 if report.all_passed() else 1
 
 
+def _given(**flags) -> dict[str, object]:
+    """The pipeline keywords whose flags were given; every other parameter
+    keeps its default in the pipeline's own signature."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.preset == "fig2":
         report = experiments.run_fig2()
         _default(args, out="runs/fig2")
     else:
-        _default(args, seed=0, threads=1, t2_ms=10.0, mc_shots=200_000, out="runs/fig3")
+        _default(args, seed=0, out="runs/fig3")
+        t2 = None if args.t2_ms is None else args.t2_ms * 1e-3
         report = experiments.run_fig3(
-            args.seed, t2=args.t2_ms * 1e-3, threads=args.threads,
-            mc_shots=args.mc_shots)
+            args.seed, **_given(t2=t2, threads=args.threads, mc_shots=args.mc_shots))
     return _finish_pipeline(report, args.out)
 
 
 def _cmd_replica(args: argparse.Namespace) -> int:
-    _default(args, seed=0, threads=1)
+    _default(args, seed=0)
     if args.mode == "degrade":
-        _default(args, flips=(0.0, 0.05, 0.1, 0.2, 0.3), reps=44, out="runs/degrade")
+        _default(args, out="runs/degrade")
         report = experiments.run_fidelity_degradation(
-            args.seed, args.flips, repetitions=args.reps, threads=args.threads)
+            args.seed, **_given(flip_grid=args.flips, repetitions=args.reps,
+                                threads=args.threads))
     else:
-        _default(args, excess=1.17, out="runs/replica")
+        _default(args, out="runs/replica")
         report = experiments.run_experiment_replica(
-            args.seed, args.excess, threads=args.threads)
+            args.seed, **_given(excess_factor=args.excess, threads=args.threads))
     return _finish_pipeline(report, args.out)
 
 

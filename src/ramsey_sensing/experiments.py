@@ -106,7 +106,9 @@ def write_report(report: PipelineReport, out_dir) -> None:
 
 
 def _pmap(fn, items, threads: int):
-    if threads <= 1:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError("threads must be an integer >= 1")
+    if threads == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

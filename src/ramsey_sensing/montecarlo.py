@@ -24,16 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .io_utils import format_value
 from .sensor import EnsembleConfig, SensorModel, excitation_probability
-from .signals import (
-    Constant,
-    IntermittentTwoTone,
-    SignalSpec,
-    StochasticAmplitude,
-    TwoToneStochastic,
-    sample_phases,
-)
+from .signals import SignalSpec, sample_phases
 
 __all__ = [
     "ShotTable",
@@ -42,7 +34,6 @@ __all__ = [
     "estimate_population",
     "apply_readout_degradation",
     "excess_noise_channel",
-    "write_shot_table",
 ]
 
 # shots per uniform draw in simulate_shots: a 64 kB block stays in cache
@@ -51,22 +42,14 @@ _BLOCK = 8192
 
 @dataclass(frozen=True)
 class ShotTable:
-    """Excited-sensor counts per shot plus the parameters that produced them."""
+    """Excited-sensor counts per shot, int64 of shape (N,), each in [0, M].
 
-    counts: np.ndarray  # shape (N,), each in [0, M]
-    spec: SignalSpec
-    sensor: SensorModel
-    ensemble: EnsembleConfig
-    t_i: float
-    seed_path: tuple[int, ...] = ()
+    Only simulate_shots builds one. The counts stay wrapped because the
+    benchmark's tracer (perfbench/spans.py) counts shots from the
+    `counts` attribute of each simulate_shots result.
+    """
 
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.shape != (self.ensemble.n_shots,):
-            raise ValueError("table length must equal n_shots")
-        if counts.min(initial=0) < 0 or counts.max(initial=0) > self.ensemble.m_sensors:
-            raise ValueError("counts must lie in [0, m_sensors]")
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,7 +75,6 @@ def simulate_shots(
     ensemble: EnsembleConfig,
     t_i: float,
     rng: np.random.Generator,
-    seed_path: tuple[int, ...] = (),
 ) -> ShotTable:
     """Simulate N shots of M sensors; phase redrawn every shot.
 
@@ -106,13 +88,13 @@ def simulate_shots(
     phi = sample_phases(spec, n, t_i, rng)
     if m > 1:
         counts = rng.binomial(m, excitation_probability(sensor, t_i, phi, out=phi))
-        return ShotTable(counts, spec, sensor, ensemble, t_i, seed_path)
+        return ShotTable(counts)
     counts = phi.view(np.int64)
     u = np.empty(min(n, _BLOCK))
     for lo in range(0, n, _BLOCK):
         p = excitation_probability(sensor, t_i, phi[lo:lo + _BLOCK], out=phi[lo:lo + _BLOCK])
         np.less(rng.random(out=u[:len(p)]), p, out=counts[lo:lo + _BLOCK])
-    return ShotTable(counts, spec, sensor, ensemble, t_i, seed_path)
+    return ShotTable(counts)
 
 
 def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
@@ -209,40 +191,3 @@ def excess_noise_channel(
               for rng, q in zip(rngs, np.ravel(est.qpn_err), strict=True)]
     p_hat = np.clip(est.p_hat + np.reshape(jitter, np.shape(est.p_hat)), 0.0, 1.0)
     return replace(est, p_hat=p_hat, std_err=est.std_err * excess_factor)
-
-
-def _spec_meta(spec: SignalSpec) -> dict[str, object]:
-    if isinstance(spec, Constant):
-        return {"signal": "constant", "g_rad_s": spec.g}
-    if isinstance(spec, StochasticAmplitude):
-        return {"signal": "stochastic_amplitude", "g_rad_s": spec.g}
-    meta = {
-        "signal": "two_tone" if isinstance(spec, TwoToneStochastic) else "intermittent_two_tone",
-        "omega_s_rad_s": spec.omega_s,
-        "g_rad_s": spec.g,
-        "sigma_rad_s": spec.sigma,
-        "convention": spec.convention.value,
-    }
-    if isinstance(spec, IntermittentTwoTone):
-        meta["t_sig_s"] = spec.t_sig
-    return meta
-
-
-def write_shot_table(table: ShotTable, path) -> None:
-    """CSV of (shot_index, count) preceded by '# key=value' metadata lines."""
-    meta: dict[str, object] = dict(_spec_meta(table.spec))
-    meta.update(
-        fidelity=table.sensor.fidelity,
-        t2_s=table.sensor.t2,
-        theta_rad=table.sensor.theta,
-        n_shots=table.ensemble.n_shots,
-        m_sensors=table.ensemble.m_sensors,
-        t_i_s=table.t_i,
-        seed_path=":".join(str(p) for p in table.seed_path),
-    )
-    lines = [f"# {k}={format_value(v)}" for k, v in meta.items()]
-    lines.append("shot_index,count")
-    lines.extend(f"{i},{int(k)}" for i, k in enumerate(table.counts))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-

@@ -17,6 +17,10 @@ import pytest
 import ramsey_sensing
 from ramsey_sensing import experiments
 from ramsey_sensing.cli import main
+from ramsey_sensing.montecarlo import simulate_shots
+from ramsey_sensing.sensor import EnsembleConfig, SensorModel
+from ramsey_sensing.signals import IntermittentTwoTone
+from ramsey_sensing.streams import derive_stream
 
 TWO_PI = 2 * math.pi
 
@@ -235,13 +239,13 @@ class TestSimulate:
         kv = kv_output(capsys)
         assert kv["shots"] == "400" and kv["sensors"] == "1"
         assert 0.0 <= float(kv["p_hat"]) <= 1.0
-        table = out / "shot_table.csv"
-        meta = dict(line[2:].split("=", 1) for line in table.read_text().splitlines()
-                    if line.startswith("# "))
-        assert meta["signal"] == "intermittent_two_tone"
+        assert kv["table"] == str(out / "shot_table.csv")
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert parameters["signal"] == "IntermittentTwoTone"
         # default burst window is one center period
-        assert float(meta["t_sig_s"]) == pytest.approx(5e-4, rel=1e-12)
-        counts = np.loadtxt(table, delimiter=",", skiprows=len(meta) + 1, dtype=np.int64)[:, 1]
+        assert parameters["t_sig_s"] == pytest.approx(5e-4, rel=1e-12)
+        counts = np.loadtxt(out / "shot_table.csv", delimiter=",", skiprows=1,
+                            dtype=np.int64)[:, 1]
         assert counts.shape == (400,) and set(counts.tolist()) <= {0, 1}
 
     def test_tone_at_zero_frequency_simulates(self, capsys, tmp_path):
@@ -251,15 +255,71 @@ class TestSimulate:
         assert rc == 0
         assert 0.0 <= float(kv_output(capsys)["p_hat"]) <= 1.0
 
-    def test_same_seed_reproduces_the_file(self, capsys, tmp_path):
+    def test_same_seed_reproduces_the_files(self, capsys, tmp_path):
         a, b, c = (tmp_path / k for k in "abc")
         run_cli(self.ARGS + ["--seed", "5", "--out", str(a)])
         run_cli(self.ARGS + ["--seed", "5", "--out", str(b)])
         run_cli(self.ARGS + ["--seed", "6", "--out", str(c)])
         capsys.readouterr()
-        bytes_a = (a / "shot_table.csv").read_bytes()
-        assert bytes_a == (b / "shot_table.csv").read_bytes()
-        assert bytes_a != (c / "shot_table.csv").read_bytes()
+        for name in ("shot_table.csv", "manifest.json"):
+            bytes_a = (a / name).read_bytes()
+            assert bytes_a == (b / name).read_bytes()
+            assert bytes_a != (c / name).read_bytes()
+
+
+class TestShotTableIO:
+    """simulate writes its --out directory as the pipelines do: the shot
+    table as CSV and a manifest of the parameters that produced it."""
+
+    COMMON = ["--g-hz", "120", "--fidelity", "0.9", "--t2", "8e-3", "--ti", "5e-4",
+              "--n", "64", "--m", "1", "--seed", "41"]
+    TONES = ["--omega-s-hz", "2000", "--sigma-hz", "275"]
+
+    def simulate(self, capsys, out, scenario, *flags):
+        assert run_cli(["simulate", "--scenario", scenario, *self.COMMON, *flags,
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_round_trip_counts_and_metadata(self, capsys, tmp_path):
+        out = tmp_path / "sim"
+        manifest = self.simulate(capsys, out, "intermittent", *self.TONES, "--t-sig", "6e-4")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "shot_table.csv"]
+        assert manifest == {
+            "pipeline_id": "simulate",
+            "seed": 41,
+            "parameters": {
+                "signal": "IntermittentTwoTone", "g_hz": 120.0, "omega_s_hz": 2000.0,
+                "sigma_hz": 275.0, "convention": "full_split", "t_sig_s": 6e-4,
+                "fidelity": 0.9, "t2_s": 8e-3, "theta_rad": 0.0, "n_shots": 64,
+                "m_sensors": 1, "t_i_s": 5e-4, "stream_path": [0, 0],
+            },
+            "checks": [],
+            "tables": ["shot_table.csv"],
+        }
+        lines = (out / "shot_table.csv").read_text().splitlines()
+        assert lines[0] == "shot_index,count"
+        rows = np.loadtxt(lines[1:], delimiter=",", dtype=np.int64)
+        assert np.array_equal(rows[:, 0], np.arange(64))
+        spec = IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 120, TWO_PI * 275, 6e-4)
+        table = simulate_shots(spec, SensorModel(0.9, 8e-3), EnsembleConfig(64, 1), 5e-4,
+                               derive_stream(41, 0, 0))
+        assert np.array_equal(rows[:, 1], table.counts)
+
+    @pytest.mark.parametrize("scenario, signal, keys", [
+        ("constant", "Constant", set()),
+        ("stochastic", "StochasticAmplitude", set()),
+        ("two_tone", "TwoToneStochastic", {"omega_s_hz", "sigma_hz", "convention"}),
+        ("intermittent", "IntermittentTwoTone",
+         {"omega_s_hz", "sigma_hz", "convention", "t_sig_s"}),
+    ])
+    def test_signal_tags_cover_every_class(self, capsys, tmp_path, scenario, signal, keys):
+        flags = self.TONES if keys else []
+        parameters = self.simulate(capsys, tmp_path / scenario, scenario, *flags)["parameters"]
+        assert parameters["signal"] == signal
+        assert set(parameters) == keys | {
+            "signal", "g_hz", "fidelity", "t2_s", "theta_rad", "n_shots", "m_sensors",
+            "t_i_s", "stream_path"}
 
 
 class TestScan:
@@ -408,16 +468,12 @@ class TestUnreadFlags:
 
 
 class TestPipelineDefaults:
-    """With no optional flag, each pipeline command passes the pipeline its
-    own signature defaults, so the CLI and the Python API run one study."""
+    """Each pipeline command passes a pipeline the seed and only the flags
+    that were given, so every default lives in the pipeline's own signature
+    and the CLI and the Python API run one study."""
 
-    @pytest.mark.parametrize("argv, pipeline", [
-        (["scan", "fig3"], "run_fig3"),
-        (["replica"], "run_experiment_replica"),
-        (["replica", "degrade"], "run_fidelity_degradation"),
-    ])
-    def test_cli_defaults_are_the_signature_defaults(self, capsys, tmp_path, monkeypatch,
-                                                      argv, pipeline):
+    @staticmethod
+    def record_call(monkeypatch, tmp_path, pipeline):
         signature = inspect.signature(getattr(experiments, pipeline))
         calls = []
 
@@ -427,12 +483,33 @@ class TestPipelineDefaults:
 
         monkeypatch.setattr(experiments, pipeline, record)
         monkeypatch.chdir(tmp_path)
+        return calls
+
+    @pytest.mark.parametrize("argv, pipeline", [
+        (["scan", "fig3"], "run_fig3"),
+        (["replica"], "run_experiment_replica"),
+        (["replica", "degrade"], "run_fidelity_degradation"),
+    ])
+    def test_cli_defaults_are_the_signature_defaults(self, capsys, tmp_path, monkeypatch,
+                                                      argv, pipeline):
+        calls = self.record_call(monkeypatch, tmp_path, pipeline)
         assert run_cli(argv) == 0
-        (passed,) = calls
-        defaults = {name: p.default for name, p in signature.parameters.items()
-                    if p.default is not p.empty}
-        assert set(passed) == set(defaults) | {"seed"}
-        assert {name: passed[name] for name in defaults} == defaults
+        # no optional flag: the pipeline runs at its own signature defaults
+        assert calls == [{"seed": 0}]
+
+    @pytest.mark.parametrize("argv, pipeline, passed", [
+        (["scan", "fig3", "--t2-ms", "5", "--threads", "2", "--mc-shots", "10"], "run_fig3",
+         {"t2": 5e-3, "threads": 2, "mc_shots": 10}),
+        (["replica", "--excess", "1.5", "--threads", "2"], "run_experiment_replica",
+         {"excess_factor": 1.5, "threads": 2}),
+        (["replica", "degrade", "--flips", "0,0.1", "--reps", "3", "--threads", "2"],
+         "run_fidelity_degradation", {"flip_grid": (0.0, 0.1), "repetitions": 3, "threads": 2}),
+    ])
+    def test_given_flags_reach_the_pipeline(self, capsys, tmp_path, monkeypatch,
+                                            argv, pipeline, passed):
+        calls = self.record_call(monkeypatch, tmp_path, pipeline)
+        assert run_cli([*argv, "--seed", "3"]) == 0
+        assert calls == [{"seed": 3, **passed}]
 
 
 def test_module_entry_point(tmp_path):

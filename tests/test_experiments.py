@@ -357,3 +357,14 @@ class TestReportPlumbing:
         assert report.all_passed()
         report.checks.append(Check("second", False, 0.0, 1.0, 0.0))
         assert not report.all_passed()
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, "2", True])
+@pytest.mark.parametrize("run", [
+    lambda threads: run_fig3(FIG3_SEED, threads=threads, mc_shots=10),
+    lambda threads: run_experiment_replica(REPLICA_SEED, threads=threads),
+    lambda threads: run_fidelity_degradation(REPLICA_SEED, repetitions=2, threads=threads),
+], ids=["fig3", "replica", "degrade"])
+def test_threads_must_be_an_integer_of_at_least_one(run, threads):
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        run(threads)

@@ -1,6 +1,6 @@
 """Shot engine: projective statistics, determinism, the row-wise population
-estimate and readout degradation over table stacks, the excess-noise channel,
-and shot-table round-trips."""
+estimate and readout degradation over table stacks, and the excess-noise
+channel."""
 
 from __future__ import annotations
 
@@ -14,12 +14,10 @@ from numpy.testing import assert_allclose
 
 from ramsey_sensing.montecarlo import (
     PopulationEstimate,
-    ShotTable,
     apply_readout_degradation,
     estimate_population,
     excess_noise_channel,
     simulate_shots,
-    write_shot_table,
 )
 from ramsey_sensing.sensor import (
     EnsembleConfig,
@@ -43,19 +41,13 @@ TWO_PI = 2 * math.pi
 SENSOR = SensorModel(0.9, 10e-3)
 
 
-def _load_shot_table(path):
-    """Counts and '# key=value' metadata of a shot-table CSV, checking its layout."""
-    lines = path.read_text().splitlines()
-    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
-    assert lines[len(meta)] == "shot_index,count"
-    rows = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1, dtype=np.int64, ndmin=2)
-    assert np.array_equal(rows[:, 0], np.arange(len(rows)))
-    return rows[:, 1], meta
+# the constant-signal tables the channel tests start from
+CONST_SPEC, CONST_TI, CONST_N = Constant(TWO_PI * 30), 5e-3, 40_000
 
 
-def _constant_table(n=40_000, seed_path=(41, 2)):
+def _constant_table(n=CONST_N, seed_path=(41, 2)):
     return simulate_shots(
-        Constant(TWO_PI * 30), SENSOR, EnsembleConfig(n, 1), 5e-3, derive_stream(*seed_path)
+        CONST_SPEC, SENSOR, EnsembleConfig(n, 1), CONST_TI, derive_stream(*seed_path)
     )
 
 
@@ -101,13 +93,6 @@ class TestSimulateShots:
         for t_i in bad:
             with pytest.raises(ValueError):
                 simulate_shots(spec, SENSOR, EnsembleConfig(10, 1), t_i, derive_stream(41, 13))
-
-    def test_table_validation(self):
-        ens = EnsembleConfig(4, 2)
-        with pytest.raises(ValueError):
-            ShotTable(np.array([0, 1, 2]), Constant(1.0), SENSOR, ens, 1e-3)
-        with pytest.raises(ValueError):
-            ShotTable(np.array([0, 1, 3, 0]), Constant(1.0), SENSOR, ens, 1e-3)
 
 
 def _reference_estimate(counts, m):
@@ -270,8 +255,8 @@ class TestReadoutDegradation:
 
     def test_mean_moves_to_the_flipped_mixture(self):
         table = _constant_table()
-        p = mean_population(table.spec, SENSOR, table.t_i)
-        n = table.ensemble.n_shots
+        p = mean_population(CONST_SPEC, SENSOR, CONST_TI)
+        n = CONST_N
         for f in (0.1, 0.3):
             deg = apply_readout_degradation(table.counts.astype(bool), f, [derive_stream(41, 3)])
             expected = f + (1 - 2 * f) * p
@@ -280,12 +265,12 @@ class TestReadoutDegradation:
 
     def test_two_flips_compose(self):
         table = _constant_table()
-        p = mean_population(table.spec, SENSOR, table.t_i)
+        p = mean_population(CONST_SPEC, SENSOR, CONST_TI)
         once = apply_readout_degradation(table.counts.astype(bool), 0.1, [derive_stream(41, 27)])
         twice = apply_readout_degradation(once, 0.2, [derive_stream(41, 28)])
         f = 0.1 + 0.2 - 2 * 0.1 * 0.2
         expected = f + (1 - 2 * f) * p
-        tol = 4 * math.sqrt(expected * (1 - expected) / table.ensemble.n_shots)
+        tol = 4 * math.sqrt(expected * (1 - expected) / CONST_N)
         assert abs(estimate_population(twice, 1).p_hat - expected) < tol
 
 
@@ -388,34 +373,3 @@ class TestOneStreamPerTable:
     def test_a_bare_generator_is_rejected(self, channel, strength):
         with pytest.raises(ValueError, match="one stream per table"):
             self.CHANNELS[channel](derive_stream(41, 37), strength)
-
-
-class TestShotTableIO:
-    def test_round_trip_counts_and_metadata(self, tmp_path):
-        spec = IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 120, TWO_PI * 275, 0.5e-3)
-        ens = EnsembleConfig(64, 1)
-        table = simulate_shots(spec, SENSOR, ens, 0.5e-3, derive_stream(41, 33), seed_path=(41, 33))
-        path = tmp_path / "table.csv"
-        write_shot_table(table, path)
-        counts, meta = _load_shot_table(path)
-        assert np.array_equal(counts, table.counts)
-        assert meta["signal"] == "intermittent_two_tone"
-        assert float(meta["omega_s_rad_s"]) == spec.omega_s
-        assert float(meta["t_sig_s"]) == spec.t_sig
-        assert float(meta["fidelity"]) == SENSOR.fidelity
-        assert meta["seed_path"] == "41:33"
-        assert "flip_prob" not in meta  # the flip channel acts on count stacks
-
-    def test_signal_tags_cover_every_class(self, tmp_path):
-        specs = {
-            "constant": Constant(1.0),
-            "stochastic_amplitude": StochasticAmplitude(1.0),
-            "two_tone": TwoToneStochastic(TWO_PI * 1000, 1.0, 1.0),
-        }
-        ens = EnsembleConfig(8, 1)
-        for tag, spec in specs.items():
-            table = simulate_shots(spec, SENSOR, ens, 1e-4, derive_stream(41, 34))
-            path = tmp_path / f"{tag}.csv"
-            write_shot_table(table, path)
-            _, meta = _load_shot_table(path)
-            assert meta["signal"] == tag

@@ -130,7 +130,11 @@ def test_every_pipeline_parameter_is_set_by_a_caller():
         name = getattr(call.func, "attr", getattr(call.func, "id", None))
         if name in params:
             set_by_callers |= {(name, p) for p in params[name][:len(call.args)]}
-            set_by_callers |= {(name, k.arg) for k in call.keywords}
+            for k in call.keywords:
+                # `**_given(a=..., b=...)` passes a and b whenever their flags are given
+                unpacked = k.arg is None and isinstance(k.value, ast.Call)
+                passed = k.value.keywords if unpacked else [k]
+                set_by_callers |= {(name, kw.arg) for kw in passed}
     every = {(name, p) for name, names in params.items() for p in names}
     assert every - set_by_callers == UNSET_BY_CALLERS
 

@@ -1,26 +1,37 @@
-"""The replica pipelines under the benchmark's tracer and workloads.
+"""The package under the benchmark's tracer and workloads.
 
 perfbench/spans.py wraps every public function of the package, calls a
 work-count hook on some results and builds a span tree; the benchmark runs
 one traced iteration of the replica and degradation studies on every run.
 perfbench/workloads.py makes the pipeline calls of each iteration, with the
 keywords it passes. A change to the package that breaks that iteration or
-those calls must fail here, not only in the benchmark. Both files are loaded
-from perfbench/ and not changed.
+those calls must fail here, not only in the benchmark. So must a change
+that leaves a per-layer metric declared in BENCHMARK.json without a number,
+for the benchmark prints every declared metric. Both files are loaded from
+perfbench/ and not changed.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import inspect
+import json
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from ramsey_sensing import experiments
-from ramsey_sensing.experiments import run_experiment_replica, run_fidelity_degradation
+import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from ramsey_sensing import experiments
+from ramsey_sensing.experiments import (
+    run_experiment_replica,
+    run_fidelity_degradation,
+    run_fig3,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name: str):
@@ -47,6 +58,25 @@ def test_traced_replica_pipelines_match_an_untraced_run():
     # replica and one per flip of the default grid
     assert metrics["sensitivity.solves"] == 6
     assert [r.tables for r in traced] == [r.tables for r in _pipelines()]
+
+
+@pytest.mark.parametrize("iteration", [
+    _pipelines,
+    lambda: run_fig3(42, mc_shots=2000),
+], ids=["replica+degrade", "fig3"])
+def test_declared_layer_metrics_are_numbers(iteration):
+    # the benchmark prints each declared per-layer metric; one that has lost
+    # its base (a ratio over zero calls reads None) makes its output malformed
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    with tracer:
+        _, trace = tracer.run(iteration)
+    metrics = spans.layer_metrics(trace)
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    values = {name: metrics[name] for name in declared if name in metrics}
+    assert "streams.us_per_stream" in values
+    assert {name: v for name, v in values.items()
+            if not (isinstance(v, (int, float)) and math.isfinite(v))} == {}
 
 
 def test_replica_workload_runs_at_one_and_two_threads(tmp_path):
