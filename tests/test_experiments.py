@@ -320,6 +320,15 @@ class TestEstimateTableBytes:
                    for key in self.SHA256}
         assert digests == self.SHA256
 
+    # sha256 of the canonical seed's Monte-Carlo SNR panel: it pins every
+    # count the single-sensor shot engine decides
+    FIG3_MC_SHA256 = "bdc14cfe3be3317cc9f6e333e810c853f5650e1d8e27c84ab3343a8be71808ec"
+
+    def test_written_monte_carlo_snr_table_is_pinned(self, fig3_report, tmp_path):
+        write_report(fig3_report, tmp_path)
+        digest = hashlib.sha256((tmp_path / "fig3a_snr_mc.csv").read_bytes()).hexdigest()
+        assert digest == self.FIG3_MC_SHA256
+
 
 class TestReportPlumbing:
     def _tiny_report(self):
