@@ -509,7 +509,8 @@ def run_fidelity_degradation(
         raise ValueError("flip probabilities must not repeat")
     if 0.0 not in flip_grid:
         raise ValueError("flip grid must hold 0.0, the anchor of the 1/sqrt(F) curve")
-    if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 2):
+    if isinstance(repetitions, bool) or not (isinstance(repetitions, (int, np.integer))
+                                             and repetitions >= 2):
         raise ValueError("repetitions must be an integer >= 2")
     flip_grid = tuple(sorted(abs(f) for f in flip_grid))  # -0.0 reads as 0.0
     reps = repetitions

@@ -11,27 +11,30 @@ import numpy as np
 __all__ = ["format_value", "write_csv", "write_json"]
 
 
-def _plain(v):
-    """numpy scalars -> native python; everything else passes through."""
-    return v.item() if isinstance(v, np.generic) else v
-
-
 def _json_default(v):
     if isinstance(v, np.generic):
         return v.item()
     raise TypeError(f"not JSON serializable: {type(v).__name__}")
 
 
+# cell formatters by exact type; any other type is str() of its native value
+_FORMATS = {
+    bool: lambda v: "true" if v else "false",
+    float: repr,
+    int: str,
+    str: str,
+    type(None): lambda v: "",
+}
+
+
 def format_value(v) -> str:
     """Render a cell deterministically; floats use shortest round-trip form."""
-    v = _plain(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    if v is None:
-        return ""
-    return str(v)
+    fmt = _FORMATS.get(type(v))
+    if fmt is None:
+        if isinstance(v, np.generic):
+            v = v.item()
+        fmt = _FORMATS.get(type(v), str)
+    return fmt(v)
 
 
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -9,6 +9,24 @@ outcome is one uniform compared with p. The population estimate
 p_hat = sum(k)/(N*M) is unbiased and its noise floor is the projection-noise
 variance p(1-p)/(N*M).
 
+A single sensor's outcome u < p is decided by a float32 screen with an
+exact fallback. The engine rounds x = theta + phi to float32, takes numpy's
+float32 cosine there (vectorized, where the float64 cosine may run as
+scalar libm) and forms d ~ u - p in float64 from the same uniforms. Over a
+block, |d - (u - p)| stays below
+
+    delta = C/2 * (2^-20 + 2^-22 * max|x|) + 2^-40:
+
+the first term bounds the float32 cosine's error (at most 1.19 * 2^-24
+measured for |x| from 1e-3 to 3e38), the second the rounding of x to
+float32 (at most 2^-24 |x|, and cos is 1-Lipschitz), the last the float64
+roundings, each with margin. So wherever |d| > delta the sign of d is the
+outcome, and every other shot (about one in a million) is decided by the
+exact float64 p of `sensor.excitation_probability`, as is a whole block
+that holds a NaN phase or one beyond float32's range. The outcomes are
+therefore the bits of the exact comparison, and the stream is consumed
+exactly as without the screen.
+
 A study that runs many tables of one size holds their counts as one stack
 of shape (..., N), one table per row. The population estimate reduces the
 last axis, and every Monte-Carlo channel takes one table or a stack
@@ -24,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .sensor import EnsembleConfig, SensorModel, excitation_probability
+from .sensor import EnsembleConfig, SensorModel, contrast, excitation_probability
 from .signals import SignalSpec, sample_phases
 
 __all__ = [
@@ -38,6 +56,7 @@ __all__ = [
 
 # shots per uniform draw in simulate_shots: a 64 kB block stays in cache
 _BLOCK = 8192
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -80,9 +99,12 @@ def simulate_shots(
 
     The stream is consumed as N phases, then N uniforms (M = 1) or N
     binomial counts (M > 1). For M = 1 the table allocates one N-element
-    buffer: it holds the phases, then block by block their probabilities,
-    then the counts drawn from them, so a large table costs no temporaries
-    and runs the same whatever the allocator does with freed memory.
+    buffer: it holds the phases, then block by block the counts decided
+    from them, so a large table costs no full-size temporaries and runs the
+    same whatever the allocator does with freed memory. Each outcome is
+    u < excitation_probability(sensor, t_i, phi) bit for bit: a float32
+    cosine decides it wherever its error bound allows, and the exact p
+    decides the rest (see the module docstring).
     """
     n, m = ensemble.n_shots, ensemble.m_sensors
     phi = sample_phases(spec, n, t_i, rng)
@@ -90,11 +112,38 @@ def simulate_shots(
         counts = rng.binomial(m, excitation_probability(sensor, t_i, phi, out=phi))
         return ShotTable(counts)
     counts = phi.view(np.int64)
-    u = np.empty(min(n, _BLOCK))
+    size = min(n, _BLOCK)
+    u, d, x = np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
     for lo in range(0, n, _BLOCK):
-        p = excitation_probability(sensor, t_i, phi[lo:lo + _BLOCK], out=phi[lo:lo + _BLOCK])
-        np.less(rng.random(out=u[:len(p)]), p, out=counts[lo:lo + _BLOCK])
+        k = min(_BLOCK, n - lo)
+        _decide(sensor, t_i, phi[lo:lo + k], rng.random(out=u[:k]), counts[lo:lo + k],
+                x[:k], d[:k])
     return ShotTable(counts)
+
+
+def _decide(sensor, t_i, phi, u, out, x, d) -> None:
+    """out[:] = u < excitation_probability(sensor, t_i, phi), bit for bit.
+
+    x (float32) and d (float64) are scratch of phi's length; out may share
+    phi's memory. The float32 screen and its bound delta are described in
+    the module docstring.
+    """
+    np.abs(np.add(sensor.theta, phi, out=d), out=d)  # |x|: cos is even
+    big = float(d.max())
+    if not big <= _F32_MAX:  # NaN, or beyond float32: no screen
+        np.less(u, excitation_probability(sensor, t_i, phi), out=out)
+        return
+    x[...] = d
+    half_c = 0.5 * contrast(sensor, t_i)
+    delta = half_c * (2.0**-20 + 2.0**-22 * big) + 2.0**-40
+    np.multiply(np.cos(x, out=x), np.float64(half_c), out=d)
+    d += u  # u - p + 1/2, within delta
+    sure = d < 0.5 - delta  # u < p
+    maybe = d < 0.5 + delta
+    if np.count_nonzero(sure) != np.count_nonzero(maybe):  # read phi before out overwrites it
+        idx = np.flatnonzero(sure ^ maybe)
+        sure[idx] = u[idx] < excitation_probability(sensor, t_i, phi[idx])
+    np.copyto(out, sure)
 
 
 def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
@@ -109,7 +158,8 @@ def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
     counts = np.asarray(counts)
     if counts.ndim == 0 or counts.shape[-1] < 1:
         raise ValueError("counts need a last axis of at least one shot")
-    if not (isinstance(m_sensors, (int, np.integer)) and m_sensors >= 1):
+    if isinstance(m_sensors, bool) or not (isinstance(m_sensors, (int, np.integer))
+                                           and m_sensors >= 1):
         raise ValueError("m_sensors must be an integer >= 1")
     if counts.size and (counts.min() < 0 or counts.max() > m_sensors):
         raise ValueError("counts must lie in [0, m_sensors]")

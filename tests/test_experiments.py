@@ -295,7 +295,7 @@ class TestDegradation:
         with pytest.raises(ValueError, match="must hold 0.0"):
             run_fidelity_degradation(REPLICA_SEED, flips, repetitions=2)
 
-    @pytest.mark.parametrize("reps", [0, 1, -3, 2.5])
+    @pytest.mark.parametrize("reps", [0, 1, -3, 2.5, True])
     def test_rejects_too_few_repetitions_before_simulating(self, no_shots, reps):
         with pytest.raises(ValueError, match="repetitions must be an integer"):
             run_fidelity_degradation(REPLICA_SEED, repetitions=reps)

@@ -1,6 +1,6 @@
-"""Shot engine: projective statistics, determinism, the row-wise population
-estimate and readout degradation over table stacks, and the excess-noise
-channel."""
+"""Shot engine: projective statistics, determinism, the float32 screen of
+single-sensor outcomes, the row-wise population estimate and readout
+degradation over table stacks, and the excess-noise channel."""
 
 from __future__ import annotations
 
@@ -8,12 +8,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ramsey_sensing import montecarlo
 from ramsey_sensing.montecarlo import (
     PopulationEstimate,
+    _decide,
     apply_readout_degradation,
     estimate_population,
     excess_noise_channel,
@@ -95,6 +97,75 @@ class TestSimulateShots:
                 simulate_shots(spec, SENSOR, EnsembleConfig(10, 1), t_i, derive_stream(41, 13))
 
 
+@st.composite
+def _signal_and_window(draw):
+    """One spec of each class with g up to 1e6 rad/s and a t_i it allows."""
+    kind = draw(st.sampled_from(["constant", "stochastic", "two_tone", "intermittent"]))
+    g = draw(st.floats(0.0, 1e6))
+    if kind in ("constant", "stochastic"):
+        cls = Constant if kind == "constant" else StochasticAmplitude
+        return cls(g), draw(st.floats(1e-4, 10.0))
+    omega_s, sigma = draw(st.floats(1.0, 1e5)), draw(st.floats(1e-3, 1e6))
+    if kind == "two_tone":
+        return TwoToneStochastic(omega_s, g, sigma), draw(st.floats(1e-4, 10.0))
+    t_sig = draw(st.floats(1e-3, 1.0)) * 2 * (TWO_PI / omega_s)
+    return IntermittentTwoTone(omega_s, g, sigma, t_sig), draw(st.floats(1e-3, 1.0)) * t_sig
+
+
+class TestFloat32Screen:
+    """Single-sensor outcomes are the exact comparison u < p, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(signal=_signal_and_window(),
+           sensor=st.builds(SensorModel, st.floats(0.01, 1.0), st.floats(1e-3, 100.0),
+                            st.floats(-10.0, 10.0).filter(bool)),
+           n=st.sampled_from([1, 8191, 8192, 8193, 20_001]) | st.integers(1, 20_000),
+           seed=st.integers(0, 2**32 - 1))
+    # phases near 1e7 rad: the screen decides nothing, so every block falls back
+    @example(signal=(Constant(1e6), 10.0), sensor=SensorModel(1.0, 100.0, 0.5),
+             n=20_001, seed=0)
+    @example(signal=(StochasticAmplitude(1e6), 10.0), sensor=SensorModel(1.0, 100.0, 0.5),
+             n=20_001, seed=1)
+    def test_counts_equal_the_exact_comparison(self, signal, sensor, n, seed):
+        spec, t_i = signal
+        table = simulate_shots(spec, sensor, EnsembleConfig(n, 1), t_i,
+                               np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        p = excitation_probability(sensor, t_i, sample_phases(spec, n, t_i, rng))
+        expected = rng.random(n) < p
+        assert np.array_equal(table.counts, expected)
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("t_i", [1e-3, 1.0], ids=["C>0", "C=0"])
+    def test_uniforms_next_to_the_exact_probability(self, magnitude, t_i):
+        sensor = SensorModel(0.9, 10e-3, theta=0.25)  # C(1 s) underflows to 0
+        rng = np.random.default_rng(int(magnitude * 10) + int(t_i))
+        n = 4096
+        phi = magnitude * rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        p = excitation_probability(sensor, t_i, phi)
+        u = rng.random(n)
+        u[::2] = p[::2] + rng.uniform(-1e-13, 1e-13, n // 2)  # within the float32 error
+        u[::6] = p[::6]  # ties: u < p is False
+        expected = u < p
+        out = phi.copy()
+        _decide(sensor, t_i, out, u, out.view(np.int64), np.empty(n, dtype=np.float32),
+                np.empty(n))
+        assert np.array_equal(out.view(np.int64), expected)
+
+    def test_phases_beyond_the_screen_fall_back_block_by_block(self, monkeypatch):
+        sizes = []
+
+        def exact(sensor, t_i, phi):
+            sizes.append(len(phi))
+            return excitation_probability(sensor, t_i, phi)
+
+        monkeypatch.setattr(montecarlo, "excitation_probability", exact)
+        # 4e38 rad overflows float32, so every screened cosine is NaN
+        simulate_shots(Constant(4e38), SENSOR, EnsembleConfig(20_001, 1), 1.0,
+                       derive_stream(41, 15))
+        assert sizes == [8192, 8192, 3617]
+
+
 def _reference_estimate(counts, m):
     """The per-table estimate as a plain loop: mean, std(ddof=1), QPN."""
     n = counts.shape[-1]
@@ -129,6 +200,7 @@ class TestEstimatePopulation:
             (np.array([0, -1, 1]), 2),  # negative
             (np.array([0, 1]), 0),  # no sensors
             (np.array([0, 1]), 1.0),  # m not an integer
+            (np.array([0, 1]), True),  # a bool is not an integer
             (np.array(1), 1),  # no shot axis
             (np.zeros((3, 0), dtype=bool), 1),  # no shots
         ):

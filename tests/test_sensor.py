@@ -54,7 +54,8 @@ class TestSensorModel:
 
     def test_ensemble_counts_must_be_integers(self):
         assert EnsembleConfig(np.int64(10), np.int64(2)).total == 20
-        for n, m in ((10.5, 1), (10, 1.5), (1000.0, 1), ("10", 1)):
+        for n, m in ((10.5, 1), (10, 1.5), (1000.0, 1), ("10", 1),
+                     (True, 1), (10, True), (True, True)):
             with pytest.raises(ValueError):
                 EnsembleConfig(n, m)
 

@@ -23,9 +23,11 @@ def _draws(key) -> list[int]:
 
 def test_master_seed_must_be_an_integer():
     assert derive_stream(np.uint64(3), 1).random() == derive_stream(3, 1).random()
-    for bad in (1.5, 1.0, "1"):
+    for bad in (1.5, 1.0, "1", True, False):
         with pytest.raises(ValueError):
             derive_stream(bad)
+        with pytest.raises(ValueError):  # nor may a path component be one
+            derive_stream(1, bad)
 
 
 @pytest.mark.parametrize("key", [(-1,), (2**64,), (0, -1), (0, 2**32), (0, 1, 2**40)])
