@@ -17,7 +17,8 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v).__name__}")
 
 
-# cell formatters by exact type; any other type is str() of its native value
+# cell formatters by exact type (int and str are listed so that the common
+# cells skip the numpy-scalar check); any other type is str() of its native value
 _FORMATS = {
     bool: lambda v: "true" if v else "false",
     float: repr,

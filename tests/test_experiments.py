@@ -22,6 +22,7 @@ from ramsey_sensing.experiments import (
     run_fig3,
     write_report,
 )
+from ramsey_sensing.io_utils import format_value
 from ramsey_sensing.streams import derive_stream
 
 TWO_PI = 2 * math.pi
@@ -360,6 +361,14 @@ class TestReportPlumbing:
         write_report(self._tiny_report(), out)
         text = (out / "numbers.csv").read_bytes().decode()
         assert text == "x,y\n1,2.5\n2,-0.125\n"
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "true"), (np.bool_(False), "false"), (0.1, "0.1"), (np.float64(1e16), "1e+16"),
+        (np.float32(0.1), repr(float(np.float32(0.1)))), (-3, "-3"), (np.int64(7), "7"),
+        ("defined", "defined"), (np.str_("x"), "x"), (None, ""),
+    ])
+    def test_cells_render_by_native_type(self, value, text):
+        assert format_value(value) == text
 
     def test_all_passed(self):
         report = self._tiny_report()
