@@ -160,7 +160,7 @@ class TestFloat32Screen:
             return excitation_probability(sensor, t_i, phi)
 
         monkeypatch.setattr(montecarlo, "excitation_probability", exact)
-        # 4e38 rad overflows float32, so every screened cosine is NaN
+        # 4e38 rad lies beyond float32, so no block is screened
         simulate_shots(Constant(4e38), SENSOR, EnsembleConfig(20_001, 1), 1.0,
                        derive_stream(41, 15))
         assert sizes == [8192, 8192, 3617]
