@@ -47,8 +47,8 @@ G_HZ = (0.0, 60.0, 120.0, 240.0, 480.0, 960.0)
 p_hat = np.empty((len(G_HZ), REPS))
 for gi, g_hz in enumerate(G_HZ):
     spec = IntermittentTwoTone(OMEGA_S, TWO_PI * g_hz, SIGMA, T1)
-    for rep in range(REPS):
-        rng = derive_stream(SEED, 0, gi, rep)
+    # one call derives the streams (SEED, 0, gi, rep) of every repetition
+    for rep, rng in enumerate(derive_stream(SEED, 0, gi, shape=(REPS,))):
         table = simulate_shots(spec, sensor, ensemble, T1, rng)
         p_hat[gi, rep] = estimate_population(table.counts, ensemble.m_sensors).p_hat
 # the inversion reads the tones and the calibration, not g: one call for the scan

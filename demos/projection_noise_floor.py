@@ -27,9 +27,9 @@ p = float(excitation_probability(sensor, t_i, spec.g * t_i))
 
 print("empirical std of p_hat vs the projection-noise prediction")
 print(f"{'N':>6} {'M':>3} {'measured':>10} {'qpn':>10} {'ratio':>7}")
-for i, (n, m) in enumerate([(100, 1), (400, 1), (1600, 1), (400, 4)]):
+SIZES = [(100, 1), (400, 1), (1600, 1), (400, 4)]
+for (n, m), rng in zip(SIZES, derive_stream(SEED, 0, shape=(len(SIZES),))):
     ensemble = EnsembleConfig(n, m)
-    rng = derive_stream(SEED, 0, i)
     p_hats = [
         estimate_population(simulate_shots(spec, sensor, ensemble, t_i, rng).counts, m).p_hat
         for _ in range(REPS)

@@ -234,12 +234,12 @@ def run_fig3(
 
     t_coarse = [round(k * 2.5e-4, 10) for k in range(1, 121)]
 
-    def mc_point(idx: int) -> tuple[float, float]:
-        t_i = t_coarse[idx]
-        rng = derive_stream(seed, _NS_FIG3, 0, idx)
+    def mc_point(point) -> tuple[float, float]:
+        t_i, rng = point
         return t_i, mc_snr(spec, sensor, ensemble, t_i, rng, mc_shots)
 
-    mc = _pmap(mc_point, range(len(t_coarse)), threads)
+    mc = _pmap(mc_point, zip(t_coarse, derive_stream(seed, _NS_FIG3, 0, shape=(len(t_coarse),))),
+               threads)
     report.tables["fig3a_snr_mc"] = (("t_i_s", "snr"), mc)
 
     snr_by_t = dict(analytic)
@@ -366,7 +366,8 @@ def _simulate_replica_tables(seed: int, reps: int, threads: int):
 
     One bool stack of shape (grid, reps, n_shots). Each task fills one grid
     point's block stack[gi], every table from its own stream, so the stack
-    is the same whatever the worker count.
+    is the same whatever the worker count; the task derives its point's
+    streams in one call.
     """
     specs = [_replica_spec(g) for g in _replica_grid()]
     sensor = _replica_sensor()
@@ -375,8 +376,7 @@ def _simulate_replica_tables(seed: int, reps: int, threads: int):
     stack = np.empty((len(specs), reps, ensemble.n_shots), dtype=bool)
 
     def fill(gi: int) -> None:
-        for rep in range(reps):
-            rng = derive_stream(seed, _NS_REPLICA, 0, gi, rep)
+        for rep, rng in enumerate(derive_stream(seed, _NS_REPLICA, 0, gi, shape=(reps,))):
             stack[gi, rep] = simulate_shots(specs[gi], sensor, ensemble, t1, rng).counts
 
     _pmap(fill, range(len(specs)), threads)
@@ -408,8 +408,8 @@ def run_experiment_replica(
     t1 = REPLICA_PARAMS["t1"]
 
     est = estimate_population(stack, ensemble.m_sensors)
-    est_x = excess_noise_channel(est, excess_factor, (
-        derive_stream(seed, _NS_REPLICA, 1, *key) for key in np.ndindex(stack.shape[:2])))
+    est_x = excess_noise_channel(
+        est, excess_factor, derive_stream(seed, _NS_REPLICA, 1, shape=stack.shape[:2]))
     scan_qpn, gmin_qpn = _scan(est.p_hat, sensor, specs)
     scan_exc, gmin_exc = _scan(est_x.p_hat, sensor, specs)
     p_models = [mean_population(spec, sensor, t1) for spec in specs]
@@ -524,8 +524,9 @@ def run_fidelity_degradation(
     for fi, flip in enumerate(flip_grid):
         f_eff_expected = (1.0 - 2.0 * flip) * REPLICA_PARAMS["fidelity"]
         sensor_eff = SensorModel(f_eff_expected, sensor.t2, sensor.theta)
-        degraded = apply_readout_degradation(stack, flip, (
-            derive_stream(seed, _NS_DEGRADE, fi, *key) for key in np.ndindex(stack.shape[:2])))
+        # flip 0 draws nothing, so it derives no streams
+        rngs = derive_stream(seed, _NS_DEGRADE, fi, shape=stack.shape[:2]) if flip else ()
+        degraded = apply_readout_degradation(stack, flip, rngs)
         p_hat = estimate_population(degraded, ensemble.m_sensors).p_hat
         scan, gmin = _scan(p_hat, sensor_eff, specs)
         est_rows.extend((flip, *row) for row in bias_scan_rows(scan))

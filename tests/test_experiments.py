@@ -244,12 +244,14 @@ class TestDegradation:
         assert np.array_equal(threaded, serial)
 
     def test_one_stream_per_table_and_drawing_flip(self, monkeypatch):
-        # one stream per simulated table, then one per table at each flip > 0
+        # one stream per simulated table, then one per table at each flip > 0;
+        # a shaped call derives the key (*path, *index) of every index
         paths = []
 
-        def counting(seed, *path):
-            paths.append(path)
-            return derive_stream(seed, *path)
+        def counting(seed, *path, shape=None):
+            paths.extend([path] if shape is None else
+                         [path + index for index in np.ndindex(shape)])
+            return derive_stream(seed, *path, shape=shape)
 
         monkeypatch.setattr(experiments, "derive_stream", counting)
         run_fidelity_degradation(REPLICA_SEED, (0.0, 0.1), repetitions=2)

@@ -156,6 +156,16 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_runtime_imports_leave_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; streams registers its key class then
+    code = ("import sys, ramsey_sensing, ramsey_sensing.cli, ramsey_sensing.experiments; "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs_to_completion(demo, tmp_path):
     # the caller check above only parses the demos; a call that no longer

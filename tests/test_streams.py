@@ -1,5 +1,5 @@
-"""Counter-based stream derivation: key validation, and equal draws exactly
-for equal keys."""
+"""Counter-based stream derivation: key validation, equal draws exactly for
+equal keys, and shaped calls held to numpy's SeedSequence as the oracle."""
 
 from __future__ import annotations
 
@@ -14,6 +14,11 @@ from ramsey_sensing.streams import derive_stream
 SEEDS = st.integers(0, 3) | st.just(2**64 - 1) | st.integers(0, 2**64 - 1)
 COMPONENTS = st.integers(0, 3) | st.just(2**32 - 1) | st.integers(0, 2**32 - 1)
 KEYS = st.tuples(SEEDS, st.lists(COMPONENTS, max_size=4).map(tuple))
+# seed 0, below 2**32, 64-bit, 2**64 - 1; shapes of 0-3 dimensions, () and zero sizes included
+ORACLE_SEEDS = (st.just(0) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**64 - 2)
+                | st.just(2**64 - 1))
+PREFIXES = st.lists(COMPONENTS, max_size=4).map(tuple)
+SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
 
 
 def _draws(key) -> list[int]:
@@ -37,6 +42,18 @@ def test_keys_outside_the_word_sizes_are_rejected(key):
         derive_stream(*key)
 
 
+@pytest.mark.parametrize("shape", [
+    [2], 2, np.array([2]), "2", range(2),          # not a tuple
+    (2.0,), (True,), (np.bool_(True),), ("2",), (None,), (np.float64(2),),  # not integers
+    (-1,), (2, -1),                                # negative
+    (2**32 + 1,), (1, 2**33), (0, 2**40),          # an index past 32 bits
+])
+def test_bad_shapes_are_rejected(shape):
+    # index 2**32 would otherwise draw the stream of the index pair (0, 1)
+    with pytest.raises(ValueError):
+        derive_stream(1, 2, shape=shape)
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=KEYS, b=KEYS)
 def test_draws_are_equal_exactly_when_keys_are(a, b):
@@ -49,3 +66,37 @@ def test_draws_are_equal_exactly_when_keys_are(a, b):
 def test_a_path_and_its_extensions_draw_differently(key, extra):
     seed, path = key
     assert _draws(key) != _draws((seed, path + tuple(extra)))
+
+
+def _oracle(seed, key) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=ORACLE_SEEDS, prefix=PREFIXES, shape=SHAPES)
+def test_batched_keys_are_the_seed_sequence_keys(seed, prefix, shape):
+    streams = derive_stream(seed, *prefix, shape=shape)
+    assert iter(streams) is streams  # an iterator, not a built list
+    keys = [g.bit_generator.state["state"]["key"].tolist() for g in streams]
+    assert keys == [
+        np.random.SeedSequence(seed, spawn_key=prefix + index).generate_state(2, np.uint64).tolist()
+        for index in np.ndindex(shape)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=ORACLE_SEEDS, prefix=PREFIXES, shape=SHAPES)
+def test_batched_streams_draw_as_their_single_keys(seed, prefix, shape):
+    streams = derive_stream(seed, *prefix, shape=shape)
+    for index, g in zip(np.ndindex(shape), streams, strict=True):
+        draws = g.integers(0, 2**63, size=4).tolist()
+        assert draws == derive_stream(seed, *prefix, *index).integers(0, 2**63, size=4).tolist()
+        assert draws == _oracle(seed, prefix + index).integers(0, 2**63, size=4).tolist()
+
+
+def test_a_stream_key_answers_only_the_philox_request():
+    seq = derive_stream(5, 1).bit_generator.seed_seq
+    assert seq.generate_state(2, np.uint64).tolist() == (
+        np.random.SeedSequence(5, spawn_key=(1,)).generate_state(2, np.uint64).tolist())
+    for n_words, dtype in ((4, np.uint64), (2, np.uint32)):
+        with pytest.raises(ValueError):
+            seq.generate_state(n_words, dtype)
