@@ -11,7 +11,7 @@ directory is written by experiments.write_report (simulate: shot_table.csv
 and manifest.json). A pipeline gets only the flags given: its defaults live
 in its run_* signature.
 Exit codes: 0 success / all checks passed, 1 pipeline checks failed, 2 usage
-error.
+error (an output path that cannot be written among them).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import math
 import shlex
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import experiments
 from .io_utils import format_value, write_csv
@@ -231,7 +233,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     ]
     _print_kv(pairs)
     if args.csv:
-        write_csv(args.csv, tuple(k for k, _ in pairs), [tuple(v for _, v in pairs)])
+        write_csv(args.csv, {key: [value] for key, value in pairs})
     return 0
 
 
@@ -271,7 +273,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                       n_shots=args.n, m_sensors=args.m, t_i_s=args.ti, stream_path=list(path))
     experiments.write_report(experiments.PipelineReport(
         "simulate", args.seed, parameters,
-        tables={"shot_table": (("shot_index", "count"), list(enumerate(counts.tolist())))},
+        tables={"shot_table": {"shot_index": np.arange(counts.size), "count": counts}},
     ), args.out)
     est = estimate_population(counts, ensemble.m_sensors)
     _print_kv([
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 2
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,11 @@ estimates, and the empirical detection threshold of a scan of them.
 invert_frequency_separation maps any array of p_hat to g_hat and an int8
 reason code (STATUS holds each code's CSV token). Values that cannot be
 inverted (below the g=0 baseline, or past the fringe turnover) are excluded
-as NaN, not errors. The small-g model reads large separations low: its
-noiseless g_hat/g on the replica grid is 0.996 at 316 Hz and 0.949 at
-1000 Hz. Repetitions aggregate by the median of the defined estimates,
-which is robust to the heavy upper tail the exclusion rule creates.
+as NaN, not errors, and write as empty cells in bias_scan_table's columns.
+The small-g model reads large separations low: its noiseless g_hat/g on the
+replica grid is 0.996 at 316 Hz and 0.949 at 1000 Hz. Repetitions aggregate
+by the median of the defined estimates, which is robust to the heavy upper
+tail the exclusion rule creates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "GminEstimate",
     "invert_frequency_separation",
     "empirical_gmin",
-    "bias_scan_rows",
+    "bias_scan_table",
 ]
 
 TWO_PI = 2 * math.pi
@@ -133,12 +134,10 @@ def empirical_gmin(scan: BiasScan, rel_tol: float = 0.1) -> GminEstimate:
     return GminEstimate(float(scan.applied[start]), resolved=True)
 
 
-def bias_scan_rows(scan: BiasScan) -> list[tuple]:
-    """Flatten to (g_applied_hz, rep_index, status, g_hat_hz) rows; g_hat_hz
-    is None where excluded."""
-    return [
-        (g_hz, idx, STATUS[code], None if code else hat_hz)
-        for g_hz, hats, codes in zip((scan.applied / TWO_PI).tolist(),
-                                     (scan.g_hat / TWO_PI).tolist(), scan.reason.tolist())
-        for idx, (hat_hz, code) in enumerate(zip(hats, codes))
-    ]
+def bias_scan_table(scan: BiasScan) -> dict[str, np.ndarray]:
+    """Flatten to one row per (grid point, repetition); g_hat_hz is NaN where excluded."""
+    reps = scan.g_hat.shape[1]
+    return {"g_applied_hz": np.repeat(scan.applied / TWO_PI, reps),
+            "rep_index": np.tile(np.arange(reps), scan.applied.size),
+            "status": np.array(STATUS)[scan.reason.ravel()],
+            "g_hat_hz": (scan.g_hat / TWO_PI).ravel()}

@@ -1,4 +1,4 @@
-"""End-to-end study pipelines emitting CSV tables, checks, and manifests.
+"""Study pipelines emitting named-column CSV tables, checks, and manifests.
 
 Four pipelines: the fidelity-compensation study (fig2), the burst-signal
 scaling study (fig3), the measurement replica (11 repetitions of N=1000
@@ -25,7 +25,7 @@ import numpy as np
 from .estimators import (
     BiasScan,
     GminEstimate,
-    bias_scan_rows,
+    bias_scan_table,
     empirical_gmin,
     invert_frequency_separation,
 )
@@ -82,7 +82,7 @@ class PipelineReport:
     pipeline_id: str
     seed: int | None
     parameters: dict
-    tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
+    tables: dict[str, dict[str, object]] = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
 
     def all_passed(self) -> bool:
@@ -93,8 +93,8 @@ def write_report(report: PipelineReport, out_dir) -> None:
     """One CSV per table plus a JSON manifest; stable bytes for fixed inputs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in sorted(report.tables.items()):
-        write_csv(out / f"{name}.csv", header, rows)
+    for name, table in sorted(report.tables.items()):
+        write_csv(out / f"{name}.csv", table)
     manifest = {
         "pipeline_id": report.pipeline_id,
         "seed": report.seed,
@@ -112,6 +112,10 @@ def _pmap(fn, items, threads: int):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def _columns(header: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
 def _fidelity_grid() -> list[float]:
@@ -154,27 +158,27 @@ def run_fig2(*, n_shots: int = 1000, t2: float = 10e-3) -> PipelineReport:
         parameters={"n_shots": n_shots, "m_sensors": 1, "t2_s": t2,
                     "scenarios": list(scenarios), "f_grid_size": len(f_grid)},
     )
-    report.tables["sensitivity_ratio"] = (
+    report.tables["sensitivity_ratio"] = _columns(
         ("scenario", "fidelity", "t_opt_s", "gmin_rad_s", "gmin_over_unity"), ratio_rows)
-    report.tables["compensation"] = (
+    report.tables["compensation"] = _columns(
         ("scenario", "fidelity", "m_sensors", "m_threshold"), comp_rows)
 
-    by = {(r[0], r[1]): r for r in ratio_rows}
-    comp_by = {(r[0], r[1]): r for r in comp_rows}
-    ratio = by[("constant", 0.5)][4]
+    by = {(scenario, f): ratio for scenario, f, _, _, ratio in ratio_rows}
+    sensors_by = {(scenario, f): m for scenario, f, m, _ in comp_rows}
+    ratio = by[("constant", 0.5)]
     report.checks.append(Check(
         "constant_half_fidelity_ratio", abs(ratio - 2.0) < 1e-9, ratio, 2.0, 1e-9))
-    m = comp_by[("constant", 0.5)][2]
+    m = sensors_by[("constant", 0.5)]
     report.checks.append(Check(
         "constant_half_fidelity_sensors", m == 4, m, 4, 0))
     for scenario in scenarios:
-        ratio1 = by[(scenario, 1.0)][4]
-        m1 = comp_by[(scenario, 1.0)][2]
+        ratio1 = by[(scenario, 1.0)]
+        m1 = sensors_by[(scenario, 1.0)]
         report.checks.append(Check(
             f"{scenario}_unity_ratio", abs(ratio1 - 1.0) < 1e-12, ratio1, 1.0, 1e-12))
         report.checks.append(Check(f"{scenario}_unity_sensors", m1 == 1, m1, 1, 0))
     small = [f for f in f_grid if f <= 0.2]
-    slope = _loglog_slope(small, [by[("variance", f)][4] for f in small])
+    slope = _loglog_slope(small, [by[("variance", f)] for f in small])
     report.checks.append(Check(
         "variance_small_f_slope", abs(slope + 0.5) < 0.05, slope, -0.5, 0.05))
     return report
@@ -229,8 +233,7 @@ def run_fig3(
     # (a) analytic SNR curve on a fine grid, Monte-Carlo on a coarser one
     t_fine = [round(k * 5e-5, 10) for k in range(1, 601)]
     analytic = snr_curve(spec, sensor, ensemble, g_probe, t_fine)
-    report.tables["fig3a_snr"] = (
-        ("t_i_s", "snr"), [(t, s) for t, s in analytic])
+    report.tables["fig3a_snr"] = _columns(("t_i_s", "snr"), analytic)
 
     t_coarse = [round(k * 2.5e-4, 10) for k in range(1, 121)]
 
@@ -240,7 +243,7 @@ def run_fig3(
 
     mc = _pmap(mc_point, zip(t_coarse, derive_stream(seed, _NS_FIG3, 0, shape=(len(t_coarse),))),
                threads)
-    report.tables["fig3a_snr_mc"] = (("t_i_s", "snr"), mc)
+    report.tables["fig3a_snr_mc"] = _columns(("t_i_s", "snr"), mc)
 
     snr_by_t = dict(analytic)
     period = TWO_PI / omega_s
@@ -279,15 +282,15 @@ def run_fig3(
         for f in f_grid:
             g = gmin(scenario, f)
             rows_b.append((scenario, f, g, g / unity))
-    report.tables["fig3b_gmin_vs_fidelity"] = (
+    report.tables["fig3b_gmin_vs_fidelity"] = _columns(
         ("scenario", "fidelity", "gmin_rad_s", "gmin_over_unity"), rows_b)
+    by = {(scenario, f): ratio for scenario, f, _, ratio in rows_b}
 
     window = [f for f in f_grid if 0.1 <= f <= 0.5]
     slopes = {}
     for scenario, expected in (("constant", -1.0), ("variance", -0.5),
                                ("continuous_two_tone", -0.5)):
-        ys = [r[3] for r in rows_b if r[0] == scenario and r[1] in window]
-        slopes[scenario] = _loglog_slope(window, ys)
+        slopes[scenario] = _loglog_slope(window, [by[(scenario, f)] for f in window])
         report.checks.append(Check(
             f"{scenario}_fidelity_slope", abs(slopes[scenario] - expected) < 0.05,
             slopes[scenario], expected, 0.05))
@@ -303,17 +306,13 @@ def run_fig3(
     rows_c = [(scenario, f, math.ceil(compensation_threshold(
                   scenario, f, n_shots=ensemble.n_shots, t2=t2, **tones)))
               for scenario in ("constant", "variance", "intermittent") for f in f_grid]
-    report.tables["fig3c_compensation"] = (("scenario", "fidelity", "m_sensors"), rows_c)
+    report.tables["fig3c_compensation"] = _columns(("scenario", "fidelity", "m_sensors"), rows_c)
 
     # (d) burst excess-sensor factor
-    rows_d = []
-    for f in (1.0, 0.9997, 0.2):
-        for t1 in t1_grid:
-            rows_d.append((f, t1, excess_sensors(f, t1)))
-    report.tables["fig3d_excess_sensors"] = (
-        ("fidelity", "t1_over_t2", "m_ex"), rows_d)
+    rows_d = [(f, t1, excess_sensors(f, t1)) for f in (1.0, 0.9997, 0.2) for t1 in t1_grid]
+    report.tables["fig3d_excess_sensors"] = _columns(("fidelity", "t1_over_t2", "m_ex"), rows_d)
 
-    unity_vals = [r[2] for r in rows_d if r[0] == 1.0]
+    unity_vals = [m for f, _, m in rows_d if f == 1.0]
     flat = max(unity_vals) / min(unity_vals) - 1.0
     report.checks.append(Check(
         "m_ex_unity_flat", flat < 1e-9, flat, 0.0, 1e-9,
@@ -413,10 +412,6 @@ def run_experiment_replica(
     scan_qpn, gmin_qpn = _scan(est.p_hat, sensor, specs)
     scan_exc, gmin_exc = _scan(est_x.p_hat, sensor, specs)
     p_models = [mean_population(spec, sensor, t1) for spec in specs]
-    cells = np.stack([est_x.p_hat, est_x.std_err, est_x.qpn_err, est.p_hat], axis=-1).tolist()
-    pop_rows = [(spec.g / TWO_PI, rep, *row, p_model)
-                for spec, p_model, block in zip(specs, p_models, cells)
-                for rep, row in enumerate(block)]
     analytic = gmin_intermittent(sensor, ensemble, REPLICA_PARAMS["omega_s"],
                                  REPLICA_PARAMS["sigma"])
 
@@ -430,19 +425,17 @@ def run_experiment_replica(
                     "excess_factor": excess_factor,
                     "contrast_t1": _REPLICA_CONTRAST},
     )
-    report.tables["population"] = (
-        ("g_applied_hz", "rep_index", "p_hat", "std_err", "qpn_err",
-         "p_hat_qpn_limited", "p_model"), pop_rows)
-    report.tables["estimates"] = (
-        ("g_applied_hz", "rep_index", "status", "g_hat_hz"), bias_scan_rows(scan_exc))
-    report.tables["estimates_qpn_limited"] = (
-        ("g_applied_hz", "rep_index", "status", "g_hat_hz"), bias_scan_rows(scan_qpn))
-    summary = [
-        ("qpn_limited", gmin_qpn.g_min / TWO_PI, gmin_qpn.resolved),
-        ("with_excess", gmin_exc.g_min / TWO_PI, gmin_exc.resolved),
-        ("analytic", analytic.g_min / TWO_PI, True),
-    ]
-    report.tables["gmin_summary"] = (("variant", "gmin_hz", "resolved"), summary)
+    qpn = report.tables["estimates_qpn_limited"] = bias_scan_table(scan_qpn)
+    report.tables["estimates"] = bias_scan_table(scan_exc)
+    report.tables["population"] = {
+        "g_applied_hz": qpn["g_applied_hz"], "rep_index": qpn["rep_index"],
+        "p_hat": est_x.p_hat.ravel(), "std_err": est_x.std_err.ravel(),
+        "qpn_err": est_x.qpn_err.ravel(), "p_hat_qpn_limited": est.p_hat.ravel(),
+        "p_model": np.repeat(p_models, reps)}
+    report.tables["gmin_summary"] = {
+        "variant": ["qpn_limited", "with_excess", "analytic"],
+        "gmin_hz": [gmin_qpn.g_min / TWO_PI, gmin_exc.g_min / TWO_PI, analytic.g_min / TWO_PI],
+        "resolved": [gmin_qpn.resolved, gmin_exc.resolved, True]}
 
     # baseline population concordance, averaged over repetitions
     p0_model = p_models[0]
@@ -519,8 +512,7 @@ def run_fidelity_degradation(
     t1 = REPLICA_PARAMS["t1"]
     decay = math.exp(-(t1**2) / (2 * sensor.t2**2))
 
-    deg_rows, est_rows = [], []
-    feff_sigmas = []
+    deg_rows, est_tables = [], []
     for fi, flip in enumerate(flip_grid):
         f_eff_expected = (1.0 - 2.0 * flip) * REPLICA_PARAMS["fidelity"]
         sensor_eff = SensorModel(f_eff_expected, sensor.t2, sensor.theta)
@@ -529,24 +521,22 @@ def run_fidelity_degradation(
         degraded = apply_readout_degradation(stack, flip, rngs)
         p_hat = estimate_population(degraded, ensemble.m_sensors).p_hat
         scan, gmin = _scan(p_hat, sensor_eff, specs)
-        est_rows.extend((flip, *row) for row in bias_scan_rows(scan))
+        est_tables.append({"flip_prob": np.full(len(specs) * reps, flip), **bias_scan_table(scan)})
 
         # re-measure the effective fidelity from the degraded baseline
         p0_mean = sum(p_hat[0].tolist()) / reps
         f_eff_measured = (1.0 - 2.0 * p0_mean) / decay
         p0_model = 0.5 * (1.0 - f_eff_expected * decay)
         sigma_f = 2.0 * math.sqrt(qpn_variance(p0_model, ensemble) / reps) / decay
-        feff_sigmas.append(abs(f_eff_measured - f_eff_expected) / sigma_f)
 
         c_eff = f_eff_expected * decay
         model_hz = gmin_intermittent(sensor_eff, ensemble, REPLICA_PARAMS["omega_s"],
                                      REPLICA_PARAMS["sigma"]).g_min / TWO_PI
+        if fi == 0:  # the sorted grid starts at flip 0, the anchor of the 1/sqrt(F) curve
+            anchor_hz, anchor_f = model_hz, f_eff_expected
         deg_rows.append((flip, f_eff_expected, f_eff_measured, sigma_f, c_eff,
-                         gmin.g_min / TWO_PI, gmin.resolved, model_hz))
-
-    # 1/sqrt(F) comparison curve anchored at the flip = 0 row's model value
-    zero = deg_rows[0]
-    deg_rows = [row + (zero[7] / math.sqrt(row[1] / zero[1]),) for row in deg_rows]
+                         gmin.g_min / TWO_PI, gmin.resolved, model_hz,
+                         anchor_hz / math.sqrt(f_eff_expected / anchor_f)))
 
     report = PipelineReport(
         "degrade",
@@ -559,21 +549,21 @@ def run_fidelity_degradation(
                     "omega_s_hz": REPLICA_PARAMS["omega_s"] / TWO_PI,
                     "sigma_hz": REPLICA_PARAMS["sigma"] / TWO_PI},
     )
-    report.tables["degradation"] = (
+    report.tables["degradation"] = _columns(
         ("flip_prob", "f_eff_expected", "f_eff_measured", "f_eff_sigma",
          "contrast_eff", "gmin_hz", "resolved", "gmin_model_hz", "gmin_sqrt_model_hz"),
         deg_rows)
-    report.tables["estimates_degraded"] = (
-        ("flip_prob", "g_applied_hz", "rep_index", "status", "g_hat_hz"), est_rows)
+    report.tables["estimates_degraded"] = {
+        name: np.concatenate([t[name] for t in est_tables]) for name in est_tables[0]}
 
-    resolved = [r for r in deg_rows if r[6]]
-    rss_model = sum((r[5] - r[7]) ** 2 for r in resolved)
-    rss_sqrt = sum((r[5] - r[8]) ** 2 for r in resolved)
+    resolved = [(g, model, sqrt_model) for *_, g, ok, model, sqrt_model in deg_rows if ok]
+    rss_model = sum((g - model) ** 2 for g, model, _ in resolved)
+    rss_sqrt = sum((g - sqrt_model) ** 2 for g, _, sqrt_model in resolved)
     report.checks.append(Check(
         "burst_scaling_beats_sqrt", rss_model < rss_sqrt, rss_model, rss_sqrt, 0.0,
         note="residual sum of squares of g_min(F_eff), burst closed form vs "
              "1/sqrt(F) anchored at flip=0; resolved rows only"))
-    worst_sigma = max(feff_sigmas)
+    worst_sigma = max(abs(got - want) / sigma for _, want, got, sigma, *_ in deg_rows)
     report.checks.append(Check(
         "f_eff_recovery", worst_sigma <= 3.0, worst_sigma, 0.0, 3.0,
         note="worst |measured - expected| effective fidelity in sigma units"))

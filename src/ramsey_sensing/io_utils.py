@@ -1,10 +1,9 @@
-"""Deterministic text output helpers shared by table writers."""
+"""Deterministic text output helpers: CSV tables of named columns, JSON manifests."""
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,11 +20,14 @@ def _json_default(v):
 # cells skip the numpy-scalar check); any other type is str() of its native value
 _FORMATS = {
     bool: lambda v: "true" if v else "false",
-    float: repr,
+    float: lambda v: repr(v) if v == v else "",  # NaN, the estimators' excluded value
     int: str,
     str: str,
     type(None): lambda v: "",
 }
+
+_KINDS = {"b": bool, "i": int, "u": int, "f": float, "U": str}  # .tolist() types by dtype kind
+_BLOCK_ROWS = 1024  # rows formatted per write, which bounds the text held at once
 
 
 def format_value(v) -> str:
@@ -38,13 +40,20 @@ def format_value(v) -> str:
     return fmt(v)
 
 
-def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Comma-separated, '.' decimals, LF endings, no quoting (no free text)."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+def write_csv(path: str | os.PathLike, table: dict[str, np.ndarray | list]) -> None:
+    """Write a dict from header name to a 1-D bool, int, float or str column as
+    CSV: ',' separated, '.' decimals, LF endings, no quoting (no free text)."""
+    columns = [np.asarray(column) for column in table.values()]
+    if (any(values.ndim != 1 or values.dtype.kind not in _KINDS for values in columns)
+            or len({values.size for values in columns}) > 1):
+        raise ValueError("columns must be 1-D bool, int, uint, float or str, of one length")
+    formats = [_FORMATS[_KINDS[values.dtype.kind]] for values in columns]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(table) + "\n")
+        for start in range(0, columns[0].size if columns else 0, _BLOCK_ROWS):
+            block = [map(fmt, values[start:start + _BLOCK_ROWS].tolist())
+                     for fmt, values in zip(formats, columns)]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_json(path: str | os.PathLike, payload) -> None:

@@ -235,8 +235,8 @@ def test_burst_two_tone_sensitivity_reproduces_290_hz():
     assert elapsed < 180.0, f"runtime budget exceeded: {elapsed:.1f} s"
     analytic_hz = g_analytic / TWO_PI
     assert abs(analytic_hz - 290.0) <= 0.02 * 290.0, f"analytic {analytic_hz} Hz"
-    _, rows = report.tables["gmin_summary"]
-    summary = {variant: (g_hz, resolved) for variant, g_hz, resolved in rows}
+    table = report.tables["gmin_summary"]
+    summary = dict(zip(table["variant"], zip(table["gmin_hz"], table["resolved"])))
     qpn_hz, resolved = summary["qpn_limited"]
     assert resolved, "projection-limited scan did not resolve a threshold"
     assert 250.0 <= qpn_hz <= 340.0, f"empirical {qpn_hz} Hz"

@@ -347,6 +347,24 @@ class TestScan:
         assert "error: scan fig2 does not read --mc-shots" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    # exit 1 is reserved for failed checks; a path that cannot be written is
+    # a usage error
+    @pytest.mark.parametrize("argv", [
+        ["scan", "fig2", "--out", "{file}"],
+        [*TestSimulate.ARGS, "--out", "{file}/sub"],
+        ["analytic", "--scenario", "constant", "--fidelity", "1", "--t2", "1", "--ti", "1",
+         "--csv", "{missing}/x.csv"],
+    ], ids=["scan-out-is-a-file", "simulate-out-under-a-file", "analytic-csv-in-a-missing-dir"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
+        file = tmp_path / "file"
+        file.write_text("")
+        rc = main([arg.format(file=file, missing=tmp_path / "missing") for arg in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestReplicaCommand:
     def test_replica_run(self, capsys, tmp_path):
         out = tmp_path / "replica"

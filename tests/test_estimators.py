@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ramsey_sensing.estimators import (
     STATUS,
     BiasScan,
-    bias_scan_rows,
+    bias_scan_table,
     empirical_gmin,
     invert_frequency_separation,
 )
@@ -369,25 +369,29 @@ class TestBiasScanIO:
         ])
 
     def test_flat_rows_report_hz_and_status_tokens(self):
-        rows = bias_scan_rows(self._mixed_scan())
+        table = bias_scan_table(self._mixed_scan())
+        rows = list(zip(*(column.tolist() for column in table.values())))
+        assert list(table) == ["g_applied_hz", "rep_index", "status", "g_hat_hz"]
         assert rows[0] == (10.0, 0, "defined", pytest.approx(9.0, rel=1e-14))
-        assert rows[3] == (20.0, 1, "below_baseline", None)
-        assert rows[4] == (40.0, 0, "out_of_domain", None)
+        assert rows[3][:3] == (20.0, 1, "below_baseline") and math.isnan(rows[3][3])
+        assert rows[4][:3] == (40.0, 0, "out_of_domain") and math.isnan(rows[4][3])
 
     def test_csv_round_trip(self, tmp_path):
-        # the pipelines write their estimate tables as bias_scan_rows through
+        # the pipelines write their estimate tables as bias_scan_table through
         # write_csv; every cell must parse back to the same value, and an
         # excluded cell is empty, not "nan"
-        rows = bias_scan_rows(self._mixed_scan())
-        header = ("g_applied_hz", "rep_index", "status", "g_hat_hz")
+        table = bias_scan_table(self._mixed_scan())
         path = tmp_path / "scan.csv"
-        write_csv(path, header, rows)
+        write_csv(path, table)
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(header)
+        assert lines[0] == ",".join(table)
         assert "nan" not in path.read_text()
-        back = []
+        back = {name: [] for name in table}
         for line in lines[1:]:
             g_hz, rep, status, g_hat_hz = line.split(",")
-            back.append((float(g_hz), int(rep), status,
-                         float(g_hat_hz) if g_hat_hz else None))
-        assert back == rows
+            back["g_applied_hz"].append(float(g_hz))
+            back["rep_index"].append(int(rep))
+            back["status"].append(status)
+            back["g_hat_hz"].append(float(g_hat_hz) if g_hat_hz else math.nan)
+        for name, column in table.items():
+            assert_array_equal(back[name], column)

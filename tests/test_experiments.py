@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ramsey_sensing import experiments
 from ramsey_sensing.experiments import (
@@ -22,7 +22,8 @@ from ramsey_sensing.experiments import (
     run_fig3,
     write_report,
 )
-from ramsey_sensing.io_utils import format_value
+from ramsey_sensing.cli import main
+from ramsey_sensing.io_utils import format_value, write_csv
 from ramsey_sensing.streams import derive_stream
 
 TWO_PI = 2 * math.pi
@@ -40,6 +41,17 @@ def check_named(report, name):
     """The one check of report with this name."""
     (check,) = [c for c in report.checks if c.name == name]
     return check
+
+
+def gmin_summary(report):
+    """The replica's gmin_summary table as {variant: (gmin_hz, resolved)}."""
+    table = report.tables["gmin_summary"]
+    return dict(zip(table["variant"], zip(table["gmin_hz"], table["resolved"])))
+
+
+def written_bytes(out_dir):
+    """The bytes of every file a written report holds, by file name."""
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +74,11 @@ def degrade_report():
     return run_fidelity_degradation(REPLICA_SEED)
 
 
+@pytest.fixture(scope="module")
+def replica_unit_excess_report():
+    return run_experiment_replica(REPLICA_SEED, excess_factor=1.0)
+
+
 class TestFig2:
     def test_all_checks_pass(self, fig2_report):
         failed = [c.name for c in fig2_report.checks if not c.passed]
@@ -80,19 +97,22 @@ class TestFig2:
         }
 
     def test_constant_ratio_is_inverse_fidelity(self, fig2_report):
-        _, rows = fig2_report.tables["sensitivity_ratio"]
-        for scenario, fidelity, _, _, ratio in rows:
+        table = fig2_report.tables["sensitivity_ratio"]
+        for scenario, fidelity, ratio in zip(
+                table["scenario"], table["fidelity"], table["gmin_over_unity"]):
             if scenario == "constant":
                 assert_allclose(ratio, 1.0 / fidelity, rtol=1e-12)
 
     def test_half_fidelity_needs_four_sensors(self, fig2_report):
-        _, rows = fig2_report.tables["compensation"]
-        row = next(r for r in rows if r[0] == "constant" and r[1] == 0.5)
-        assert row[2] == 4
+        table = fig2_report.tables["compensation"]
+        m = next(m for scenario, f, m in zip(table["scenario"], table["fidelity"],
+                                             table["m_sensors"])
+                 if scenario == "constant" and f == 0.5)
+        assert m == 4
 
     def test_sensor_counts_are_positive_integers(self, fig2_report):
-        _, rows = fig2_report.tables["compensation"]
-        assert all(isinstance(r[2], int) and r[2] >= 1 for r in rows)
+        m_sensors = fig2_report.tables["compensation"]["m_sensors"]
+        assert all(isinstance(m, int) and m >= 1 for m in m_sensors)
 
 
 class TestFig3:
@@ -115,30 +135,29 @@ class TestFig3:
         }
 
     def test_snr_table_shapes(self, fig3_report):
-        _, fine = fig3_report.tables["fig3a_snr"]
-        _, coarse = fig3_report.tables["fig3a_snr_mc"]
-        assert len(fine) == 600
-        assert len(coarse) == 120
+        fine = fig3_report.tables["fig3a_snr"]
+        coarse = fig3_report.tables["fig3a_snr_mc"]
+        assert len(fine["t_i_s"]) == len(fine["snr"]) == 600
+        assert len(coarse["t_i_s"]) == len(coarse["snr"]) == 120
 
     def test_global_snr_maximum_location(self, fig3_report):
-        _, fine = fig3_report.tables["fig3a_snr"]
-        t_star, _ = max(fine, key=lambda row: row[1])
+        fine = fig3_report.tables["fig3a_snr"]
+        t_star, _ = max(zip(fine["t_i_s"], fine["snr"]), key=lambda row: row[1])
         assert t_star == pytest.approx(12.0e-3, rel=1e-9)
 
     def test_gmin_panel_covers_four_scenarios(self, fig3_report):
-        _, rows = fig3_report.tables["fig3b_gmin_vs_fidelity"]
+        table = fig3_report.tables["fig3b_gmin_vs_fidelity"]
         by_scenario = {}
-        for scenario, fidelity, *_ in rows:
+        for scenario, fidelity in zip(table["scenario"], table["fidelity"]):
             by_scenario.setdefault(scenario, []).append(fidelity)
         assert set(by_scenario) == {
             "constant", "variance", "continuous_two_tone", "intermittent"}
         assert all(len(v) == 51 for v in by_scenario.values())
 
     def test_excess_sensor_panel_fidelities(self, fig3_report):
-        _, rows = fig3_report.tables["fig3d_excess_sensors"]
-        fidelities = {row[0] for row in rows}
-        assert fidelities == {1.0, 0.9997, 0.2}
-        assert len(rows) == 90
+        fidelity = fig3_report.tables["fig3d_excess_sensors"]["fidelity"]
+        assert set(fidelity) == {1.0, 0.9997, 0.2}
+        assert len(fidelity) == 90
 
     def test_worker_count_does_not_change_results(self, fig3_report):
         threaded = run_fig3(FIG3_SEED, threads=4)
@@ -152,28 +171,28 @@ class TestReplica:
         assert failed == []
 
     def test_frozen_gmin_summary(self, replica_report):
-        _, rows = replica_report.tables["gmin_summary"]
-        summary = {variant: (gmin_hz, resolved) for variant, gmin_hz, resolved in rows}
+        summary = gmin_summary(replica_report)
         assert summary["qpn_limited"][1] is True
         assert_allclose(summary["qpn_limited"][0], REPLICA_GMIN_HZ, rtol=1e-12)
         assert_allclose(summary["with_excess"][0], REPLICA_GMIN_EXCESS_HZ, rtol=1e-12)
         assert_allclose(summary["analytic"][0], REPLICA_GMIN_ANALYTIC_HZ, rtol=1e-12)
 
-    def test_rerun_is_identical(self, replica_report):
-        again = run_experiment_replica(REPLICA_SEED)
-        assert again.tables == replica_report.tables
+    def test_rerun_is_identical(self, replica_report, tmp_path):
+        write_report(replica_report, tmp_path / "first")
+        write_report(run_experiment_replica(REPLICA_SEED), tmp_path / "again")
+        assert written_bytes(tmp_path / "again") == written_bytes(tmp_path / "first")
 
     def test_population_table_shape_and_domain(self, replica_report):
-        _, rows = replica_report.tables["population"]
-        assert len(rows) == 22 * 11
-        assert all(0.0 <= r[2] <= 1.0 for r in rows)
-        assert rows[0][0] == 0.0  # scan starts at the baseline point
+        table = replica_report.tables["population"]
+        assert all(len(column) == 22 * 11 for column in table.values())
+        assert all(0.0 <= p <= 1.0 for p in table["p_hat"])
+        assert table["g_applied_hz"][0] == 0.0  # scan starts at the baseline point
 
     def test_estimate_statuses_are_known_tokens(self, replica_report):
-        for table in ("estimates", "estimates_qpn_limited"):
-            _, rows = replica_report.tables[table]
-            assert len(rows) == 22 * 11
-            assert {r[2] for r in rows} <= {"defined", "below_baseline", "out_of_domain"}
+        for name in ("estimates", "estimates_qpn_limited"):
+            table = replica_report.tables[name]
+            assert all(len(column) == 22 * 11 for column in table.values())
+            assert set(table["status"]) <= {"defined", "below_baseline", "out_of_domain"}
 
     def test_parameter_echo(self, replica_report):
         p = replica_report.parameters
@@ -184,14 +203,13 @@ class TestReplica:
         assert p["excess_factor"] == 1.17
         assert p["contrast_t1"] == 0.903
 
-    def test_unit_excess_factor_skips_the_ordering_check(self):
-        report = run_experiment_replica(REPLICA_SEED, excess_factor=1.0)
+    def test_unit_excess_factor_skips_the_ordering_check(self, replica_unit_excess_report):
+        report = replica_unit_excess_report
         names = {c.name for c in report.checks}
         assert "gmin_excess_geq_qpn" not in names
-        _, rows = report.tables["gmin_summary"]
-        summary = dict((v, g) for v, g, _ in rows)
+        summary = gmin_summary(report)
         # with no excess noise both scans are the same data
-        assert summary["with_excess"] == summary["qpn_limited"]
+        assert summary["with_excess"][0] == summary["qpn_limited"][0]
 
 
 class TestDegradation:
@@ -206,30 +224,34 @@ class TestDegradation:
         assert check.measured < check.expected
 
     def test_zero_flip_row_reproduces_the_replica(self, degrade_report):
-        _, rows = degrade_report.tables["degradation"]
-        base = next(r for r in rows if r[0] == 0.0)
-        assert_allclose(base[5], REPLICA_GMIN_HZ, rtol=1e-12)
-        assert base[6] is True
+        table = degrade_report.tables["degradation"]
+        base = table["flip_prob"].index(0.0)
+        assert_allclose(table["gmin_hz"][base], REPLICA_GMIN_HZ, rtol=1e-12)
+        assert table["resolved"][base] is True
 
     def test_zero_flip_estimates_extend_the_replica(self, degrade_report, replica_report):
         # repetitions 0..10 of the flip=0 scan are the replica's tables
-        _, deg_rows = degrade_report.tables["estimates_degraded"]
-        subset = [r[1:] for r in deg_rows if r[0] == 0.0 and r[2] < 11]
-        _, replica_rows = replica_report.tables["estimates_qpn_limited"]
-        assert subset == replica_rows
+        deg = degrade_report.tables["estimates_degraded"]
+        subset = (deg["flip_prob"] == 0.0) & (deg["rep_index"] < 11)
+        replica = replica_report.tables["estimates_qpn_limited"]
+        assert list(deg)[1:] == list(replica)
+        for name, column in replica.items():
+            assert_array_equal(deg[name][subset], column)
 
     def test_effective_fidelity_follows_the_flip_mixture(self, degrade_report):
-        _, rows = degrade_report.tables["degradation"]
-        f0 = rows[0][1]
-        for r in rows:
-            assert_allclose(r[1], (1.0 - 2.0 * r[0]) * f0, rtol=1e-12)
-            assert abs(r[2] - r[1]) <= 3.0 * r[3]
+        table = degrade_report.tables["degradation"]
+        f0 = table["f_eff_expected"][0]
+        for flip, expected, measured, sigma in zip(
+                table["flip_prob"], table["f_eff_expected"], table["f_eff_measured"],
+                table["f_eff_sigma"]):
+            assert_allclose(expected, (1.0 - 2.0 * flip) * f0, rtol=1e-12)
+            assert abs(measured - expected) <= 3.0 * sigma
 
     def test_row_counts(self, degrade_report):
-        _, deg_rows = degrade_report.tables["degradation"]
-        _, est_rows = degrade_report.tables["estimates_degraded"]
-        assert len(deg_rows) == 5
-        assert len(est_rows) == 5 * 22 * 44
+        deg = degrade_report.tables["degradation"]
+        est = degrade_report.tables["estimates_degraded"]
+        assert all(len(column) == 5 for column in deg.values())
+        assert all(len(column) == 5 * 22 * 44 for column in est.values())
 
     def test_workers_fill_disjoint_rows_of_the_table_stack(self):
         # more workers than cores, switching threads as often as possible
@@ -267,9 +289,9 @@ class TestDegradation:
 
     def test_negative_zero_flip_is_the_zero_anchor(self):
         report = run_fidelity_degradation(REPLICA_SEED, (0.1, -0.0), repetitions=2)
-        _, rows = report.tables["degradation"]
-        _, est_rows = report.tables["estimates_degraded"]
-        for flip in (rows[0][0], report.parameters["flip_grid"][0], est_rows[0][0]):
+        for flip in (report.tables["degradation"]["flip_prob"][0],
+                     report.parameters["flip_grid"][0],
+                     report.tables["estimates_degraded"]["flip_prob"][0]):
             assert flip == 0.0 and math.copysign(1.0, flip) == 1.0
 
     def test_rejects_flip_probabilities_at_or_above_half(self):
@@ -333,10 +355,42 @@ class TestEstimateTableBytes:
         assert digest == self.FIG3_MC_SHA256
 
 
+class TestOutputBytes:
+    # the first 16 hex digits of the sha256 of a written report's files,
+    # concatenated in sorted-name order as `cat DIR/* | sha256sum` reads them;
+    # they pin every byte each pipeline and `simulate` write
+    SIMULATE = {
+        "simulate_m1": ["--scenario", "intermittent", "--g-hz", "120", "--omega-s-hz", "2000",
+                        "--sigma-hz", "275", "--fidelity", "0.95", "--t2", "7.97e-3",
+                        "--ti", "5e-4", "--n", "2000", "--m", "1", "--seed", "3"],
+        "simulate_m5": ["--scenario", "constant", "--g-hz", "120", "--fidelity", "0.95",
+                        "--t2", "7.97e-3", "--ti", "5e-4", "--n", "2000", "--m", "5",
+                        "--seed", "3"],
+    }
+
+    @pytest.mark.parametrize("case, sha16", [
+        ("fig2", "b2918a6c07a82f9b"),
+        ("fig3", "b40464e0ecb05b44"),
+        ("replica", "49f318ee6098d63e"),
+        ("degrade", "68ed4687bd2c0f71"),
+        ("replica_unit_excess", "73fd16376898d03c"),
+        ("simulate_m1", "fd7f80501beb1250"),
+        ("simulate_m5", "11846ddfe1580b65"),
+    ])
+    def test_written_bytes_are_pinned(self, request, capsys, tmp_path, case, sha16):
+        if case in self.SIMULATE:
+            assert main(["simulate", *self.SIMULATE[case], "--out", str(tmp_path)]) == 0
+        else:
+            write_report(request.getfixturevalue(f"{case}_report"), tmp_path)
+        digest = hashlib.sha256(b"".join(
+            path.read_bytes() for path in sorted(tmp_path.iterdir())))
+        assert digest.hexdigest()[:16] == sha16
+
+
 class TestReportPlumbing:
     def _tiny_report(self):
         report = PipelineReport("demo", seed=3, parameters={"alpha": 1.5})
-        report.tables["numbers"] = (("x", "y"), [(1, 2.5), (2, -0.125)])
+        report.tables["numbers"] = {"x": [1, 2], "y": [2.5, -0.125]}
         report.checks.append(Check("first", True, 1.0, 1.0, 0.1, note="n"))
         return report
 
@@ -367,10 +421,55 @@ class TestReportPlumbing:
     @pytest.mark.parametrize("value, text", [
         (True, "true"), (np.bool_(False), "false"), (0.1, "0.1"), (np.float64(1e16), "1e+16"),
         (np.float32(0.1), repr(float(np.float32(0.1)))), (-3, "-3"), (np.int64(7), "7"),
-        ("defined", "defined"), (np.str_("x"), "x"), (None, ""),
+        ("defined", "defined"), (np.str_("x"), "x"), (None, ""), (math.nan, ""),
+        (np.float64("nan"), ""), (math.inf, "inf"),
     ])
     def test_cells_render_by_native_type(self, value, text):
         assert format_value(value) == text
+
+    def test_columns_render_by_dtype_kind(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, {
+            "b": np.array([True, False]),
+            "f": [1e16, -0.125],
+            "f32": np.array([0.1, 2.0], dtype=np.float32),
+            "i": np.array([-3, 7]),
+            "u": np.array([0, 2**64 - 1], dtype=np.uint64),
+            "s": ["defined", "x"],
+        })
+        assert path.read_text() == (
+            "b,f,f32,i,u,s\n"
+            f"true,1e+16,{format_value(np.float32(0.1))},-3,0,defined\n"
+            "false,-0.125,2.0,7,18446744073709551615,x\n")
+
+    def test_nan_writes_an_empty_cell(self, tmp_path):
+        # long enough that the writer formats it in more than one block
+        g_hat = np.arange(3000) / 8
+        g_hat[[0, 1500, 2999]] = math.nan
+        path = tmp_path / "t.csv"
+        write_csv(path, {"g_hat_hz": g_hat, "rep_index": np.arange(3000)})
+        lines = path.read_text().split("\n")
+        assert lines[0] == "g_hat_hz,rep_index" and lines[-1] == ""
+        assert lines[1:-1] == [
+            f"{'' if math.isnan(g) else repr(g)},{i}" for i, g in enumerate(g_hat.tolist())]
+        assert lines[1501] == ",1500"
+
+    def test_zero_row_table_writes_its_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, {"x": np.array([], dtype=np.int64), "y": []})
+        assert path.read_text() == "x,y\n"
+
+    @pytest.mark.parametrize("table", [
+        {"x": np.zeros((2, 2))},
+        {"x": [1.0, None]},
+        {"x": np.array([1 + 2j, 3j])},
+        {"x": [1, 2], "y": [1.0]},
+    ], ids=["2d", "object-with-none", "complex", "unequal-lengths"])
+    def test_rejected_columns(self, tmp_path, table):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, table)
+        assert not path.exists()
 
     def test_all_passed(self):
         report = self._tiny_report()

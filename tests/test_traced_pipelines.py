@@ -46,7 +46,15 @@ def _pipelines():
     return [run_experiment_replica(7), run_fidelity_degradation(7, repetitions=2)]
 
 
-def test_traced_replica_pipelines_match_an_untraced_run():
+def _written(reports, out: Path) -> list[dict[str, bytes]]:
+    """The bytes of each report's files, by file name, as write_report writes them."""
+    for i, report in enumerate(reports):
+        experiments.write_report(report, out / str(i))
+    return [{f.name: f.read_bytes() for f in sorted((out / str(i)).iterdir())}
+            for i in range(len(reports))]
+
+
+def test_traced_replica_pipelines_match_an_untraced_run(tmp_path):
     spans = _load("spans")
     tracer = spans.Tracer()
     with tracer:
@@ -57,7 +65,7 @@ def test_traced_replica_pipelines_match_an_untraced_run():
     # solves_per_s divides by this count: one closed-form g_min for the
     # replica and one per flip of the default grid
     assert metrics["sensitivity.solves"] == 6
-    assert [r.tables for r in traced] == [r.tables for r in _pipelines()]
+    assert _written(traced, tmp_path / "traced") == _written(_pipelines(), tmp_path / "plain")
 
 
 @pytest.mark.parametrize("iteration", [
