@@ -11,7 +11,8 @@ directory is written by experiments.write_report (simulate: shot_table.csv
 and manifest.json). A pipeline gets only the flags given: its defaults live
 in its run_* signature.
 Exit codes: 0 success / all checks passed, 1 pipeline checks failed, 2 usage
-error (an output path that cannot be written among them).
+error (an output path that cannot be written among them; an --out whose
+first existing ancestor is not a directory exits 2 before any work).
 """
 
 from __future__ import annotations
@@ -150,6 +151,16 @@ def _default(args: argparse.Namespace, **values) -> None:
             setattr(args, dest, value)
 
 
+def _check_out(out: str) -> None:
+    """Exit 2 before any work when --out cannot be made a directory: its
+    first existing ancestor, itself included, is not one. Creates nothing."""
+    ancestor = Path(out).absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise SystemExit(f"error: --out {out} cannot be a directory: {ancestor} is not one")
+
+
 def _print_kv(pairs) -> None:
     for key, value in pairs:
         print(f"{key}={format_value(value)}")
@@ -257,6 +268,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "fidelity", "t2", "ti", "n", "m")
     _default(args, seed=0, theta=0.0, out="runs/simulate",
              convention=ToneConvention.FULL_SPLIT.value)
+    _check_out(args.out)
     spec = _signal_from_args(args)
     sensor = SensorModel(args.fidelity, args.t2, args.theta)
     ensemble = EnsembleConfig(args.n, args.m)
@@ -307,11 +319,12 @@ def _given(**flags) -> dict[str, object]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    _default(args, out=f"runs/{args.preset}")
+    _check_out(args.out)
     if args.preset == "fig2":
         report = experiments.run_fig2()
-        _default(args, out="runs/fig2")
     else:
-        _default(args, seed=0, out="runs/fig3")
+        _default(args, seed=0)
         t2 = None if args.t2_ms is None else args.t2_ms * 1e-3
         report = experiments.run_fig3(
             args.seed, **_given(t2=t2, threads=args.threads, mc_shots=args.mc_shots))
@@ -319,14 +332,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_replica(args: argparse.Namespace) -> int:
-    _default(args, seed=0)
+    _default(args, seed=0, out=f"runs/{args.mode or 'replica'}")
+    _check_out(args.out)
     if args.mode == "degrade":
-        _default(args, out="runs/degrade")
         report = experiments.run_fidelity_degradation(
             args.seed, **_given(flip_grid=args.flips, repetitions=args.reps,
                                 threads=args.threads))
     else:
-        _default(args, out="runs/replica")
         report = experiments.run_experiment_replica(
             args.seed, **_given(excess_factor=args.excess, threads=args.threads))
     return _finish_pipeline(report, args.out)

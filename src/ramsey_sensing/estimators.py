@@ -1,14 +1,16 @@
 """Inversion of burst-signal population estimates to frequency-separation
 estimates, and the empirical detection threshold of a scan of them.
 
-invert_frequency_separation maps any array of p_hat to g_hat and an int8
-reason code (STATUS holds each code's CSV token). Values that cannot be
-inverted (below the g=0 baseline, or past the fringe turnover) are excluded
-as NaN, not errors, and write as empty cells in bias_scan_table's columns.
+invert_frequency_separation maps any array of p_hat, measured at bias
+theta = 0, to g_hat and an int8 reason code (STATUS holds each code's CSV
+token). Values that cannot be inverted (below the g=0 baseline, or past the
+fringe turnover) are excluded as NaN, not errors, and write as empty cells
+in bias_scan_table's columns.
 The small-g model reads large separations low: its noiseless g_hat/g on the
 replica grid is 0.996 at 316 Hz and 0.949 at 1000 Hz. Repetitions aggregate
 by the median of the defined estimates, which is robust to the heavy upper
-tail the exclusion rule creates.
+tail the exclusion rule creates; a grid point counts as unbiased when that
+median lies within REL_TOL = 10 % of its applied value.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ TWO_PI = 2 * math.pi
 
 # CSV token of each reason code
 STATUS = ("defined", "below_baseline", "out_of_domain")
+# a grid point's median estimate must match its applied value within this fraction
+REL_TOL = 0.1
 
 
 def invert_frequency_separation(
@@ -44,22 +48,18 @@ def invert_frequency_separation(
 
     p = (1 - C_t e^{-kappa g^2})/2 with kappa the small-g curvature of half
     the phase variance under the spec's tone convention. The model holds at
-    bias theta = 0; a theta = pi measurement is mirrored (p -> 1 - p) onto
-    it, and any other bias raises. p below the g = 0 baseline (1 - C_t)/2
-    is excluded with code 1, p >= 1/2 with code 2; g_hat is NaN there.
+    bias theta = 0, the only bias accepted. p below the g = 0 baseline
+    (1 - C_t)/2 is excluded with code 1, p >= 1/2 with code 2; g_hat is NaN
+    there.
     The inversion reads the spec's tones, period and convention, never its
     g, so one call covers a whole scan over g. Each value is inverted with
     math.log, whose last bit np.log does not always match.
     """
-    p_hat = np.asarray(p_hat, dtype=float)
-    if not np.all((p_hat >= 0) & (p_hat <= 1)):
+    p = np.asarray(p_hat, dtype=float)
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p_hat must be a probability")
-    if math.isclose(sensor.theta, 0.0, rel_tol=0, abs_tol=1e-12):
-        p = p_hat
-    elif math.isclose(sensor.theta, math.pi, rel_tol=0, abs_tol=1e-12):
-        p = 1.0 - p_hat
-    else:
-        raise ValueError("frequency-separation estimation requires bias theta in {0, pi}")
+    if not math.isclose(sensor.theta, 0.0, rel_tol=0, abs_tol=1e-12):
+        raise ValueError("frequency-separation estimation requires bias theta = 0")
     c = contrast(sensor, spec.period)
     baseline = (1.0 - c) / 2.0
     kappa = small_g_curvature(spec.omega_s, spec.sigma, spec.convention)
@@ -105,20 +105,18 @@ class GminEstimate:
     resolved: bool  # False: no grid point qualified, g_min is the scan's top
 
 
-def empirical_gmin(scan: BiasScan, rel_tol: float = 0.1) -> GminEstimate:
+def empirical_gmin(scan: BiasScan) -> GminEstimate:
     """Smallest applied value from which estimation stays unbiased.
 
     A grid point qualifies when at least half its repetitions are defined
     and the median defined estimate matches the applied value within
-    rel_tol. Returns the smallest point such that it and every larger point
+    REL_TOL. Returns the smallest point such that it and every larger point
     qualify; if none does, returns the grid's upper bound flagged
     unresolved.
     """
     n_points, reps = scan.g_hat.shape
     if n_points < 4:
         raise ValueError("scan needs at least 4 grid points")
-    if not (0 < rel_tol < math.inf):
-        raise ValueError("rel_tol must be finite and > 0")
     defined = np.count_nonzero(scan.reason == 0, axis=1)
     # excluded cells are NaN and sort last; the median is the mean of the
     # middle pair of the defined ones (of the middle one twice), as in
@@ -126,7 +124,7 @@ def empirical_gmin(scan: BiasScan, rel_tol: float = 0.1) -> GminEstimate:
     ordered = np.sort(scan.g_hat, axis=1)
     rows = np.arange(n_points)
     median = (ordered[rows, (defined - 1) // 2] + ordered[rows, defined // 2]) / 2
-    qualifies = (2 * defined >= reps) & (np.abs(median - scan.applied) <= rel_tol * scan.applied)
+    qualifies = (2 * defined >= reps) & (np.abs(median - scan.applied) <= REL_TOL * scan.applied)
     failing = np.flatnonzero(~qualifies)
     start = failing[-1] + 1 if failing.size else 0
     if start == n_points:

@@ -7,10 +7,12 @@ degradation study built on the replica's shot tables. Every pipeline is
 deterministic under its master seed regardless of worker count: each scan
 point derives its own counter-based stream.
 
-The replica and degradation studies hold their shot tables as one bool
-stack of shape (grid, repetitions, N); each worker fills one grid point's
-block, the estimate and the channels run over the whole stack, and both
-studies invert a (grid, repetitions) p_hat table through one scan helper.
+The replica and degradation studies share one setup, held as module data:
+the signal at each grid point, the sensor and the ensemble. They hold their
+shot tables as one bool stack of shape (grid, repetitions, N); each worker
+fills one grid point's block, the estimate and the channels run over the
+whole stack, and both studies invert a (grid, repetitions) p_hat table
+through one scan helper.
 """
 
 from __future__ import annotations
@@ -231,6 +233,7 @@ def run_fig3(
     )
 
     # (a) analytic SNR curve on a fine grid, Monte-Carlo on a coarser one
+    # whose every time is also a fine-grid time
     t_fine = [round(k * 5e-5, 10) for k in range(1, 601)]
     analytic = snr_curve(spec, sensor, ensemble, g_probe, t_fine)
     report.tables["fig3a_snr"] = _columns(("t_i_s", "snr"), analytic)
@@ -261,10 +264,9 @@ def run_fig3(
         "snr_global_max_location", 1.2 - 1e-9 <= ratio <= 1.7, ratio, 1.45, 0.25,
         note="argmax of SNR(t_i) in units of T2"))
 
-    analytic_coarse = dict(snr_curve(spec, sensor, ensemble, g_probe, t_coarse))
     # MC SNR noise: std ~ sqrt(NM/shots) per point; 4 sigma band plus margin
     band = 4.5 * math.sqrt(ensemble.total / mc_shots)
-    worst = max(abs(s - analytic_coarse[t]) for t, s in mc)
+    worst = max(abs(s - snr_by_t[t]) for t, s in mc)
     report.checks.append(Check(
         "snr_mc_concordance", worst <= band, worst, 0.0, band,
         note="max |MC - analytic| SNR over the coarse grid"))
@@ -344,23 +346,17 @@ REPLICA_PARAMS = {
 }
 
 
-def _replica_grid() -> list[float]:
-    """g grid: zero plus 21 log-spaced points over 2*pi*[10, 1000] Hz."""
-    return [0.0] + [TWO_PI * g for g in np.logspace(1, 3, 21).tolist()]
+# the signal at each grid point: g = 0 plus 21 log-spaced points over 2*pi*[10, 1000] Hz
+_REPLICA_SPECS = tuple(
+    IntermittentTwoTone(REPLICA_PARAMS["omega_s"], g, REPLICA_PARAMS["sigma"],
+                        t_sig=REPLICA_PARAMS["t1"])
+    for g in [0.0, *(TWO_PI * hz for hz in np.logspace(1, 3, 21).tolist())])
+_REPLICA_SENSOR = SensorModel(REPLICA_PARAMS["fidelity"], REPLICA_PARAMS["t2"],
+                              REPLICA_PARAMS["theta"])
+_REPLICA_ENSEMBLE = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
 
 
-def _replica_sensor() -> SensorModel:
-    return SensorModel(REPLICA_PARAMS["fidelity"], REPLICA_PARAMS["t2"],
-                       REPLICA_PARAMS["theta"])
-
-
-def _replica_spec(g: float) -> IntermittentTwoTone:
-    return IntermittentTwoTone(
-        REPLICA_PARAMS["omega_s"], g, REPLICA_PARAMS["sigma"],
-        t_sig=REPLICA_PARAMS["t1"])
-
-
-def _simulate_replica_tables(seed: int, reps: int, threads: int):
+def _simulate_replica_tables(seed: int, reps: int, threads: int) -> np.ndarray:
     """Counts of every (grid point, repetition) table, shared with degrade.
 
     One bool stack of shape (grid, reps, n_shots). Each task fills one grid
@@ -368,25 +364,22 @@ def _simulate_replica_tables(seed: int, reps: int, threads: int):
     is the same whatever the worker count; the task derives its point's
     streams in one call.
     """
-    specs = [_replica_spec(g) for g in _replica_grid()]
-    sensor = _replica_sensor()
-    ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
-    t1 = REPLICA_PARAMS["t1"]
-    stack = np.empty((len(specs), reps, ensemble.n_shots), dtype=bool)
+    stack = np.empty((len(_REPLICA_SPECS), reps, _REPLICA_ENSEMBLE.n_shots), dtype=bool)
 
     def fill(gi: int) -> None:
         for rep, rng in enumerate(derive_stream(seed, _NS_REPLICA, 0, gi, shape=(reps,))):
-            stack[gi, rep] = simulate_shots(specs[gi], sensor, ensemble, t1, rng).counts
+            stack[gi, rep] = simulate_shots(_REPLICA_SPECS[gi], _REPLICA_SENSOR,
+                                            _REPLICA_ENSEMBLE, REPLICA_PARAMS["t1"], rng).counts
 
-    _pmap(fill, range(len(specs)), threads)
-    return specs, sensor, stack
+    _pmap(fill, range(len(_REPLICA_SPECS)), threads)
+    return stack
 
 
-def _scan(p_hat: np.ndarray, sensor: SensorModel, specs) -> tuple[BiasScan, GminEstimate]:
-    """Invert a (grid, reps) p_hat table in one call, as the specs differ
-    only in g, which the inversion does not read; the scan and its g_min."""
-    scan = BiasScan(np.array([spec.g for spec in specs]),
-                    *invert_frequency_separation(p_hat, sensor, specs[0]))
+def _scan(p_hat: np.ndarray, sensor: SensorModel) -> tuple[BiasScan, GminEstimate]:
+    """Invert a (grid, reps) p_hat table in one call, as the replica's specs
+    differ only in g, which the inversion does not read; the scan and its g_min."""
+    scan = BiasScan(np.array([spec.g for spec in _REPLICA_SPECS]),
+                    *invert_frequency_separation(p_hat, sensor, _REPLICA_SPECS[0]))
     return scan, empirical_gmin(scan)
 
 
@@ -402,16 +395,15 @@ def run_experiment_replica(
     emulates the measured noise floor sitting above projection noise.
     """
     reps = REPLICA_PARAMS["repetitions"]
-    specs, sensor, stack = _simulate_replica_tables(seed, reps, threads)
-    ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
-    t1 = REPLICA_PARAMS["t1"]
+    stack = _simulate_replica_tables(seed, reps, threads)
+    sensor, ensemble = _REPLICA_SENSOR, _REPLICA_ENSEMBLE
 
     est = estimate_population(stack, ensemble.m_sensors)
     est_x = excess_noise_channel(
         est, excess_factor, derive_stream(seed, _NS_REPLICA, 1, shape=stack.shape[:2]))
-    scan_qpn, gmin_qpn = _scan(est.p_hat, sensor, specs)
-    scan_exc, gmin_exc = _scan(est_x.p_hat, sensor, specs)
-    p_models = [mean_population(spec, sensor, t1) for spec in specs]
+    scan_qpn, gmin_qpn = _scan(est.p_hat, sensor)
+    scan_exc, gmin_exc = _scan(est_x.p_hat, sensor)
+    p_models = [mean_population(spec, sensor, REPLICA_PARAMS["t1"]) for spec in _REPLICA_SPECS]
     analytic = gmin_intermittent(sensor, ensemble, REPLICA_PARAMS["omega_s"],
                                  REPLICA_PARAMS["sigma"])
 
@@ -507,8 +499,8 @@ def run_fidelity_degradation(
         raise ValueError("repetitions must be an integer >= 2")
     flip_grid = tuple(sorted(abs(f) for f in flip_grid))  # -0.0 reads as 0.0
     reps = repetitions
-    specs, sensor, stack = _simulate_replica_tables(seed, reps, threads)
-    ensemble = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
+    stack = _simulate_replica_tables(seed, reps, threads)
+    sensor, ensemble = _REPLICA_SENSOR, _REPLICA_ENSEMBLE
     t1 = REPLICA_PARAMS["t1"]
     decay = math.exp(-(t1**2) / (2 * sensor.t2**2))
 
@@ -520,8 +512,8 @@ def run_fidelity_degradation(
         rngs = derive_stream(seed, _NS_DEGRADE, fi, shape=stack.shape[:2]) if flip else ()
         degraded = apply_readout_degradation(stack, flip, rngs)
         p_hat = estimate_population(degraded, ensemble.m_sensors).p_hat
-        scan, gmin = _scan(p_hat, sensor_eff, specs)
-        est_tables.append({"flip_prob": np.full(len(specs) * reps, flip), **bias_scan_table(scan)})
+        scan, gmin = _scan(p_hat, sensor_eff)
+        est_tables.append({"flip_prob": np.full(p_hat.size, flip), **bias_scan_table(scan)})
 
         # re-measure the effective fidelity from the degraded baseline
         p0_mean = sum(p_hat[0].tolist()) / reps

@@ -23,7 +23,6 @@ _FORMATS = {
     float: lambda v: repr(v) if v == v else "",  # NaN, the estimators' excluded value
     int: str,
     str: str,
-    type(None): lambda v: "",
 }
 
 _KINDS = {"b": bool, "i": int, "u": int, "f": float, "U": str}  # .tolist() types by dtype kind

@@ -109,7 +109,7 @@ def simulate_shots(
     n, m = ensemble.n_shots, ensemble.m_sensors
     phi = sample_phases(spec, n, t_i, rng)
     if m > 1:
-        counts = rng.binomial(m, excitation_probability(sensor, t_i, phi, out=phi))
+        counts = rng.binomial(m, excitation_probability(sensor, t_i, phi))
         return ShotTable(counts)
     counts = phi.view(np.int64)
     size = min(n, _BLOCK)

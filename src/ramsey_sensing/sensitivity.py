@@ -151,10 +151,10 @@ def gmin_constant(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
     """Minimum detectable constant shift, 1/(sqrt(NM) t_i C(t_i))."""
     if t_i <= 0:
         raise ValueError("t_i must be > 0")
-    c = contrast(sensor, t_i)
-    if c == 0.0:
-        raise ValueError("contrast underflows to 0 at t_i: g_min is not finite")
-    g = 1.0 / (math.sqrt(ensemble.total) * t_i * c)
+    denominator = math.sqrt(ensemble.total) * t_i * contrast(sensor, t_i)
+    g = 1.0 / denominator if denominator > 0 else math.inf
+    if not (g * t_i) * (g * t_i) < math.inf:  # (g_min t_i)^2 is the validity argument
+        raise ValueError("contrast underflows at t_i: g_min or (g_min t_i)^2 is not finite")
     return _closed_form(g, (g * t_i) ** 2, t_i)
 
 

@@ -1,7 +1,9 @@
 """Closed-form Ramsey sensor response.
 
 Contrast decays as C(t) = F * exp(-t^2 / (2 T2^2)); a measurement at bias
-phase theta excites with probability p = (1 - C(t) cos(theta + phi)) / 2.
+phase theta excites with probability p = (1 - C(t) cos(theta + phi)) / 2,
+which excitation_probability returns as a new value for a scalar or an
+array phi. T2 and t are taken only where their squares stay in float range.
 For the stochastic signal classes phi is exactly Gaussian, so the mean
 population follows from <cos phi> = exp(-Var(phi)/2) with no approximation.
 """
@@ -41,8 +43,9 @@ class SensorModel:
     def __post_init__(self) -> None:
         if not (0 < self.fidelity <= 1):
             raise ValueError("fidelity must be in (0, 1]")
-        if not (self.t2 > 0 and math.isfinite(self.t2)):
-            raise ValueError("t2 must be finite and > 0")
+        # contrast divides by 2 t2^2, which must neither overflow nor underflow to 0
+        if not (self.t2 > 0 and 0 < self.t2 * self.t2 < math.inf):
+            raise ValueError("t2 must be finite and > 0, with t2^2 finite and nonzero")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 
@@ -66,28 +69,15 @@ class EnsembleConfig:
 
 def contrast(sensor: SensorModel, t: float) -> float:
     """Fringe contrast F * exp(-t^2/(2 T2^2)) at integration time t."""
-    if not (0 <= t < math.inf):
-        raise ValueError("t must be finite and >= 0")
+    if not (t >= 0 and t * t < math.inf):
+        raise ValueError("t must be finite and >= 0, with t^2 finite")
     return sensor.fidelity * math.exp(-(t**2) / (2 * sensor.t2**2))
 
 
-def excitation_probability(
-    sensor: SensorModel, t_i: float, phi, out: np.ndarray | None = None
-) -> float | np.ndarray:
-    """p = (1 - C(t_i) cos(theta + phi)) / 2; accepts scalar or array phi.
-
-    With ``out`` (a float64 array shaped like phi, which may be phi itself)
-    p is computed in place there, with the same operations and so the same
-    bits, and no temporary array is allocated.
-    """
+def excitation_probability(sensor: SensorModel, t_i: float, phi) -> float | np.ndarray:
+    """p = (1 - C(t_i) cos(theta + phi)) / 2; accepts scalar or array phi."""
     c = contrast(sensor, t_i)
-    if out is None:
-        return 0.5 * (1.0 - c * np.cos(sensor.theta + phi))
-    np.cos(np.add(sensor.theta, phi, out=out), out=out)
-    out *= c
-    np.subtract(1.0, out, out=out)
-    out *= 0.5
-    return out
+    return 0.5 * (1.0 - c * np.cos(sensor.theta + phi))
 
 
 def qpn_variance(p: float, ensemble: EnsembleConfig) -> float:

@@ -90,8 +90,9 @@ class TwoToneStochastic:
     def __post_init__(self) -> None:
         if not (self.omega_s > 0 and math.isfinite(self.omega_s)):
             raise ValueError("omega_s must be finite and > 0")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be finite and > 0")
+        # the phase variance scales as sigma^2, which must stay finite
+        if not (self.sigma > 0 and self.sigma * self.sigma < math.inf):
+            raise ValueError("sigma must be finite and > 0, with sigma^2 finite")
         if not (self.g >= 0 and math.isfinite(self.g)):
             raise ValueError("g must be finite and >= 0")
 
@@ -234,7 +235,12 @@ def small_g_curvature(omega_s: float, sigma: float, convention: ToneConvention) 
     """
     if not (0 < omega_s < math.inf and 0 < sigma < math.inf):
         raise ValueError("omega_s and sigma must be finite and > 0")
-    kappa = 4 * math.pi**2 * sigma**2 / omega_s**4
+    try:
+        kappa = 4 * math.pi**2 * sigma**2 / omega_s**4
+    except (OverflowError, ZeroDivisionError):  # sigma^2 or omega_s^4 out of float range
+        kappa = math.nan
     if convention is ToneConvention.HALF_SPLIT:
         kappa /= 4.0
+    if not (0 < kappa < math.inf):
+        raise ValueError("omega_s and sigma give a kappa that is not finite and > 0")
     return kappa

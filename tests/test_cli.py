@@ -4,6 +4,7 @@ printed key=value output, and the files each subcommand writes."""
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -349,20 +350,70 @@ class TestScan:
 
 class TestUnwritableOutput:
     # exit 1 is reserved for failed checks; a path that cannot be written is
-    # a usage error
+    # a usage error, and an --out under a file is one before any work runs
     @pytest.mark.parametrize("argv", [
         ["scan", "fig2", "--out", "{file}"],
+        ["scan", "fig3", "--seed", "42", "--out", "{file}"],
+        ["replica", "--out", "{file}/sub/dir"],
         [*TestSimulate.ARGS, "--out", "{file}/sub"],
         ["analytic", "--scenario", "constant", "--fidelity", "1", "--t2", "1", "--ti", "1",
          "--csv", "{missing}/x.csv"],
-    ], ids=["scan-out-is-a-file", "simulate-out-under-a-file", "analytic-csv-in-a-missing-dir"])
-    def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv):
+    ], ids=["scan-out-is-a-file", "scan-fig3-out-is-a-file", "replica-out-under-a-file",
+            "simulate-out-under-a-file", "analytic-csv-in-a-missing-dir"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        for name in ("run_fig2", "run_fig3", "run_experiment_replica"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+        monkeypatch.setattr("ramsey_sensing.cli.simulate_shots",
+                            lambda *a, **k: pytest.fail("simulate_shots ran"))
         file = tmp_path / "file"
         file.write_text("")
         rc = main([arg.format(file=file, missing=tmp_path / "missing") for arg in argv])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [file]
+
+
+# magnitudes at and past the ends of the float range, where a square, a
+# fourth power or a product underflows to 0 or overflows
+EXTREMES = ("1e-320", "1e-200", "1e-160", "1e160", "1e300")
+# each command path with a usable value of every flag that takes an extreme
+EXTREME_PATHS = {
+    "analytic-constant": (["analytic", "--scenario", "constant"],
+                          {"--t2": "0.01", "--ti": "0.001"}),
+    "analytic-variance": (["analytic", "--scenario", "variance"],
+                          {"--t2": "0.01", "--ti": "0.001"}),
+    "analytic-intermittent": (["analytic", "--scenario", "intermittent"],
+                              {"--t2": "0.01", "--omega-s-hz": "1000", "--sigma-hz": "275"}),
+    "simulate-constant": (["simulate", "--scenario", "constant"],
+                          {"--t2": "0.01", "--ti": "0.001", "--g-hz": "10"}),
+    "simulate-stochastic": (["simulate", "--scenario", "stochastic"],
+                            {"--t2": "0.01", "--ti": "0.001", "--g-hz": "10"}),
+    "simulate-two_tone": (["simulate", "--scenario", "two_tone"],
+                          {"--t2": "0.01", "--ti": "0.0005", "--g-hz": "10",
+                           "--omega-s-hz": "2000", "--sigma-hz": "275"}),
+    "simulate-intermittent": (["simulate", "--scenario", "intermittent"],
+                              {"--t2": "0.01", "--ti": "0.0005", "--g-hz": "10",
+                               "--omega-s-hz": "2000", "--sigma-hz": "275"}),
+}
+
+
+@pytest.mark.parametrize("fidelity", ["1e-10", "0.5"])
+@pytest.mark.parametrize("path", EXTREME_PATHS)
+def test_extreme_values_give_a_result_or_one_error_line(capsys, tmp_path, path, fidelity):
+    # every pair of flags over its usable value and each extreme: a float
+    # that leaves the range is a usage error, never a traceback
+    command, usable = EXTREME_PATHS[path]
+    out = ["--n", "4", "--m", "1", "--out", str(tmp_path)] if command[0] == "simulate" else []
+    for a, b in itertools.combinations(usable, 2):
+        for x, y in itertools.product((usable[a], *EXTREMES), (usable[b], *EXTREMES)):
+            flags = {**usable, a: x, b: y}
+            argv = [*command, "--fidelity", fidelity, *itertools.chain(*flags.items()), *out]
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc in (0, 2), argv
+            assert rc == 0 or (err.startswith("error: ") and err.count("\n") == 1), argv
 
 
 class TestReplicaCommand:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ramsey_sensing.estimators import (
+    REL_TOL,
     STATUS,
     BiasScan,
     bias_scan_table,
@@ -40,8 +41,8 @@ class TestFrequencySeparationEstimator:
     def _spec(self, g: float) -> IntermittentTwoTone:
         return IntermittentTwoTone(self.SPEC.omega_s, g, self.SPEC.sigma, self.SPEC.t_sig)
 
-    def _baseline(self, sensor=None) -> float:
-        return (1.0 - contrast(sensor or self.SENSOR, self.SPEC.period)) / 2.0
+    def _baseline(self) -> float:
+        return (1.0 - contrast(self.SENSOR, self.SPEC.period)) / 2.0
 
     def test_small_separation_round_trip(self):
         # the inversion assumes the small-g kernel, so drive it with the
@@ -108,25 +109,7 @@ class TestFrequencySeparationEstimator:
         g_hat, reason = invert_frequency_separation(p, self.SENSOR, self.SPEC)
         assert reason == DEFINED and g_hat == 0.0 and not np.signbit(g_hat)
 
-    def test_mirrored_bias_round_trip(self):
-        # at theta = pi the fringe is inverted: p = (1 + C e^{-kappa g^2})/2
-        sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=math.pi)
-        g = TWO_PI * 120.0
-        kappa = small_g_curvature(self.SPEC.omega_s, self.SPEC.sigma, ToneConvention.FULL_SPLIT)
-        p = 0.5 * (1 + contrast(sensor, self.SPEC.period) * math.exp(-kappa * g * g))
-        g_hat, reason = invert_frequency_separation(p, sensor, self._spec(g))
-        assert reason == DEFINED
-        assert_allclose(g_hat, g, rtol=1e-10)
-
-    def test_mirrored_bias_exclusion_reasons(self):
-        sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=math.pi)
-        mirrored_baseline = (1.0 + contrast(sensor, self.SPEC.period)) / 2.0
-        _, above = invert_frequency_separation(mirrored_baseline + 0.01, sensor, self.SPEC)
-        assert above == BELOW_BASELINE
-        _, reason = invert_frequency_separation([0.5, 0.27, 0.0], sensor, self.SPEC)
-        assert reason.tolist() == [OUT_OF_DOMAIN] * 3
-
-    @pytest.mark.parametrize("theta", [0.5, math.pi / 2, -math.pi, 2 * math.pi])
+    @pytest.mark.parametrize("theta", [0.5, math.pi / 2, math.pi, -math.pi, 2 * math.pi])
     def test_rejects_other_biases(self, theta):
         sensor = SensorModel(self.SENSOR.fidelity, self.SENSOR.t2, theta=theta)
         with pytest.raises(ValueError, match="theta"):
@@ -151,7 +134,6 @@ TONES = dict(
     sigma_hz=st.floats(1.0, 1e4),
     convention=st.sampled_from(list(ToneConvention)),
 )
-BIASES = st.sampled_from([0.0, math.pi])
 # contrasts over (0, 1], with extra weight next to 1 and on tiny values
 CONTRASTS = (st.floats(0.0, 1.0, exclude_min=True)
              | st.integers(0, 64).map(lambda k: 1.0 - k * 2.0**-53)
@@ -165,13 +147,13 @@ def _burst(omega_s_hz, sigma_hz, convention, g=0.0) -> IntermittentTwoTone:
 
 class TestFrequencySeparationProperties:
     @settings(max_examples=300, deadline=None)
-    @given(p_hat=st.floats(0.0, 1.0), theta=BIASES, fidelity=st.floats(1e-3, 1.0),
+    @given(p_hat=st.floats(0.0, 1.0), fidelity=st.floats(1e-3, 1.0),
            t2=st.floats(1e-4, 1.0), **TONES)
-    def test_total_on_the_unit_interval(self, p_hat, theta, fidelity, t2, omega_s_hz,
+    def test_total_on_the_unit_interval(self, p_hat, fidelity, t2, omega_s_hz,
                                         sigma_hz, convention):
         # every population gives a finite g_hat >= 0 or an exclusion code
         g_hat, reason = invert_frequency_separation(
-            p_hat, SensorModel(fidelity, t2, theta),
+            p_hat, SensorModel(fidelity, t2),
             _burst(omega_s_hz, sigma_hz, convention))
         if reason == DEFINED:
             assert math.isfinite(g_hat) and g_hat >= 0.0
@@ -179,36 +161,34 @@ class TestFrequencySeparationProperties:
             assert reason in (BELOW_BASELINE, OUT_OF_DOMAIN) and math.isnan(g_hat)
 
     @settings(max_examples=300, deadline=None)
-    @given(log_x=st.floats(-6.0, math.log10(5.0)), theta=BIASES,
+    @given(log_x=st.floats(-6.0, math.log10(5.0)),
            fidelity=st.floats(0.1, 1.0), t2_over_t1=st.floats(1.0, 1e3), **TONES)
-    def test_inverts_its_own_model(self, log_x, theta, fidelity, t2_over_t1, omega_s_hz,
+    def test_inverts_its_own_model(self, log_x, fidelity, t2_over_t1, omega_s_hz,
                                    sigma_hz, convention):
         # x = kappa g^2 in [1e-6, 5] at contrast C(t1) >= 0.1
         spec = _burst(omega_s_hz, sigma_hz, convention)
-        sensor = SensorModel(fidelity, t2_over_t1 * spec.period, theta)
+        sensor = SensorModel(fidelity, t2_over_t1 * spec.period)
         c = contrast(sensor, spec.period)
         assume(c >= 0.1)
         x = 10.0**log_x
         g = math.sqrt(x / small_g_curvature(spec.omega_s, spec.sigma, convention))
         p = 0.5 * (1.0 - c * math.exp(-x))
-        p_hat = p if theta == 0.0 else 1.0 - p
         g_hat, reason = invert_frequency_separation(
-            p_hat, sensor, _burst(omega_s_hz, sigma_hz, convention, g))
+            p, sensor, _burst(omega_s_hz, sigma_hz, convention, g))
         assert reason == DEFINED
         assert g_hat == pytest.approx(g, rel=1e-8)
 
     @settings(max_examples=300, deadline=None)
-    @given(c=CONTRASTS, theta=BIASES, ulps=st.integers(0, 6), p_random=st.floats(0.0, 1.0))
-    def test_defined_estimates_have_a_clear_sign_bit(self, c, theta, ulps, p_random):
+    @given(c=CONTRASTS, ulps=st.integers(0, 6), p_random=st.floats(0.0, 1.0))
+    def test_defined_estimates_have_a_clear_sign_bit(self, c, ulps, p_random):
         # at the baseline, a few floats above it and at random; T2 is so
         # long that the contrast at one period is the fidelity c itself
-        sensor = SensorModel(c, 1e6, theta)
+        sensor = SensorModel(c, 1e6)
         spec = TestFrequencySeparationEstimator.SPEC
         p = (1.0 - contrast(sensor, spec.period)) / 2.0
         for _ in range(ulps):
             p = math.nextafter(p, 1.0)
-        p_hat = np.array([p, p_random]) if theta == 0.0 else 1.0 - np.array([p, p_random])
-        g_hat, reason = invert_frequency_separation(p_hat, sensor, spec)
+        g_hat, reason = invert_frequency_separation(np.array([p, p_random]), sensor, spec)
         defined = g_hat[reason == DEFINED]
         assert (defined >= 0.0).all() and not np.signbit(defined).any()
 
@@ -263,17 +243,10 @@ class TestEmpiricalGmin:
         est = empirical_gmin(self._clean_scan())
         assert est.resolved and est.g_min == 10.0
 
-    def test_requires_enough_grid_points_and_positive_tolerance(self):
+    def test_requires_enough_grid_points(self):
         small = _scan([(g, [g, g]) for g in (1.0, 2.0, 3.0)])
         with pytest.raises(ValueError):
             empirical_gmin(small)
-        with pytest.raises(ValueError):
-            empirical_gmin(self._clean_scan(), rel_tol=0.0)
-
-    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_tolerance_rejected(self, rel_tol):
-        with pytest.raises(ValueError, match="rel_tol"):
-            empirical_gmin(self._clean_scan(), rel_tol=rel_tol)
 
     def test_qualification_must_be_contiguous_from_the_top(self):
         rows = [(g, [g, g, g]) for g in self.GRID]
@@ -300,8 +273,6 @@ class TestEmpiricalGmin:
         rows[0] = (10.0, [11.5, 11.5, 11.5])  # median 15% high
         est = empirical_gmin(_scan(rows))
         assert est.g_min == 20.0
-        est = empirical_gmin(_scan(rows), rel_tol=0.2)
-        assert est.g_min == 10.0
 
     def test_tolerance_edge_qualifies(self):
         # |11 - 10| and 0.1 * 10 are both exactly 1.0
@@ -353,10 +324,10 @@ def scans(draw):
 
 class TestEmpiricalGminProperties:
     @settings(max_examples=300, deadline=None)
-    @given(scan=scans(), rel_tol=st.sampled_from([0.02, 0.1, 0.25]))
-    def test_matches_the_reference_loop(self, scan, rel_tol):
-        est = empirical_gmin(BiasScan(*scan), rel_tol=rel_tol)
-        assert (est.g_min, est.resolved) == _reference_gmin(*scan, rel_tol)
+    @given(scan=scans())
+    def test_matches_the_reference_loop(self, scan):
+        est = empirical_gmin(BiasScan(*scan))
+        assert (est.g_min, est.resolved) == _reference_gmin(*scan, REL_TOL)
 
 
 class TestBiasScanIO:

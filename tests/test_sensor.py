@@ -102,16 +102,6 @@ class TestExcitationProbability:
         assert p.min() >= (1 - c) / 2 - 1e-15
         assert p.max() <= (1 + c) / 2 + 1e-15
 
-    def test_out_is_computed_in_place_with_the_same_bits(self):
-        s = SensorModel(0.9, 1.0, theta=0.3)
-        phis = np.random.default_rng(5).normal(0.0, 2.0, 1001)
-        expected = excitation_probability(s, 0.2, phis)
-        buf = np.empty_like(phis)
-        assert excitation_probability(s, 0.2, phis, out=buf) is buf
-        assert np.array_equal(buf, expected)
-        assert excitation_probability(s, 0.2, phis, out=phis) is phis
-        assert np.array_equal(phis, expected)
-
     def test_half_fringe_complementarity(self):
         s0 = SensorModel(0.85, 1.0, theta=0.7)
         s1 = SensorModel(0.85, 1.0, theta=0.7 + math.pi)

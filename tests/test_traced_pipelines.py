@@ -68,11 +68,11 @@ def test_traced_replica_pipelines_match_an_untraced_run(tmp_path):
     assert _written(traced, tmp_path / "traced") == _written(_pipelines(), tmp_path / "plain")
 
 
-@pytest.mark.parametrize("iteration", [
-    _pipelines,
-    lambda: run_fig3(42, mc_shots=2000),
+@pytest.mark.parametrize("iteration, solves", [
+    (_pipelines, 6),
+    (lambda: run_fig3(42, mc_shots=2000), 574),
 ], ids=["replica+degrade", "fig3"])
-def test_declared_layer_metrics_are_numbers(iteration):
+def test_declared_layer_metrics_are_numbers(iteration, solves):
     # the benchmark prints each declared per-layer metric; one that has lost
     # its base (a ratio over zero calls reads None) makes its output malformed
     spans = _load("spans")
@@ -80,6 +80,7 @@ def test_declared_layer_metrics_are_numbers(iteration):
     with tracer:
         _, trace = tracer.run(iteration)
     metrics = spans.layer_metrics(trace)
+    assert metrics["sensitivity.solves"] == solves  # the base of solves_per_s
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     values = {name: metrics[name] for name in declared if name in metrics}
     assert "streams.us_per_stream" in values
