@@ -360,16 +360,17 @@ def _simulate_replica_tables(seed: int, reps: int, threads: int) -> np.ndarray:
     """Counts of every (grid point, repetition) table, shared with degrade.
 
     One bool stack of shape (grid, reps, n_shots). Each task fills one grid
-    point's block stack[gi], every table from its own stream, so the stack
-    is the same whatever the worker count; the task derives its point's
-    streams in one call.
+    point's block stack[gi] with one simulate_shots call over the point's
+    reps streams, derived in one call; every table comes from its own
+    stream, so the stack is the same whatever the worker count.
     """
     stack = np.empty((len(_REPLICA_SPECS), reps, _REPLICA_ENSEMBLE.n_shots), dtype=bool)
 
     def fill(gi: int) -> None:
-        for rep, rng in enumerate(derive_stream(seed, _NS_REPLICA, 0, gi, shape=(reps,))):
-            stack[gi, rep] = simulate_shots(_REPLICA_SPECS[gi], _REPLICA_SENSOR,
-                                            _REPLICA_ENSEMBLE, REPLICA_PARAMS["t1"], rng).counts
+        rngs = derive_stream(seed, _NS_REPLICA, 0, gi, shape=(reps,))
+        counts = simulate_shots(_REPLICA_SPECS[gi], _REPLICA_SENSOR, _REPLICA_ENSEMBLE,
+                                REPLICA_PARAMS["t1"], rngs).counts
+        stack[gi] = counts.reshape(reps, -1)
 
     _pmap(fill, range(len(_REPLICA_SPECS)), threads)
     return stack

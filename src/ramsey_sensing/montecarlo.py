@@ -27,15 +27,21 @@ that holds a NaN phase or one beyond float32's range. The outcomes are
 therefore the bits of the exact comparison, and the stream is consumed
 exactly as without the screen.
 
-A study that runs many tables of one size holds their counts as one stack
-of shape (..., N), one table per row. The population estimate reduces the
-last axis, and every Monte-Carlo channel takes one table or a stack
-together with one stream per table in row order: row r draws only from its
-own stream and gets exactly the bits its table would get alone.
+Many tables of one setting are simulated in one call, one stream per
+table: each stream draws its own table's phases and uniforms, and the
+screen runs over 8192-shot blocks of the flat buffer that holds them all,
+so small tables pay the per-call cost of numpy once per block, not once
+per table. A study holds their counts as one stack of shape (..., N), one
+table per row. The population estimate reduces the last axis, and every
+Monte-Carlo channel takes one table or a stack together with one stream
+per table in row order. Everywhere, row r draws only from its own stream
+and gets exactly the bits its table would get alone: a counter-based
+stream depends only on its key, so batching the rows changes no bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -56,16 +62,23 @@ __all__ = [
 
 # shots per uniform draw in simulate_shots: a 64 kB block stays in cache
 _BLOCK = 8192
+# values per block of the row-wise passes (the population estimate, the
+# readout flips): each block costs a fixed number of numpy calls whatever
+# its size, and these passes hold one float buffer where the screen holds
+# three, so a larger block (32 rows of 1000 shots) pays fewer calls; every
+# row is reduced or drawn on its own, so no bit depends on the block size
+_ROW_BLOCK = 32768
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
 class ShotTable:
-    """Excited-sensor counts per shot, int64 of shape (N,), each in [0, M].
+    """Excited-sensor counts per shot, int64 of shape (R*N,), each in [0, M]:
+    one table of N shots per stream, table r in counts[r*N:(r+1)*N].
 
-    Only simulate_shots builds one. The counts stay wrapped because the
-    benchmark's tracer (perfbench/spans.py) counts shots from the
-    `counts` attribute of each simulate_shots result.
+    Only simulate_shots builds one. The counts stay wrapped, and flat,
+    because the benchmark's tracer (perfbench/spans.py) counts shots as the
+    length of the `counts` of each simulate_shots result.
     """
 
     counts: np.ndarray
@@ -93,31 +106,39 @@ def simulate_shots(
     sensor: SensorModel,
     ensemble: EnsembleConfig,
     t_i: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Iterable[np.random.Generator],
 ) -> ShotTable:
-    """Simulate N shots of M sensors; phase redrawn every shot.
+    """Simulate N shots of M sensors per stream; phase redrawn every shot.
 
-    The stream is consumed as N phases, then N uniforms (M = 1) or N
-    binomial counts (M > 1). For M = 1 the table allocates one N-element
-    buffer: it holds the phases, then block by block the counts decided
-    from them, so a large table costs no full-size temporaries and runs the
-    same whatever the allocator does with freed memory. Each outcome is
-    u < excitation_probability(sensor, t_i, phi) bit for bit: a float32
-    cosine decides it wherever its error bound allows, and the exact p
-    decides the rest (see the module docstring).
+    rng is one stream, or an iterable of R streams giving R tables of one
+    setting: the counts hold them flat, table r in counts[r*N:(r+1)*N].
+    Each stream is consumed as its table's N phases, then its N uniforms
+    (M = 1) or N binomial counts (M > 1), exactly as it would be alone, so
+    a table's bits do not depend on the tables simulated with it. For
+    M = 1 the call allocates one R*N-element buffer: it holds the phases,
+    then the counts decided from them 8192 shots at a time, whatever the
+    table boundaries, so many small tables cost as few numpy calls as one
+    large table. Each outcome is u < excitation_probability(sensor, t_i,
+    phi) bit for bit: a float32 cosine decides it wherever its error bound
+    allows, and the exact p decides the rest (see the module docstring).
     """
     n, m = ensemble.n_shots, ensemble.m_sensors
-    phi = sample_phases(spec, n, t_i, rng)
-    if m > 1:
-        counts = rng.binomial(m, excitation_probability(sensor, t_i, phi))
-        return ShotTable(counts)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    phi = sample_phases(spec, n, t_i, rngs)
     counts = phi.view(np.int64)
-    size = min(n, _BLOCK)
+    if m > 1:
+        p = excitation_probability(sensor, t_i, phi)
+        for r, stream in enumerate(rngs):
+            counts[r * n:(r + 1) * n] = stream.binomial(m, p[r * n:(r + 1) * n])
+        return ShotTable(counts)
+    size = min(len(phi), _BLOCK)
     u, d, x = np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
-    for lo in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - lo)
-        _decide(sensor, t_i, phi[lo:lo + k], rng.random(out=u[:k]), counts[lo:lo + k],
-                x[:k], d[:k])
+    for lo in range(0, len(phi), _BLOCK):
+        hi = min(lo + _BLOCK, len(phi))
+        for r in range(lo // n, (hi - 1) // n + 1):  # the tables this block meets
+            a, b = max(lo, r * n), min(hi, (r + 1) * n)
+            rngs[r].random(out=u[a - lo:b - lo])
+        _decide(sensor, t_i, phi[lo:hi], u[:hi - lo], counts[lo:hi], x[:hi - lo], d[:hi - lo])
     return ShotTable(counts)
 
 
@@ -167,7 +188,7 @@ def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
     rows = counts.reshape(-1, n)
     p_hat = np.empty(len(rows))
     std = np.zeros(len(rows))
-    step = max(1, _BLOCK // n)
+    step = max(1, _ROW_BLOCK // n)
     for lo in range(0, len(rows), step):
         fractions = rows[lo:lo + step] / m
         fractions.mean(axis=-1, out=p_hat[lo:lo + step])
@@ -194,11 +215,14 @@ def apply_readout_degradation(
 
     counts holds the bool outcomes of one table, shape (N,), or of a stack
     of tables, shape (..., N); a bool array cannot hold a multi-sensor
-    count. rngs yields one stream per table in row order; row r draws its N
+    count. rngs yields one stream per table in row order, and a count that
+    differs from the number of tables raises ValueError. Row r draws its N
     uniforms from its own stream, so it flips exactly as its table would
-    alone. Returns a new array; at flip_prob = 0 returns counts itself and
-    takes nothing from rngs. Two applications with probabilities a then b
-    compose to a+b-2ab, and the effective contrast scales by (1-2*flip_prob).
+    alone; the rows of a block draw into one buffer, which one comparison
+    and one XOR then apply. Returns a new array; at flip_prob = 0 returns
+    counts itself and takes nothing from rngs. Two applications with
+    probabilities a then b compose to a+b-2ab, and the effective contrast
+    scales by (1-2*flip_prob).
     """
     if not (0 <= flip_prob <= 0.5):
         raise ValueError("flip_prob must be in [0, 1/2]")
@@ -211,11 +235,19 @@ def apply_readout_degradation(
         return counts
     out = counts.copy()
     rows = out.reshape(-1, out.shape[-1])
-    u = np.empty(rows.shape[1])
-    flips = np.empty(rows.shape[1], dtype=bool)
-    for row, rng in zip(rows, rngs, strict=True):
-        np.less(rng.random(out=u), flip_prob, out=flips)
-        row ^= flips
+    n = rows.shape[1]
+    step = max(1, _ROW_BLOCK // max(n, 1))
+    u = np.empty((min(step, len(rows)), n))
+    flips = np.empty(u.shape, dtype=bool)
+    streams = iter(rngs)
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        k = len(block)
+        for row_u, rng in zip(u[:k], itertools.islice(streams, k), strict=True):
+            rng.random(out=row_u)
+        block ^= np.less(u[:k], flip_prob, out=flips[:k])
+    if next(streams, None) is not None:
+        raise ValueError("rngs must yield one stream per table, and no more")
     return out
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,8 +71,9 @@ class StochasticAmplitude:
     g: float  # rad/s
 
     def __post_init__(self) -> None:
-        if not (self.g >= 0 and math.isfinite(self.g)):
-            raise ValueError("g must be finite and >= 0")
+        # the mean population's damping reads g^2, which must stay finite
+        if not (self.g >= 0 and self.g * self.g < math.inf):
+            raise ValueError("g must be finite and >= 0, with g^2 finite")
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,26 @@ def phase_variance_exact(spec: TwoToneStochastic | IntermittentTwoTone, t_i: flo
     return spec.sigma**2 * float(w @ w)
 
 
-def sample_phases(spec: SignalSpec, n: int, t_i: float, rng: np.random.Generator) -> np.ndarray:
+def _phase_scale(spec: SignalSpec, t_i: float) -> float:
+    """The phase g*t_i of a Constant, else the std of the Gaussian phase.
+
+    A scale that is not finite would make every phase inf or NaN, and every
+    outcome a comparison with a NaN probability, so it raises ValueError.
+    """
+    _check_ti(spec, t_i)
+    if isinstance(spec, (Constant, StochasticAmplitude)):
+        scale = spec.g * t_i
+    else:
+        scale = math.sqrt(phase_variance_exact(spec, t_i))
+    if not math.isfinite(scale):
+        raise ValueError("the phase scale (g*t_i, or the phase std) must be finite")
+    return scale
+
+
+def sample_phases(
+    spec: SignalSpec, n: int, t_i: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> np.ndarray:
     """Draw the accrued phases of n independent shots over [0, t_i].
 
     Same distribution as accrued_phases(spec, sample_realizations(spec, n,
@@ -218,13 +239,22 @@ def sample_phases(spec: SignalSpec, n: int, t_i: float, rng: np.random.Generator
     draw), N(0, (g*t_i)^2) for StochasticAmplitude, and
     N(0, phase_variance_exact) for the two-tone classes, whose phase is a
     fixed linear combination of four i.i.d. normal amplitudes.
+
+    rng is one stream, giving shape (n,), or a sequence of R streams,
+    giving R tables flat in shape (R*n,): table r, phases[r*n:(r+1)*n], is
+    drawn from stream r alone, exactly as that stream would draw it by
+    itself. The scale is computed once per call.
     """
-    _check_ti(spec, t_i)
+    scale = _phase_scale(spec, t_i)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     if isinstance(spec, Constant):
-        return np.full(n, spec.g * t_i)
-    if isinstance(spec, StochasticAmplitude):
-        return rng.normal(0.0, spec.g * t_i, n)
-    return rng.normal(0.0, math.sqrt(phase_variance_exact(spec, t_i)), n)
+        return np.full(len(rngs) * n, scale)
+    # in place, the values of stream.normal(0.0, scale, n): one standard
+    # normal per shot times the scale
+    phases = np.empty(len(rngs) * n)
+    for r, stream in enumerate(rngs):
+        stream.standard_normal(out=phases[r * n:(r + 1) * n])
+    return np.multiply(phases, scale, out=phases)
 
 
 def small_g_curvature(omega_s: float, sigma: float, convention: ToneConvention) -> float:

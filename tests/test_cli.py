@@ -416,6 +416,19 @@ def test_extreme_values_give_a_result_or_one_error_line(capsys, tmp_path, path, 
             assert rc == 0 or (err.startswith("error: ") and err.count("\n") == 1), argv
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", ["constant", "stochastic"])
+def test_a_phase_past_the_float_range_is_a_usage_error(capsys, tmp_path, scenario):
+    # g*t_i overflows, and so does a stochastic g's square: every phase would
+    # be inf and every probability NaN, with t_i^2 and so the contrast finite
+    rc = main(["simulate", "--scenario", scenario, "--g-hz", "1e300", "--ti", "1e10",
+               "--t2", "1e12", "--fidelity", "0.5", "--n", "10", "--m", "1",
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestReplicaCommand:
     def test_replica_run(self, capsys, tmp_path):
         out = tmp_path / "replica"

@@ -166,6 +166,31 @@ class TestFloat32Screen:
         assert sizes == [8192, 8192, 3617]
 
 
+class TestStreamBatches:
+    """simulate_shots over R streams is the R tables each stream gives
+    alone, flat in row order and bit for bit."""
+
+    # the g = 0 burst over one center period: its phase std is ~1e-20 rad
+    ZERO_BURST = (IntermittentTwoTone(TWO_PI * 2000, 0.0, TWO_PI * 275, 0.5e-3), 0.5e-3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(signal=_signal_and_window() | st.just(ZERO_BURST), rows=st.integers(1, 12),
+           # 1000 and 3000 do not divide 8192, and 8193 or more exceed it, so
+           # rows span the screen's blocks
+           n=st.sampled_from([1, 1000, 3000, 8191, 8193, 10_000]) | st.integers(1, 9000),
+           m=st.just(1) | st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    @example(signal=(CONST_SPEC, CONST_TI), rows=12, n=1000, m=1, seed=0)
+    @example(signal=ZERO_BURST, rows=11, n=1000, m=1, seed=7)
+    def test_rows_equal_their_tables_simulated_alone(self, signal, rows, n, m, seed):
+        spec, t_i = signal
+        ens = EnsembleConfig(n, m)
+        batch = simulate_shots(spec, SENSOR, ens, t_i, derive_stream(seed, 1, shape=(rows,)))
+        alone = [simulate_shots(spec, SENSOR, ens, t_i, rng).counts
+                 for rng in derive_stream(seed, 1, shape=(rows,))]
+        assert batch.counts.dtype == np.int64 and batch.counts.shape == (rows * n,)
+        assert np.array_equal(batch.counts, np.concatenate(alone))
+
+
 def _reference_estimate(counts, m):
     """The per-table estimate as a plain loop: mean, std(ddof=1), QPN."""
     n = counts.shape[-1]
@@ -324,6 +349,18 @@ class TestReadoutDegradation:
             # the channel XORs each outcome with a uniform draw below flip_prob
             expected = rows[r] ^ (derive_stream(41, 26, r).random(1000) < 0.2)
             assert np.array_equal(alone, expected)
+
+    def test_rows_past_the_last_full_block_flip_as_alone(self):
+        # 70 rows of 1000 shots: two full row blocks and a partial third
+        n = 1000
+        rows = 2 * (montecarlo._ROW_BLOCK // n) + 6
+        stack = np.random.default_rng(41).random((rows, n)) < 0.3
+        flipped = apply_readout_degradation(stack, 0.2, derive_stream(41, 39, shape=(rows,)))
+        for r, rng in enumerate(derive_stream(41, 39, shape=(rows,))):
+            assert np.array_equal(flipped[r], stack[r] ^ (rng.random(n) < 0.2))
+        for count in (rows - 1, rows + 1):
+            with pytest.raises(ValueError):
+                apply_readout_degradation(stack, 0.2, derive_stream(41, 39, shape=(count,)))
 
     def test_mean_moves_to_the_flipped_mixture(self):
         table = _constant_table()

@@ -3,6 +3,7 @@ noise, and the closed-form mean population for each signal class."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -172,4 +173,41 @@ class TestMeanPopulation:
     def test_unknown_spec_type_rejected(self):
         with pytest.raises(TypeError):
             mean_population(object(), SensorModel(0.9, 1.0), 0.1)
+
+
+# magnitudes at and past the ends of the float range, where a square or a
+# product underflows to 0 or overflows (the CLI's grid in test_cli.py)
+EXTREMES = (1e-320, 1e-200, 1e-160, 1e160, 1e300)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [
+    Constant,
+    StochasticAmplitude,
+    lambda x: TwoToneStochastic(1e3, x, 1e2),
+    lambda x: TwoToneStochastic(1e3, 1e2, x),
+], ids=["constant-g", "stochastic-g", "two_tone-g", "two_tone-sigma"])
+def test_extreme_values_give_a_probability_or_a_value_error(make):
+    # a signal value and a t_i over a usable value and each extreme: the
+    # model and the shot engine return probabilities and counts, or raise
+    # ValueError where they take the value, never an OverflowError or a
+    # NaN probability
+    sensor = SensorModel(0.5, 0.01)
+    # t_i = 1e10 s has a finite square, so only the phase g*t_i can overflow
+    for x, t_i in itertools.product((10.0, *EXTREMES), (1e-3, 1e10, *EXTREMES)):
+        try:
+            spec = make(x)
+        except ValueError:
+            continue
+        try:
+            p = mean_population(spec, sensor, t_i)
+        except ValueError:
+            p = None
+        assert p is None or 0 <= p <= 1
+        try:
+            counts = simulate_shots(spec, sensor, EnsembleConfig(4, 1), t_i,
+                                    derive_stream(31, 44)).counts
+        except ValueError:
+            continue
+        assert ((counts == 0) | (counts == 1)).all()
 

@@ -40,6 +40,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Constant(math.nan)
 
+    def test_stochastic_amplitude_needs_a_finite_square(self):
+        # the mean population's damping reads g^2
+        StochasticAmplitude(1e154)
+        for bad in (-1.0, math.nan, math.inf, 1e155, 1e160):
+            with pytest.raises(ValueError):
+                StochasticAmplitude(bad)
+
     def test_two_tone_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             TwoToneStochastic(0.0, 1.0, 1.0)
@@ -301,6 +308,28 @@ class TestSamplePhases:
             assert abs(oracle.var() / var - 1) < self.REL_TOL
             # two independent sample variances: the ratio's std is sqrt(2) times larger
             assert abs(fast.var() / oracle.var() - 1) < math.sqrt(2) * self.REL_TOL
+
+    @pytest.mark.parametrize("spec, t_i", [
+        (Constant(1e300), 1e10),
+        (StochasticAmplitude(1e150), 1e160),
+        (TwoToneStochastic(1.0, 1.0, 1e150), 1e10),
+    ], ids=["constant", "stochastic", "two_tone"])
+    def test_a_phase_scale_that_is_not_finite_is_rejected(self, spec, t_i):
+        # g*t_i (or the phase std) overflows: every phase would be inf or NaN
+        with pytest.raises(ValueError, match="phase scale"):
+            sample_phases(spec, 10, t_i, derive_stream(31, 45))
+
+    @pytest.mark.parametrize("spec", [
+        Constant(3.0),
+        StochasticAmplitude(TWO_PI * 50),
+        IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 290, TWO_PI * 275, 0.5e-3),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_a_sequence_of_streams_gives_their_phases_flat(self, spec):
+        rows, n, t_i = 5, 301, 0.4e-3
+        flat = sample_phases(spec, n, t_i, list(derive_stream(31, 46, shape=(rows,))))
+        alone = [sample_phases(spec, n, t_i, rng) for rng in derive_stream(31, 46, shape=(rows,))]
+        assert flat.shape == (rows * n,)
+        assert np.array_equal(flat, np.concatenate(alone))
 
 
 class TestSmallGCurvature:

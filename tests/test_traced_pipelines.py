@@ -68,11 +68,13 @@ def test_traced_replica_pipelines_match_an_untraced_run(tmp_path):
     assert _written(traced, tmp_path / "traced") == _written(_pipelines(), tmp_path / "plain")
 
 
-@pytest.mark.parametrize("iteration, solves", [
-    (_pipelines, 6),
-    (lambda: run_fig3(42, mc_shots=2000), 574),
+@pytest.mark.parametrize("iteration, solves, shots", [
+    # 22 grid points of 11 replica and 2 degrade repetitions, 1000 shots each
+    (_pipelines, 6, 22 * 11 * 1000 + 22 * 2 * 1000),
+    # 120 Monte-Carlo points of 2000 shots
+    (lambda: run_fig3(42, mc_shots=2000), 574, 240_000),
 ], ids=["replica+degrade", "fig3"])
-def test_declared_layer_metrics_are_numbers(iteration, solves):
+def test_declared_layer_metrics_are_numbers(iteration, solves, shots):
     # the benchmark prints each declared per-layer metric; one that has lost
     # its base (a ratio over zero calls reads None) makes its output malformed
     spans = _load("spans")
@@ -81,6 +83,7 @@ def test_declared_layer_metrics_are_numbers(iteration, solves):
         _, trace = tracer.run(iteration)
     metrics = spans.layer_metrics(trace)
     assert metrics["sensitivity.solves"] == solves  # the base of solves_per_s
+    assert metrics["montecarlo.shots"] == shots  # the base of shots_per_s
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     values = {name: metrics[name] for name in declared if name in metrics}
     assert "streams.us_per_stream" in values
