@@ -50,4 +50,4 @@ for f in (0.9, 0.7, 0.5, 0.3, 0.1):
     m_v = math.ceil(th)
     print(f"{f:5.2f} {m_c:9d} {m_v:9d} {th:19.2f}")
 print("\nconstant compensation is exactly ceil(1/F^2); the variance count "
-      "stays close to the same law")
+      "needs a little more, up to 1.196/F^2 as N*M grows")

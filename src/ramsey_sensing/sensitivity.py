@@ -3,12 +3,13 @@ compensation counts.
 
 Closed forms cover the constant signal, the linearized Gaussian-kernel
 family (variance and burst frequency-separation estimation), and the
-asymptotic compensation/excess-sensor ratios; each result carries the
-integration time t_i at which its g_min holds. `gmin_at_optimum` is the one
-place that maps a scenario name to its g_min at its optimal integration
-time; the pipelines and the compensation counts go through it. The
-compensation threshold inverts the linearized kernel in closed form. Only
-the tests call the references that back the closed forms: the exact-SNR
+compensation count; each result carries the integration time t_i at which
+its g_min holds. `gmin_at_optimum` is the one place that maps a scenario
+name to its g_min at its optimal integration time; the pipelines and the
+compensation counts go through it. The count is the kernel inverse
+`_kernel_nm` = `_floor_nm` + 2/x: `compensation_threshold` at finite N, and
+`excess_sensors` the ratio of two of its NM -> infinity limits. Only the
+tests call the references that back the closed forms: the exact-SNR
 root-finder `root_found_gmin` (by the in-package Brent solver `brentq`,
 with no small-signal expansion), `gmin_continuous_two_tone`, and the
 Monte-Carlo crossing `mc_gmin_crossing`.
@@ -176,16 +177,22 @@ def gmin_gaussian_kernel(c: float, nm: float, kappa: float) -> float:
     return math.sqrt(x / kappa)
 
 
+def _floor_nm(c: float, x: float) -> float:
+    """The noise-floor term (1 - C^2)/(x C)^2 of _kernel_nm, all that is left
+    as NM -> inf; 1 - C^2 is rounded as in gmin_gaussian_kernel."""
+    xc = x * c
+    return (1.0 - c * c) / xc / xc
+
+
 def _kernel_nm(c: float, x: float) -> float:
     """Inverse of the kernel root: the N*M at which kappa*g_min^2 = x.
 
-    NM = (1 - C^2 + 2x C^2)/(x^2 C^2) = (1 - C^2)/(x C)^2 + 2/x, with 1 - C^2
-    rounded as in gmin_gaussian_kernel, so a round trip is exact up to
-    rounding even where C is close to 1. x C stays finite where C^2 would
-    underflow; a count past the float range comes back as inf.
+    NM = (1 - C^2 + 2x C^2)/(x^2 C^2) = _floor_nm(C, x) + 2/x, so a round
+    trip is exact up to rounding even where C is close to 1. x C stays
+    finite where C^2 would underflow; a count past the float range comes
+    back as inf.
     """
-    xc = x * c
-    return (1.0 - c * c) / xc / xc + 2.0 / x if xc > 0 else math.inf
+    return _floor_nm(c, x) + 2.0 / x if x * c > 0 else math.inf
 
 
 def gmin_variance(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> SensitivityResult:
@@ -521,36 +528,25 @@ def continuous_optimal_u(fidelity: float) -> float:
     return u
 
 
-def _asymptotic_comp_same_t(c_fid: float, c_unit: float) -> float:
-    """Noise-floor-dominated compensation with both sides at the same time."""
-    return (1.0 - c_fid**2) * c_unit**2 / (c_fid**2 * (1.0 - c_unit**2))
-
-
 def excess_sensors(fidelity: float, t1_over_t2: float) -> float:
     """Sensor factor for a burst-limited measurement to match the continuous
-    one at the same fidelity (noise-floor-dominated regime, N-free).
+    one at the same fidelity: the ratio of two compensation counts, each
+    _floor_nm at F over _floor_nm at F = 1, the NM -> infinity limit of
+    compensation_threshold (reached as NM^(-1/2); N-free).
 
-    The burst side is pinned to t1; the continuous side sits at its
-    self-consistent optimal time, where the curvature scales as t^2 and so
-    the compensation picks up a (t_opt/t1)^4 leverage. Unity fidelity gives
-    exactly 1 for every t1; for F well below the burst contrast the factor
-    grows as 1/t1^2.
+    The burst side has both sensors at t1, so one kernel root x serves both
+    and cancels. The continuous side has each sensor at its own optimal
+    time, where x = t^2 g^2/2 grows as u = continuous_optimal_u(F). Unity
+    fidelity gives exactly 1 for every t1; for F well below the burst
+    contrast the factor grows as 1/t1^2.
     """
     if not (0 < fidelity <= 1):
         raise ValueError("fidelity must be in (0, 1]")
     if not (0 < t1_over_t2 <= 5):
         raise ValueError("t1_over_t2 must be in (0, 5]")
-    u1 = t1_over_t2**2  # (t1/T2)^2 for the burst side
-    c_burst_fid = fidelity * math.exp(-u1 / 2.0)
-    c_burst_unit = math.exp(-u1 / 2.0)
-    m_burst = _asymptotic_comp_same_t(c_burst_fid, c_burst_unit)
-
-    u_fid = continuous_optimal_u(fidelity)
-    u_unit = continuous_optimal_u(1.0)
-    c_cont_fid = fidelity * math.exp(-u_fid / 2.0)
-    c_cont_unit = math.exp(-u_unit / 2.0)
-    # curvature scales as t^2, so each continuous side carries a u^2 leverage
-    m_cont = ((1.0 - c_cont_fid**2) / (c_cont_fid**2 * u_fid**2)) / (
-        (1.0 - c_cont_unit**2) / (c_cont_unit**2 * u_unit**2)
-    )
+    c = lambda f, u: f * math.exp(-u / 2.0)  # the contrast at t = sqrt(u) T2
+    u1 = t1_over_t2**2
+    u_fid, u_unit = continuous_optimal_u(fidelity), continuous_optimal_u(1.0)
+    m_burst = _floor_nm(c(fidelity, u1), 1.0) / _floor_nm(c(1.0, u1), 1.0)
+    m_cont = _floor_nm(c(fidelity, u_fid), u_fid) / _floor_nm(c(1.0, u_unit), u_unit)
     return m_burst / m_cont

@@ -254,7 +254,11 @@ def sample_phases(
     phases = np.empty(len(rngs) * n)
     for r, stream in enumerate(rngs):
         stream.standard_normal(out=phases[r * n:(r + 1) * n])
-    return np.multiply(phases, scale, out=phases)
+    try:  # a finite scale near the float maximum can still overflow a phase
+        with np.errstate(over="raise"):
+            return np.multiply(phases, scale, out=phases)
+    except FloatingPointError:
+        raise ValueError("the phase scale is too large: a phase overflows a float") from None
 
 
 def small_g_curvature(omega_s: float, sigma: float, convention: ToneConvention) -> float:

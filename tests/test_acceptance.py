@@ -18,6 +18,8 @@ from scipy.stats import chi2
 
 from ramsey_sensing.cli import main
 from ramsey_sensing.experiments import (
+    FIG3_PARAMS,
+    _fidelity_grid,
     run_experiment_replica,
     run_fidelity_degradation,
     run_fig3,
@@ -25,6 +27,7 @@ from ramsey_sensing.experiments import (
 from ramsey_sensing.montecarlo import estimate_population, simulate_shots
 from ramsey_sensing.sensitivity import (
     compensation_threshold,
+    continuous_optimal_u,
     excess_sensors,
     gmin_constant,
     gmin_gaussian_kernel,
@@ -110,6 +113,33 @@ def test_sensor_compensation_follows_inverse_square_fidelity():
         assert m_const == expected, f"constant compensation at F={f}"
         assert 0.7 / f**2 <= th_var <= 1.5 / f**2, f"variance threshold at F={f}"
         assert m_var == math.ceil(th_var), f"variance count at F={f}"
+
+
+def test_compensation_law_holds_in_each_regime():
+    """At fig3's N = 1000 (NM >= 1000, the projection-noise-floor regime),
+    T2 = 10 ms and tones, over the whole fidelity grid: the constant signal
+    recovers with exactly M F^2 = 1; the variance signal needs
+    1 <= M F^2 <= e^2 u1^2 c1^2 / (4 (1 - c1^2)) = 1.19631, its NM -> infinity
+    limit; the intermittent signal needs more than the variance one at every
+    F < 1. Budget: 1 second."""
+    start = time.perf_counter()
+    u1 = continuous_optimal_u(1.0)
+    c1 = math.exp(-u1 / 2.0)
+    limit = math.e**2 * u1**2 * c1**2 / (4.0 * (1.0 - c1**2))
+    tones = {"omega_s": FIG3_PARAMS["omega_s"], "sigma": FIG3_PARAMS["sigma"]}
+    rows = []
+    for f in _fidelity_grid():
+        m_f2 = {scenario: compensation_threshold(scenario, f, n_shots=1000, t2=10e-3,
+                                                 **tones) * f * f
+                for scenario in ("constant", "variance", "intermittent")}
+        rows.append((f, m_f2))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f} s"
+    for f, m_f2 in rows:
+        assert abs(m_f2["constant"] - 1.0) <= 1e-12, f"constant at F={f}"
+        assert 1.0 <= m_f2["variance"] <= limit, f"variance at F={f}"
+        if f < 1.0:
+            assert m_f2["intermittent"] > m_f2["variance"], f"intermittent at F={f}"
 
 
 def test_contrast_loss_inversion_root_is_positive_branch():

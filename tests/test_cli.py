@@ -429,6 +429,19 @@ def test_a_phase_past_the_float_range_is_a_usage_error(capsys, tmp_path, scenari
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_finite_phase_scale_that_overflows_a_phase_is_a_usage_error(capsys, tmp_path):
+    # the scale 2 pi * 2e153 * 1e154 = 1.26e308 is finite, but a phase past
+    # 1.43 standard deviations is not, and seed 1 draws one in its 10 shots
+    rc = main(["simulate", "--scenario", "stochastic", "--g-hz", "2e153", "--ti", "1e154",
+               "--t2", "1.3e154", "--fidelity", "0.5", "--n", "10", "--m", "1", "--seed", "1",
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestReplicaCommand:
     def test_replica_run(self, capsys, tmp_path):
         out = tmp_path / "replica"

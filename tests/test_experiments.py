@@ -371,7 +371,7 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("case, sha16", [
         ("fig2", "b2918a6c07a82f9b"),
-        ("fig3", "b40464e0ecb05b44"),
+        ("fig3", "c1f69044523d7ede"),
         ("replica", "49f318ee6098d63e"),
         ("degrade", "68ed4687bd2c0f71"),
         ("replica_unit_excess", "73fd16376898d03c"),

@@ -96,6 +96,18 @@ class TestSimulateShots:
             with pytest.raises(ValueError):
                 simulate_shots(spec, SENSOR, EnsembleConfig(10, 1), t_i, derive_stream(41, 13))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_phase_past_the_float_range_is_rejected(self, m):
+        # the scale g*t_i = 1.69e308 is finite, but a standard normal above
+        # 1.07 makes the phase overflow; 1000 shots all stay below with
+        # probability 0.72^1000, so every stream hits one
+        spec = StochasticAmplitude(1.3e154)
+        for seed in range(5):
+            with pytest.raises(ValueError, match="phase overflows"):
+                simulate_shots(spec, SensorModel(0.5, 0.01), EnsembleConfig(1000, m), 1.3e154,
+                               derive_stream(seed, 2))
+
 
 @st.composite
 def _signal_and_window(draw):

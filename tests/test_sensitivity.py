@@ -549,6 +549,34 @@ class TestExcessSensors:
             excess_sensors(0.5, 6.0)
 
 
+class TestCompensationLimits:
+    """The finite-N compensation count converges, as N^(-1/2), to the
+    NM -> infinity limits that excess_sensors is built from."""
+
+    TONES = {"omega_s": TWO_PI * 1000, "sigma": TWO_PI * 500}  # fig3's tones
+    T2, N = 10e-3, 10**9
+
+    @pytest.mark.parametrize("fidelity", [0.9, 0.5, 0.2, 0.1, 0.05])
+    def test_burst_over_continuous_count_is_the_excess_factor(self, fidelity):
+        kwargs = dict(n_shots=self.N, t2=self.T2)
+        burst = compensation_threshold("intermittent", fidelity, **kwargs, **self.TONES)
+        continuous = compensation_threshold("variance", fidelity, **kwargs)
+        t1_over_t2 = TWO_PI / self.TONES["omega_s"] / self.T2
+        assert burst / continuous == pytest.approx(excess_sensors(fidelity, t1_over_t2),
+                                                   rel=1e-3)
+
+    def test_variance_count_reaches_the_closed_form_limit(self):
+        # e^2 u1^2 c1^2 / (4 (1 - c1^2)): the F -> 0 limit of M F^2, with c1
+        # the unity sensor's contrast at its optimal time sqrt(u1) T2
+        u1 = continuous_optimal_u(1.0)
+        c1 = math.exp(-u1 / 2.0)
+        limit = math.e**2 * u1**2 * c1**2 / (4.0 * (1.0 - c1**2))
+        assert limit == pytest.approx(1.19631, abs=1e-5)
+        f = 1e-3
+        th = compensation_threshold("variance", f, n_shots=self.N, t2=self.T2)
+        assert th * f * f == pytest.approx(limit, rel=1e-4)
+
+
 class TestQpnVarianceConsistency:
     def test_snr_uses_population_level_noise(self):
         # one hand-checked value ties exact_snr to its two ingredients

@@ -72,7 +72,7 @@ def test_traced_replica_pipelines_match_an_untraced_run(tmp_path):
     # 22 grid points of 11 replica and 2 degrade repetitions, 1000 shots each
     (_pipelines, 6, 22 * 11 * 1000 + 22 * 2 * 1000),
     # 120 Monte-Carlo points of 2000 shots
-    (lambda: run_fig3(42, mc_shots=2000), 574, 240_000),
+    (lambda: run_fig3(42, mc_shots=2000), 569, 240_000),
 ], ids=["replica+degrade", "fig3"])
 def test_declared_layer_metrics_are_numbers(iteration, solves, shots):
     # the benchmark prints each declared per-layer metric; one that has lost
