@@ -18,7 +18,7 @@ from ramsey_sensing.estimators import (
 from ramsey_sensing.montecarlo import estimate_population, simulate_shots
 from ramsey_sensing.sensitivity import gmin_intermittent
 from ramsey_sensing.sensor import EnsembleConfig, SensorModel, contrast
-from ramsey_sensing.signals import IntermittentTwoTone
+from ramsey_sensing.signals import IntermittentTwoTone, phase_variance_exact, sample_phases
 from ramsey_sensing.streams import derive_stream
 
 TWO_PI = 2 * math.pi
@@ -38,6 +38,13 @@ print(f"fringe contrast at the burst time: {contrast(sensor, T1):.4f}")
 analytic = gmin_intermittent(sensor, ensemble, OMEGA_S, SIGMA)
 print(f"closed-form g_min: {analytic.g_min / TWO_PI:.1f} Hz "
       f"(validity={analytic.validity})")
+
+# a shot's phase over one burst is Gaussian: its spread is what washes out
+# the fringe, so the mean population carries g
+spec = IntermittentTwoTone(OMEGA_S, TWO_PI * 240.0, SIGMA, T1)
+phases = sample_phases(spec, 100_000, T1, derive_stream(SEED, 1))
+print(f"phase std over one burst at g = 240 Hz: {phases.std():.4f} rad "
+      f"(exact {math.sqrt(phase_variance_exact(spec, T1)):.4f})")
 
 # scan applied separations across the closed-form threshold, a few
 # repetitions each, and estimate g back from the mean population

@@ -240,12 +240,12 @@ def run_fig3(
 
     t_coarse = [round(k * 2.5e-4, 10) for k in range(1, 121)]
 
-    def mc_point(point) -> tuple[float, float]:
-        t_i, rng = point
-        return t_i, mc_snr(spec, sensor, ensemble, t_i, rng, mc_shots)
+    def mc_point(k: int) -> tuple[float, float]:
+        # a stream per task: the pool takes all items at once, outliving a family's yields
+        rng = derive_stream(seed, _NS_FIG3, 0, k)
+        return t_coarse[k], mc_snr(spec, sensor, ensemble, t_coarse[k], rng, mc_shots)
 
-    mc = _pmap(mc_point, zip(t_coarse, derive_stream(seed, _NS_FIG3, 0, shape=(len(t_coarse),))),
-               threads)
+    mc = _pmap(mc_point, range(len(t_coarse)), threads)
     report.tables["fig3a_snr_mc"] = _columns(("t_i_s", "snr"), mc)
 
     snr_by_t = dict(analytic)

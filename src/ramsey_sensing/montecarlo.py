@@ -3,7 +3,7 @@
 One shot draws a single accrued phase shared by all M sensors (they see the
 same field simultaneously) and then M independent projective outcomes, so
 the recorded excited count is binomial with the shot's probability. The
-phase comes straight from its exact distribution (`signals.sample_phases`:
+phase comes straight from its exact distribution (as `signals.sample_phases`:
 one normal per shot, none for a constant signal), and a single sensor's
 outcome is one uniform compared with p. The population estimate
 p_hat = sum(k)/(N*M) is unbiased and its noise floor is the projection-noise
@@ -28,15 +28,14 @@ therefore the bits of the exact comparison, and the stream is consumed
 exactly as without the screen.
 
 Many tables of one setting are simulated in one call, one stream per
-table: each stream draws its own table's phases and uniforms, and the
-screen runs over 8192-shot blocks of the flat buffer that holds them all,
-so small tables pay the per-call cost of numpy once per block, not once
-per table. A study holds their counts as one stack of shape (..., N), one
-table per row. The population estimate reduces the last axis, and every
-Monte-Carlo channel takes one table or a stack together with one stream
-per table in row order. Everywhere, row r draws only from its own stream
-and gets exactly the bits its table would get alone: a counter-based
-stream depends only on its key, so batching the rows changes no bit.
+table, each taken only after the last is spent on its own table's phases
+and uniforms. The screen runs over 8192-shot blocks of the flat buffer
+that holds them all, so small tables pay the per-call cost of numpy once
+per block, not once per table. A study holds their counts as one stack of
+shape (..., N), one table per row. The population estimate reduces the
+last axis, and every Monte-Carlo channel takes one table or a stack with
+one stream per table, in row order: row r draws only from its own stream
+and gets exactly the bits its table gets alone.
 """
 
 from __future__ import annotations
@@ -44,12 +43,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sized
 
 import numpy as np
 
 from .sensor import EnsembleConfig, SensorModel, contrast, excitation_probability
-from .signals import SignalSpec, sample_phases
+from .signals import SignalSpec, _fill_phases, _phase_overflow, _phase_scale
 
 __all__ = [
     "ShotTable",
@@ -112,33 +111,35 @@ def simulate_shots(
 
     rng is one stream, or an iterable of R streams giving R tables of one
     setting: the counts hold them flat, table r in counts[r*N:(r+1)*N].
-    Each stream is consumed as its table's N phases, then its N uniforms
-    (M = 1) or N binomial counts (M > 1), exactly as it would be alone, so
-    a table's bits do not depend on the tables simulated with it. For
-    M = 1 the call allocates one R*N-element buffer: it holds the phases,
-    then the counts decided from them 8192 shots at a time, whatever the
-    table boundaries, so many small tables cost as few numpy calls as one
-    large table. Each outcome is u < excitation_probability(sensor, t_i,
-    phi) bit for bit: a float32 cosine decides it wherever its error bound
-    allows, and the exact p decides the rest (see the module docstring).
+    The streams are taken strictly in order, as a derive_stream family
+    needs, each spent on its table's N phases, then its N uniforms (M = 1)
+    or binomial counts (M > 1), exactly as alone. One R*N buffer holds the
+    phases, then the counts, for M = 1 decided 8192 shots at a time across
+    table boundaries, so small tables cost as few numpy calls as one large
+    one. Each outcome is u < excitation_probability(sensor, t_i, phi) bit
+    for bit, from a float32 cosine screen with an exact fallback (see the module docstring).
     """
     n, m = ensemble.n_shots, ensemble.m_sensors
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    phi = sample_phases(spec, n, t_i, rngs)
+    rngs = rng if isinstance(rng, Sized) else (
+        [rng] if isinstance(rng, np.random.Generator) else list(rng))
+    scale = _phase_scale(spec, t_i)
+    phi = np.empty(len(rngs) * n)
     counts = phi.view(np.int64)
-    if m > 1:
-        p = excitation_probability(sensor, t_i, phi)
-        for r, stream in enumerate(rngs):
-            counts[r * n:(r + 1) * n] = stream.binomial(m, p[r * n:(r + 1) * n])
-        return ShotTable(counts)
     size = min(len(phi), _BLOCK)
     u, d, x = np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
-    for lo in range(0, len(phi), _BLOCK):
-        hi = min(lo + _BLOCK, len(phi))
-        for r in range(lo // n, (hi - 1) // n + 1):  # the tables this block meets
-            a, b = max(lo, r * n), min(hi, (r + 1) * n)
-            rngs[r].random(out=u[a - lo:b - lo])
-        _decide(sensor, t_i, phi[lo:hi], u[:hi - lo], counts[lo:hi], x[:hi - lo], d[:hi - lo])
+    with _phase_overflow():
+        for t0, stream in zip(range(0, len(phi), n), rngs):
+            table = _fill_phases(spec, scale, stream, phi[t0:t0 + n])
+            if m > 1:
+                counts[t0:t0 + n] = stream.binomial(m, excitation_probability(sensor, t_i, table))
+                continue
+            for lo in range(t0 - t0 % _BLOCK, t0 + n, _BLOCK):  # the blocks the table meets
+                hi = min(lo + _BLOCK, len(phi))
+                a, b = max(lo, t0), min(hi, t0 + n)
+                stream.random(out=u[a - lo:b - lo])
+                if b == hi:  # the block's last table
+                    _decide(sensor, t_i, phi[lo:hi], u[:hi - lo], counts[lo:hi], x[:hi - lo],
+                            d[:hi - lo])
     return ShotTable(counts)
 
 

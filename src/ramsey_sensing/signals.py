@@ -17,10 +17,10 @@ coefficient row; they serve as its reference.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -228,10 +228,7 @@ def _phase_scale(spec: SignalSpec, t_i: float) -> float:
     return scale
 
 
-def sample_phases(
-    spec: SignalSpec, n: int, t_i: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> np.ndarray:
+def sample_phases(spec: SignalSpec, n: int, t_i: float, rng: np.random.Generator) -> np.ndarray:
     """Draw the accrued phases of n independent shots over [0, t_i].
 
     Same distribution as accrued_phases(spec, sample_realizations(spec, n,
@@ -239,24 +236,27 @@ def sample_phases(
     draw), N(0, (g*t_i)^2) for StochasticAmplitude, and
     N(0, phase_variance_exact) for the two-tone classes, whose phase is a
     fixed linear combination of four i.i.d. normal amplitudes.
-
-    rng is one stream, giving shape (n,), or a sequence of R streams,
-    giving R tables flat in shape (R*n,): table r, phases[r*n:(r+1)*n], is
-    drawn from stream r alone, exactly as that stream would draw it by
-    itself. The scale is computed once per call.
     """
     scale = _phase_scale(spec, t_i)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    with _phase_overflow():
+        return _fill_phases(spec, scale, rng, np.empty(n))
+
+
+def _fill_phases(spec: SignalSpec, scale: float, rng, out: np.ndarray) -> np.ndarray:
+    """Fill out with the phases of sample_phases at its scale, and return it."""
     if isinstance(spec, Constant):
-        return np.full(len(rngs) * n, scale)
-    # in place, the values of stream.normal(0.0, scale, n): one standard
-    # normal per shot times the scale
-    phases = np.empty(len(rngs) * n)
-    for r, stream in enumerate(rngs):
-        stream.standard_normal(out=phases[r * n:(r + 1) * n])
-    try:  # a finite scale near the float maximum can still overflow a phase
+        out.fill(scale)
+        return out
+    # in place, the values of rng.normal(0.0, scale, len(out))
+    return np.multiply(rng.standard_normal(out=out), scale, out=out)
+
+
+@contextlib.contextmanager
+def _phase_overflow():
+    """A float overflow as ValueError: a finite scale can still overflow a phase."""
+    try:
         with np.errstate(over="raise"):
-            return np.multiply(phases, scale, out=phases)
+            yield
     except FloatingPointError:
         raise ValueError("the phase scale is too large: a phase overflows a float") from None
 

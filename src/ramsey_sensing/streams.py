@@ -6,24 +6,25 @@ independently of execution order and worker count.
 
 A stream is ``Generator(Philox(SeedSequence(master_seed, spawn_key=path)))``.
 Philox is counter-based, so its 128-bit key alone fixes the stream (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and that key is
-the seed sequence's ``generate_state(2, np.uint64)``. ``_philox_keys`` ports
-that hash, O'Neill's ``seed_seq_fe`` (pcg-random.org, 2015, as numpy's
-``SeedSequence`` implements it), to uint32 arithmetic over a whole block of
-keys at once: the words every key shares (the seed, the path) are mixed
-once as Python integers, and only the index words that differ are mixed as
-arrays. Each key then reaches Philox through ``_Key``, a registered
-``numpy.random.bit_generator.ISeedSequence`` that answers Philox's one
-request with the key, so no entropy pool is built per stream. It is
-registered on first use, so importing this module does not load
-``numpy.random``. A derived generator cannot ``spawn``: a longer path
-derives a child stream instead.
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11); the key is the
+seed sequence's ``generate_state(2, np.uint64)``. ``_philox_keys`` ports that
+hash, O'Neill's ``seed_seq_fe`` (pcg-random.org, 2015, as numpy implements
+it), to uint32 arithmetic over a block of keys, mixing the words all keys
+share once and only the index words as arrays. A key reaches Philox through
+``_Key``, an ``ISeedSequence`` registered on first use (so importing this
+module does not load ``numpy.random``) that answers Philox's one request
+with it. A shaped call re-keys one generator's Philox to each index's fresh
+state through the public ``BitGenerator.state`` setter: a yield is valid
+until the iterator advances, as an ``itertools.groupby`` group is, and its
+``bit_generator.seed_seq`` reports the family's first key. No derived
+generator can ``spawn``: a longer path derives a child stream instead.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -124,6 +125,24 @@ class _Key:
         return self.key
 
 
+class _Family(Iterator):
+    """One generator, re-keyed in place to each key in turn; len() counts the keys left."""
+
+    def __init__(self, generator, keys: np.ndarray):
+        self._generator, self._keys = generator, iter(keys)
+        # a freshly keyed Philox: counter 0, output buffer spent, no spare 32-bit half
+        self._state = {"bit_generator": "Philox", "state": {"counter": [0] * 4},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def __len__(self) -> int:
+        return operator.length_hint(self._keys)
+
+    def __next__(self) -> np.random.Generator:
+        self._state["state"]["key"] = next(self._keys).tolist()
+        self._generator.bit_generator.state = self._state
+        return self._generator
+
+
 @functools.cache
 def _stream_types():
     """Generator and Philox, with _Key registered as a seed sequence; loads
@@ -145,8 +164,8 @@ def derive_stream(
     independent Philox streams. The seed must fit in 64 unsigned bits and
     each path component and index in 32: SeedSequence splits a wider
     component into 32-bit words, so (s, 2**32) would draw the same stream as
-    (s, 0, 1). A shaped call hashes all its keys at once and builds each
-    generator only when the iterator reaches it.
+    (s, 0, 1). A shaped call hashes all its keys at once; its iterator
+    re-keys one generator per index and its len() counts the indices left.
     """
     if not (_is_int(master_seed) and 0 <= master_seed <= 0xFFFFFFFFFFFFFFFF):
         raise ValueError("master_seed must be an integer that fits in an unsigned 64-bit integer")
@@ -159,5 +178,5 @@ def derive_stream(
     keys = _philox_keys(int(master_seed), [int(p) for p in path],
                         () if shape is None else tuple(int(d) for d in shape))
     generator, philox = _stream_types()
-    streams = (generator(philox(_Key(key))) for key in keys)
-    return next(streams) if shape is None else streams
+    first = generator(philox(_Key(keys[0]))) if len(keys) else None
+    return first if shape is None else _Family(first, keys)

@@ -494,3 +494,44 @@ class TestOneStreamPerTable:
     def test_a_bare_generator_is_rejected(self, channel, strength):
         with pytest.raises(ValueError, match="one stream per table"):
             self.CHANNELS[channel](derive_stream(41, 37), strength)
+
+
+def _oracle_streams(seed, *path, shape):
+    """One generator per index, built from numpy's SeedSequence alone."""
+    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=(*path, *index)))) for index in np.ndindex(shape)]
+
+
+class TestChannelsOnAStreamFamily:
+    """Each channel run on a shaped derive_stream family gives what it gives
+    table by table on generators built without derive_stream, so a fault in
+    re-keying the family's one generator cannot hide on both sides."""
+
+    SPEC, T_I = IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 290, TWO_PI * 275, 0.5e-3), 0.5e-3
+    SENSOR = SensorModel(0.9, 10e-3, theta=math.pi / 2)  # p near 1/2
+
+    # 8193 shots cross the screen's 8192-shot blocks
+    @pytest.mark.parametrize("n, m", [(1000, 1), (8193, 1), (1000, 3)])
+    def test_simulate_shots(self, n, m):
+        ens = EnsembleConfig(n, m)
+        batch = simulate_shots(self.SPEC, self.SENSOR, ens, self.T_I,
+                               derive_stream(43, 1, shape=(5,)))
+        alone = [simulate_shots(self.SPEC, self.SENSOR, ens, self.T_I, rng).counts
+                 for rng in _oracle_streams(43, 1, shape=(5,))]
+        assert np.array_equal(batch.counts, np.concatenate(alone))
+
+    def test_apply_readout_degradation(self):
+        stack = np.random.default_rng(0).random((3, 4, 500)) < 0.3
+        batch = apply_readout_degradation(stack, 0.2, derive_stream(43, 2, shape=(3, 4)))
+        alone = [apply_readout_degradation(stack[index], 0.2, [rng])
+                 for index, rng in zip(np.ndindex(3, 4), _oracle_streams(43, 2, shape=(3, 4)))]
+        assert np.array_equal(batch, np.reshape(alone, stack.shape))
+
+    def test_excess_noise_channel(self):
+        est = estimate_population(np.random.default_rng(1).random((3, 4, 500)) < 0.3, 1)
+        batch = excess_noise_channel(est, 3.0, derive_stream(43, 3, shape=(3, 4)))
+        for index, rng in zip(np.ndindex(3, 4), _oracle_streams(43, 3, shape=(3, 4))):
+            alone = excess_noise_channel(
+                PopulationEstimate(est.p_hat[index], est.std_err[index], est.qpn_err[index]),
+                3.0, [rng])
+            assert (batch.p_hat[index], batch.std_err[index]) == (alone.p_hat, alone.std_err)

@@ -319,18 +319,6 @@ class TestSamplePhases:
         with pytest.raises(ValueError, match="phase scale"):
             sample_phases(spec, 10, t_i, derive_stream(31, 45))
 
-    @pytest.mark.parametrize("spec", [
-        Constant(3.0),
-        StochasticAmplitude(TWO_PI * 50),
-        IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 290, TWO_PI * 275, 0.5e-3),
-    ], ids=lambda spec: type(spec).__name__)
-    def test_a_sequence_of_streams_gives_their_phases_flat(self, spec):
-        rows, n, t_i = 5, 301, 0.4e-3
-        flat = sample_phases(spec, n, t_i, list(derive_stream(31, 46, shape=(rows,))))
-        alone = [sample_phases(spec, n, t_i, rng) for rng in derive_stream(31, 46, shape=(rows,))]
-        assert flat.shape == (rows * n,)
-        assert np.array_equal(flat, np.concatenate(alone))
-
 
 class TestSmallGCurvature:
     def test_matches_exact_variance_at_small_separation(self):

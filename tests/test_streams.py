@@ -100,3 +100,35 @@ def test_a_stream_key_answers_only_the_philox_request():
     for n_words, dtype in ((4, np.uint64), (2, np.uint32)):
         with pytest.raises(ValueError):
             seq.generate_state(n_words, dtype)
+
+
+def test_a_family_re_keys_one_generator_to_a_fresh_state():
+    # three 32-bit draws leave a spare half (has_uint32, uinteger) and take
+    # two of a Philox block's four words (the counter, buffer and
+    # buffer_pos mid-block); the next yield must draw as a new generator
+    family = derive_stream(9, 4, shape=(4,))
+    assert len(family) == 4
+    first = next(family)
+    first.random(3, dtype=np.float32)
+    for index in range(1, 4):
+        g = next(family)
+        assert g is first and len(family) == 3 - index
+        oracle = _oracle(9, (4, index))
+        assert g.random(3, dtype=np.float32).tolist() == oracle.random(3, dtype=np.float32).tolist()
+        assert g.integers(0, 2**63, size=3).tolist() == oracle.integers(0, 2**63, size=3).tolist()
+        assert g.random(5).tolist() == oracle.random(5).tolist()
+    assert next(family, None) is None
+
+
+def test_a_family_generator_reports_the_first_key_and_cannot_spawn():
+    g = next(derive_stream(5, 1, shape=(2, 2)))
+    assert g.bit_generator.seed_seq.generate_state(2, np.uint64).tolist() == (
+        np.random.SeedSequence(5, spawn_key=(1, 0, 0)).generate_state(2, np.uint64).tolist())
+    with pytest.raises(TypeError):
+        g.spawn(1)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+def test_a_shape_of_size_zero_yields_nothing(shape):
+    family = derive_stream(1, 2, shape=shape)
+    assert len(family) == 0 and list(family) == []
