@@ -48,7 +48,7 @@ from typing import Iterable, Sized
 import numpy as np
 
 from .sensor import EnsembleConfig, SensorModel, contrast, excitation_probability
-from .signals import SignalSpec, _fill_phases, _phase_overflow, _phase_scale
+from .signals import SignalSpec, _fill_phases, _phase_scale
 
 __all__ = [
     "ShotTable",
@@ -127,19 +127,18 @@ def simulate_shots(
     counts = phi.view(np.int64)
     size = min(len(phi), _BLOCK)
     u, d, x = np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
-    with _phase_overflow():
-        for t0, stream in zip(range(0, len(phi), n), rngs):
-            table = _fill_phases(spec, scale, stream, phi[t0:t0 + n])
-            if m > 1:
-                counts[t0:t0 + n] = stream.binomial(m, excitation_probability(sensor, t_i, table))
-                continue
-            for lo in range(t0 - t0 % _BLOCK, t0 + n, _BLOCK):  # the blocks the table meets
-                hi = min(lo + _BLOCK, len(phi))
-                a, b = max(lo, t0), min(hi, t0 + n)
-                stream.random(out=u[a - lo:b - lo])
-                if b == hi:  # the block's last table
-                    _decide(sensor, t_i, phi[lo:hi], u[:hi - lo], counts[lo:hi], x[:hi - lo],
-                            d[:hi - lo])
+    for t0, stream in zip(range(0, len(phi), n), rngs):
+        table = _fill_phases(spec, scale, stream, phi[t0:t0 + n])
+        if m > 1:
+            counts[t0:t0 + n] = stream.binomial(m, excitation_probability(sensor, t_i, table))
+            continue
+        for lo in range(t0 - t0 % _BLOCK, t0 + n, _BLOCK):  # the blocks the table meets
+            hi = min(lo + _BLOCK, len(phi))
+            a, b = max(lo, t0), min(hi, t0 + n)
+            stream.random(out=u[a - lo:b - lo])
+            if b == hi:  # the block's last table
+                _decide(sensor, t_i, phi[lo:hi], u[:hi - lo], counts[lo:hi], x[:hi - lo],
+                        d[:hi - lo])
     return ShotTable(counts)
 
 

@@ -17,7 +17,6 @@ coefficient row; they serve as its reference.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -38,6 +37,10 @@ __all__ = [
     "phase_variance_exact",
     "small_g_curvature",
 ]
+
+# numpy's standard normals stay below 14 in magnitude (the ziggurat's tail
+# on 53-bit uniforms), so a phase can overflow only at a scale above this
+_UNCHECKED_SCALE = float(np.finfo(np.float64).max) / 2.0**10
 
 
 class ToneConvention(enum.Enum):
@@ -237,9 +240,7 @@ def sample_phases(spec: SignalSpec, n: int, t_i: float, rng: np.random.Generator
     N(0, phase_variance_exact) for the two-tone classes, whose phase is a
     fixed linear combination of four i.i.d. normal amplitudes.
     """
-    scale = _phase_scale(spec, t_i)
-    with _phase_overflow():
-        return _fill_phases(spec, scale, rng, np.empty(n))
+    return _fill_phases(spec, _phase_scale(spec, t_i), rng, np.empty(n))
 
 
 def _fill_phases(spec: SignalSpec, scale: float, rng, out: np.ndarray) -> np.ndarray:
@@ -248,15 +249,12 @@ def _fill_phases(spec: SignalSpec, scale: float, rng, out: np.ndarray) -> np.nda
         out.fill(scale)
         return out
     # in place, the values of rng.normal(0.0, scale, len(out))
-    return np.multiply(rng.standard_normal(out=out), scale, out=out)
-
-
-@contextlib.contextmanager
-def _phase_overflow():
-    """A float overflow as ValueError: a finite scale can still overflow a phase."""
-    try:
+    rng.standard_normal(out=out)
+    if scale < _UNCHECKED_SCALE:
+        return np.multiply(out, scale, out=out)
+    try:  # a finite scale near the float maximum can still overflow a phase
         with np.errstate(over="raise"):
-            yield
+            return np.multiply(out, scale, out=out)
     except FloatingPointError:
         raise ValueError("the phase scale is too large: a phase overflows a float") from None
 

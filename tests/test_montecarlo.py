@@ -508,15 +508,15 @@ class TestChannelsOnAStreamFamily:
     re-keying the family's one generator cannot hide on both sides."""
 
     SPEC, T_I = IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 290, TWO_PI * 275, 0.5e-3), 0.5e-3
-    SENSOR = SensorModel(0.9, 10e-3, theta=math.pi / 2)  # p near 1/2
+    MID_SENSOR = SensorModel(0.9, 10e-3, theta=math.pi / 2)  # p near 1/2
 
     # 8193 shots cross the screen's 8192-shot blocks
     @pytest.mark.parametrize("n, m", [(1000, 1), (8193, 1), (1000, 3)])
     def test_simulate_shots(self, n, m):
         ens = EnsembleConfig(n, m)
-        batch = simulate_shots(self.SPEC, self.SENSOR, ens, self.T_I,
+        batch = simulate_shots(self.SPEC, self.MID_SENSOR, ens, self.T_I,
                                derive_stream(43, 1, shape=(5,)))
-        alone = [simulate_shots(self.SPEC, self.SENSOR, ens, self.T_I, rng).counts
+        alone = [simulate_shots(self.SPEC, self.MID_SENSOR, ens, self.T_I, rng).counts
                  for rng in _oracle_streams(43, 1, shape=(5,))]
         assert np.array_equal(batch.counts, np.concatenate(alone))
 
