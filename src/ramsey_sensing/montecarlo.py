@@ -117,7 +117,8 @@ def simulate_shots(
     phases, then the counts, for M = 1 decided 8192 shots at a time across
     table boundaries, so small tables cost as few numpy calls as one large
     one. Each outcome is u < excitation_probability(sensor, t_i, phi) bit
-    for bit, from a float32 cosine screen with an exact fallback (see the module docstring).
+    for bit, from a float32 cosine screen with an exact fallback (see the
+    module docstring).
     """
     n, m = ensemble.n_shots, ensemble.m_sensors
     rngs = rng if isinstance(rng, Sized) else (

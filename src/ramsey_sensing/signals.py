@@ -9,7 +9,7 @@ variant. The sensed quantity is always the accrued phase
 evaluated in closed form. Stochastic amplitudes are frozen within a shot and
 redrawn between shots, so phi is an exactly Gaussian variable for the
 two-tone classes and its variance has a closed form too. The shot engine
-therefore draws phi directly, one normal per shot (`sample_phases`);
+therefore draws phi directly, one normal per shot, as `sample_phases` does;
 `sample_realizations` and `accrued_phases` build the same phase from the
 four amplitudes, and `signal_value` evaluates the waveform of one
 coefficient row; they serve as its reference.
