@@ -109,26 +109,29 @@ def simulate_shots(
 ) -> ShotTable:
     """Simulate N shots of M sensors per stream; phase redrawn every shot.
 
-    rng is one stream, or an iterable of R streams giving R tables of one
-    setting: the counts hold them flat, table r in counts[r*N:(r+1)*N].
-    The streams are taken strictly in order, as a derive_stream family
-    needs, each spent on its table's N phases, then its N uniforms (M = 1)
-    or binomial counts (M > 1), exactly as alone. One R*N buffer holds the
-    phases, then the counts, for M = 1 decided 8192 shots at a time across
-    table boundaries, so small tables cost as few numpy calls as one large
-    one. Each outcome is u < excitation_probability(sensor, t_i, phi) bit
-    for bit, from a float32 cosine screen with an exact fallback (see the
-    module docstring).
+    rng is one stream, or a sized iterable of R streams (a derive_stream
+    family or a list) giving R tables of one setting: the counts hold them
+    flat, table r in counts[r*N:(r+1)*N]. The streams are taken strictly in
+    order, as a derive_stream family needs, each spent on its table's N
+    phases, then its N uniforms (M = 1) or binomial counts (M > 1), exactly
+    as alone. One R*N buffer holds the phases, then the counts, for M = 1
+    decided 8192 shots at a time across table boundaries, so small tables
+    cost as few numpy calls as one large one. Each outcome is
+    u < excitation_probability(sensor, t_i, phi) bit for bit, from a float32
+    cosine screen with an exact fallback (see the module docstring).
     """
     n, m = ensemble.n_shots, ensemble.m_sensors
-    rngs = rng if isinstance(rng, Sized) else (
-        [rng] if isinstance(rng, np.random.Generator) else list(rng))
+    rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
+    if not isinstance(rngs, Sized):
+        raise ValueError("rng must be one stream or a sized iterable of streams")
     scale = _phase_scale(spec, t_i)
     phi = np.empty(len(rngs) * n)
     counts = phi.view(np.int64)
     size = min(len(phi), _BLOCK)
     u, d, x = np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
     for t0, stream in zip(range(0, len(phi), n), rngs):
+        if not isinstance(stream, np.random.Generator):
+            raise ValueError("rng must be one stream or a sized iterable of streams")
         table = _fill_phases(spec, scale, stream, phi[t0:t0 + n])
         if m > 1:
             counts[t0:t0 + n] = stream.binomial(m, excitation_probability(sensor, t_i, table))

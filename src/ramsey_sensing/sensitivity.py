@@ -6,9 +6,11 @@ family (variance and burst frequency-separation estimation), and the
 compensation count; each result carries the integration time t_i at which
 its g_min holds. `gmin_at_optimum` is the one place that maps a scenario
 name to its g_min at its optimal integration time; the pipelines and the
-compensation counts go through it. The count is the kernel inverse
-`_kernel_nm` = `_floor_nm` + 2/x: `compensation_threshold` at finite N, and
-`excess_sensors` the ratio of two of its NM -> infinity limits. Only the
+compensation counts go through it; every optimum over t is a golden-section
+search to 1e-7 T2. The count is the kernel inverse `_kernel_nm` =
+`_floor_nm` + 2/x: `compensation_threshold` is the ratio of two such counts
+at finite N, F over unity fidelity, so F = 1 gives 1 by construction, and
+`excess_sensors` the ratio of two of their NM -> infinity limits. Only the
 tests call the references that back the closed forms: the exact-SNR
 root-finder `root_found_gmin` (by the in-package Brent solver `brentq`,
 with no small-signal expansion), `gmin_continuous_two_tone`, and the
@@ -344,9 +346,14 @@ def snr_curve(
     ]
 
 
+# golden-section tolerance, in T2, of every search over t in (0, 5 T2]; a
+# minimum's error is second order in its argmin's, about 1e-14 here
+_T_TOL = 1e-7
+
+
 def optimal_integration_time(kind: str, sensor: SensorModel, ensemble: EnsembleConfig) -> float:
     """Integration time t_opt (s) minimizing the constant or variance g_min,
-    by golden-section on (0, 5 T2] to 1e-4 T2.
+    by golden-section on (0, 5 T2] to 1e-7 T2.
 
     The variance optimum falls toward sqrt(continuous_optimal_u(F)) T2 as NM
     grows: 1.2624 T2 at F = 1, and sqrt(2) T2 only in the small-F limit.
@@ -358,7 +365,7 @@ def optimal_integration_time(kind: str, sensor: SensorModel, ensemble: EnsembleC
     else:
         raise ValueError(f"unknown scenario kind: {kind}")
     t2 = sensor.t2
-    return _golden_min(lambda t: gmin(sensor, ensemble, t).g_min, 1e-6 * t2, 5.0 * t2, 1e-4 * t2)
+    return _golden_min(lambda t: gmin(sensor, ensemble, t).g_min, 1e-6 * t2, 5.0 * t2, _T_TOL * t2)
 
 
 def gmin_continuous_two_tone(
@@ -476,15 +483,15 @@ def compensation_threshold(
 
     The integer compensation count is the ceiling of this; exposing the real
     threshold separates the physics (how close M*F^2 sits to 1) from integer
-    rounding, which dominates when the count is small. The Gaussian-kernel
-    scenarios invert the kernel root in closed form: intermittent at t1 with
-    x* = kappa g_1^2, variance as the golden-section minimum over t of the
-    N*M needed for x*(t) = t^2 g_1^2/2, where g_1 is the unity sensor's
-    g_min. The kernel root falls strictly as N*M grows, so at F = 1 the only
-    solution is M = 1. F = 1 is returned as a special case, not computed:
-    the variance target comes from optimal_integration_time at 1e-4 T2,
-    coarser than the 1e-7 T2 search here, and the closed form rounds, so a
-    computed value would sit just off 1.0 and its ceiling could become 2.
+    rounding, which dominates when the count is small. The constant signal
+    gives 1/F^2 in closed form. For the Gaussian-kernel scenarios the
+    threshold is a ratio of two kernel counts, count(F)/count(1), where
+    count(f) is the N*M a sensor of fidelity f needs to detect the unity
+    sensor's g_min g_1: intermittent, _kernel_nm at t1 with x = kappa g_1^2;
+    variance, the golden-section minimum over t of the _kernel_nm with
+    x(t) = t^2 g_1^2/2. count(1) is N up to the solver's error, which the
+    ratio cancels, and at F = 1 both counts are one computation, so the
+    threshold is 1 by construction.
     """
     if scenario not in ("constant", "variance", "intermittent"):
         raise ValueError(f"unknown scenario: {scenario}")
@@ -495,20 +502,18 @@ def compensation_threshold(
         return 1.0 / fidelity**2
     target = gmin_at_optimum(scenario, unity, ensemble, omega_s=omega_s, sigma=sigma,
                              convention=convention).g_min
-    if fidelity == 1.0:
-        return 1.0
-    sensor = SensorModel(fidelity, t2)
     if scenario == "variance":
-        def nm_at(t: float) -> float:
-            return _kernel_nm(contrast(sensor, t), t * t * target * target / 2.0)
-        # the minimum's error is second order in the argmin's: about 1e-15 here
-        nm = nm_at(_golden_min(nm_at, 1e-6 * t2, 5.0 * t2, 1e-7 * t2))
+        def count(f: float) -> float:
+            sensor = SensorModel(f, t2)
+            nm_at = lambda t: _kernel_nm(contrast(sensor, t), t * t * target * target / 2.0)
+            return nm_at(_golden_min(nm_at, 1e-6 * t2, 5.0 * t2, _T_TOL * t2))
     else:
-        kappa = small_g_curvature(omega_s, sigma, convention)
-        nm = _kernel_nm(contrast(sensor, 2 * math.pi / omega_s), kappa * target * target)
+        kappa, t1 = small_g_curvature(omega_s, sigma, convention), 2 * math.pi / omega_s
+        count = lambda f: _kernel_nm(contrast(SensorModel(f, t2), t1), kappa * target * target)
+    nm = count(fidelity)
     if not math.isfinite(nm):
         raise ValueError("compensation threshold overflows a float")
-    return nm / n_shots
+    return nm / count(1.0)
 
 
 def continuous_optimal_u(fidelity: float) -> float:

@@ -10,14 +10,12 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC'11); the key is the
 seed sequence's ``generate_state(2, np.uint64)``. ``_philox_keys`` ports that
 hash, O'Neill's ``seed_seq_fe`` (pcg-random.org, 2015, as numpy implements
 it), to uint32 arithmetic over a block of keys, mixing the words all keys
-share once and only the index words as arrays. A key reaches Philox through
-``_Key``, an ``ISeedSequence`` registered on first use (so importing this
-module does not load ``numpy.random``) that answers Philox's one request
-with it. A shaped call re-keys one generator's Philox to each index's fresh
-state through the public ``BitGenerator.state`` setter: a yield is valid
-until the iterator advances, as an ``itertools.groupby`` group is, and its
-``bit_generator.seed_seq`` reports the family's first key. No derived
-generator can ``spawn``: a longer path derives a child stream instead.
+share once and only the index words as arrays. A key reaches Philox as its
+``key=`` argument. A shaped call re-keys one generator's Philox to each
+index's fresh state through the public ``BitGenerator.state`` setter: a
+yield is valid until the iterator advances, as an ``itertools.groupby``
+group is. No derived generator can ``spawn``: a longer path derives a child
+stream instead.
 """
 
 from __future__ import annotations
@@ -111,20 +109,6 @@ def _philox_keys(master_seed: int, path: list[int], shape: tuple[int, ...]) -> n
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _Key:
-    """A Philox key standing in for the seed sequence that hashes to it."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a precomputed key answers only a (2, uint64) request")
-        return self.key
-
-
 class _Family(Iterator):
     """One generator, re-keyed in place to each key in turn; len() counts the keys left."""
 
@@ -141,16 +125,6 @@ class _Family(Iterator):
         self._state["state"]["key"] = next(self._keys).tolist()
         self._generator.bit_generator.state = self._state
         return self._generator
-
-
-@functools.cache
-def _stream_types():
-    """Generator and Philox, with _Key registered as a seed sequence; loads
-    numpy.random on the first stream."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_Key)
-    return np.random.Generator, np.random.Philox
 
 
 def derive_stream(
@@ -177,6 +151,5 @@ def derive_stream(
                          "32 unsigned bits")
     keys = _philox_keys(int(master_seed), [int(p) for p in path],
                         () if shape is None else tuple(int(d) for d in shape))
-    generator, philox = _stream_types()
-    first = generator(philox(_Key(keys[0]))) if len(keys) else None
+    first = np.random.Generator(np.random.Philox(key=keys[0])) if len(keys) else None
     return first if shape is None else _Family(first, keys)

@@ -202,6 +202,18 @@ class TestStreamBatches:
         assert batch.counts.dtype == np.int64 and batch.counts.shape == (rows * n,)
         assert np.array_equal(batch.counts, np.concatenate(alone))
 
+    def test_an_unsized_iterable_of_streams_is_rejected(self):
+        # a generator expression over a family yields its one re-keyed
+        # generator three times: listed, it is one stream under the last key
+        streams = (g for g in derive_stream(1, 2, shape=(3,)))
+        with pytest.raises(ValueError, match="sized iterable"):
+            simulate_shots(CONST_SPEC, SENSOR, EnsembleConfig(10, 1), CONST_TI, streams)
+
+    @pytest.mark.parametrize("rng", [7, "ab", [derive_stream(1, 3), 7]])
+    def test_anything_but_streams_is_rejected(self, rng):
+        with pytest.raises(ValueError, match="sized iterable"):
+            simulate_shots(CONST_SPEC, SENSOR, EnsembleConfig(10, 1), CONST_TI, rng)
+
 
 def _reference_estimate(counts, m):
     """The per-table estimate as a plain loop: mean, std(ddof=1), QPN."""

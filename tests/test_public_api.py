@@ -157,7 +157,7 @@ def test_runtime_imports_no_scipy():
 
 
 def test_runtime_imports_leave_numpy_random_unloaded():
-    # numpy loads numpy.random on first use; streams registers its key class then
+    # numpy loads numpy.random on first use
     code = ("import sys, ramsey_sensing, ramsey_sensing.cli, ramsey_sensing.experiments; "
             "print('numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True,

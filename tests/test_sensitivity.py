@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq as scipy_brentq
@@ -511,6 +511,25 @@ class TestCompensationThresholdProperties:
         with pytest.raises(ValueError, match="overflows"):
             compensation_threshold(scenario, fidelity, n_shots=1000, t2=7.97e-3,
                                  omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
+
+
+class TestThresholdJustBelowUnity:
+    """A sensor a hair below F = 1 detects less than the unity sensor, so it
+    needs at least the one sensor that F = 1 needs: the threshold's two
+    sides are solved alike, and no solver error can push it below 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=st.sampled_from(["variance", "intermittent"]),
+           fidelity=st.floats(1e-15, 1e-8).map(lambda eps: 1.0 - eps),
+           n_shots=st.integers(10**2, 10**6), t2=T2S,
+           omega_s_hz=st.floats(300.0, 3e4), sigma_hz=st.floats(1.0, 1e4))
+    @example(scenario="variance", fidelity=0.9999999999976753, n_shots=502_652, t2=14.5e-3,
+             omega_s_hz=2000.0, sigma_hz=275.0)
+    def test_threshold_is_at_least_one(self, scenario, fidelity, n_shots, t2, omega_s_hz,
+                                       sigma_hz):
+        th = compensation_threshold(scenario, fidelity, n_shots=n_shots, t2=t2,
+                                    omega_s=TWO_PI * omega_s_hz, sigma=TWO_PI * sigma_hz)
+        assert th >= 1.0
 
 
 class TestContinuousOptimum:
