@@ -21,7 +21,6 @@ from .signals import (
     Constant,
     IntermittentTwoTone,
     StochasticAmplitude,
-    ToneConvention,
     TwoToneStochastic,
 )
 from .streams import derive_stream
@@ -34,7 +33,6 @@ __all__ = [
     "IntermittentTwoTone",
     "SensorModel",
     "StochasticAmplitude",
-    "ToneConvention",
     "TwoToneStochastic",
     "derive_stream",
     "gmin_at_optimum",

@@ -41,7 +41,6 @@ from .signals import (
     Constant,
     IntermittentTwoTone,
     StochasticAmplitude,
-    ToneConvention,
     TwoToneStochastic,
     small_g_curvature,
 )
@@ -87,8 +86,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     p.add_argument("--sigma-hz", type=float, default=None)
     p.add_argument("--n", type=int, default=None, help="shots")
     p.add_argument("--m", type=int, default=None, help="sensors per shot")
-    p.add_argument("--convention", choices=tuple(c.value for c in ToneConvention),
-                   default=None)
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write the result as a one-row CSV")
 
@@ -107,8 +104,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, object
     p.add_argument("--theta", type=float, default=None, help="bias phase, rad")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--convention", choices=tuple(c.value for c in ToneConvention),
-                   default=None)
 
     p = sub.add_parser("scan", help="run a study pipeline")
     p.add_argument("preset", choices=("fig2", "fig3"))
@@ -169,7 +164,7 @@ def _print_kv(pairs) -> None:
 # the flags each command path reads
 _ANALYTIC = {"scenario", "n", "m", "csv"}
 _SIMULATE = {"scenario", "g_hz", "fidelity", "t2", "ti", "theta", "n", "m", "seed", "out"}
-_TONES = {"omega_s_hz", "sigma_hz", "convention"}
+_TONES = {"omega_s_hz", "sigma_hz"}
 _READS = {
     "analytic --scenario constant": _ANALYTIC | {"fidelity", "t2", "ti"},
     "analytic --scenario variance": _ANALYTIC | {"fidelity", "t2", "ti"},
@@ -206,9 +201,8 @@ def _reject_unread(args: argparse.Namespace, actions: dict[str, argparse.Action]
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    _default(args, n=1000, m=1, convention=ToneConvention.FULL_SPLIT.value)
+    _default(args, n=1000, m=1)
     ensemble = EnsembleConfig(args.n, args.m)
-    convention = ToneConvention(args.convention)
     echo: list[tuple[str, object]] = [("scenario", args.scenario)]
 
     if args.scenario in ("constant", "variance"):
@@ -220,11 +214,10 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     else:
         _require(args, "omega-s-hz", "sigma-hz")
         omega_s, sigma = TWO_PI * args.omega_s_hz, TWO_PI * args.sigma_hz
-        echo += [("omega_s_hz", args.omega_s_hz), ("sigma_hz", args.sigma_hz),
-                 ("convention", convention.value)]
+        echo += [("omega_s_hz", args.omega_s_hz), ("sigma_hz", args.sigma_hz)]
         if args.contrast is not None:
             # direct-contrast path: the burst closed form needs only C(t1)
-            kappa = small_g_curvature(omega_s, sigma, convention)
+            kappa = small_g_curvature(omega_s, sigma)
             g = gmin_gaussian_kernel(args.contrast, ensemble.total, kappa)
             result = SensitivityResult(g, "closed_form", kappa * g * g < VALIDITY_LIMIT,
                                        t_i=TWO_PI / omega_s)
@@ -232,7 +225,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         else:
             _require(args, "fidelity", "t2")
             sensor = SensorModel(args.fidelity, args.t2)
-            result = gmin_intermittent(sensor, ensemble, omega_s, sigma, convention)
+            result = gmin_intermittent(sensor, ensemble, omega_s, sigma)
             echo += [("fidelity", args.fidelity), ("t2_s", args.t2)]
 
     echo += [("n_shots", args.n), ("m_sensors", args.m)]
@@ -257,17 +250,15 @@ def _signal_from_args(args: argparse.Namespace):
         return StochasticAmplitude(g)
     _require(args, "omega-s-hz", "sigma-hz")
     omega_s, sigma = TWO_PI * args.omega_s_hz, TWO_PI * args.sigma_hz
-    convention = ToneConvention(args.convention)
     if args.scenario == "two_tone":
-        return TwoToneStochastic(omega_s, g, sigma, convention)
+        return TwoToneStochastic(omega_s, g, sigma)
     t_sig = args.t_sig if args.t_sig is not None else TWO_PI / omega_s
-    return IntermittentTwoTone(omega_s, g, sigma, t_sig, convention)
+    return IntermittentTwoTone(omega_s, g, sigma, t_sig)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "fidelity", "t2", "ti", "n", "m")
-    _default(args, seed=0, theta=0.0, out="runs/simulate",
-             convention=ToneConvention.FULL_SPLIT.value)
+    _default(args, seed=0, theta=0.0, out="runs/simulate")
     _check_out(args.out)
     spec = _signal_from_args(args)
     sensor = SensorModel(args.fidelity, args.t2, args.theta)
@@ -277,8 +268,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     counts = simulate_shots(spec, sensor, ensemble, args.ti, rng).counts
     parameters = {"signal": type(spec).__name__, "g_hz": args.g_hz}
     if args.scenario in ("two_tone", "intermittent"):
-        parameters.update(omega_s_hz=args.omega_s_hz, sigma_hz=args.sigma_hz,
-                          convention=args.convention)
+        parameters.update(omega_s_hz=args.omega_s_hz, sigma_hz=args.sigma_hz)
     if args.scenario == "intermittent":
         parameters["t_sig_s"] = spec.t_sig
     parameters.update(fidelity=args.fidelity, t2_s=args.t2, theta_rad=args.theta,

@@ -11,6 +11,10 @@ replica grid is 0.996 at 316 Hz and 0.949 at 1000 Hz. Repetitions aggregate
 by the median of the defined estimates, which is robust to the heavy upper
 tail the exclusion rule creates; a grid point counts as unbiased when that
 median lies within REL_TOL = 10 % of its applied value.
+g is the half-separation: the tones sit at omega_s +/- g, the one reading
+under which the replica's threshold matches the paper's 290 Hz. For a
+separation read as omega_1 - omega_2, pass g = (omega_1 - omega_2)/2; a
+threshold stated as omega_1 - omega_2 is 2*g_min.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ def invert_frequency_separation(
     center period; returns (g_hat, reason), both of p_hat's shape.
 
     p = (1 - C_t e^{-kappa g^2})/2 with kappa the small-g curvature of half
-    the phase variance under the spec's tone convention. The model holds at
+    the phase variance, tones at omega_s +/- g. The model holds at
     bias theta = 0, the only bias accepted. p below the g = 0 baseline
     (1 - C_t)/2 is excluded with code 1, p >= 1/2 with code 2; g_hat is NaN
     there.
-    The inversion reads the spec's tones, period and convention, never its
+    The inversion reads the spec's tones and period, never its
     g, so one call covers a whole scan over g. Each value is inverted with
     math.log, whose last bit np.log does not always match.
     """
@@ -62,7 +66,7 @@ def invert_frequency_separation(
         raise ValueError("frequency-separation estimation requires bias theta = 0")
     c = contrast(sensor, spec.period)
     baseline = (1.0 - c) / 2.0
-    kappa = small_g_curvature(spec.omega_s, spec.sigma, spec.convention)
+    kappa = small_g_curvature(spec.omega_s, spec.sigma)
     reason = np.where(p < baseline, 1, np.where(p >= 0.5, 2, 0)).astype(np.int8)
     g_hat = np.full(p.shape, np.nan)
     defined = reason == 0

@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sized
+from typing import Iterable, Iterator, Sized
 
 import numpy as np
 
@@ -68,6 +68,9 @@ _BLOCK = 8192
 # row is reduced or drawn on its own, so no bit depends on the block size
 _ROW_BLOCK = 32768
 _F32_MAX = float(np.finfo(np.float32).max)
+# the usage errors of the streams each channel takes
+_ONE_OR_SIZED = "rng must be one stream or a sized iterable of streams"
+_PER_TABLE = "rngs must yield one stream per table, each a numpy Generator"
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,14 @@ def simulate_shots(
     n, m = ensemble.n_shots, ensemble.m_sensors
     rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
     if not isinstance(rngs, Sized):
-        raise ValueError("rng must be one stream or a sized iterable of streams")
+        raise ValueError(_ONE_OR_SIZED)
+    streams = _streams(rngs, _ONE_OR_SIZED)
     scale = _phase_scale(spec, t_i)
     phi = np.empty(len(rngs) * n)
     counts = phi.view(np.int64)
     size = min(len(phi), _BLOCK)
     u, d, x = np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
-    for t0, stream in zip(range(0, len(phi), n), rngs):
-        if not isinstance(stream, np.random.Generator):
-            raise ValueError("rng must be one stream or a sized iterable of streams")
+    for t0, stream in zip(range(0, len(phi), n), streams):
         table = _fill_phases(spec, scale, stream, phi[t0:t0 + n])
         if m > 1:
             counts[t0:t0 + n] = stream.binomial(m, excitation_probability(sensor, t_i, table))
@@ -207,9 +209,21 @@ def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
                               qpn_err.reshape(shape))
 
 
-def _check_streams(rngs) -> None:
-    if isinstance(rngs, np.random.Generator):
-        raise ValueError("rngs must yield one stream per table, not be one stream")
+def _streams(rngs, usage: str) -> Iterator[np.random.Generator]:
+    """The streams of rngs, taken lazily and in order. rngs that is not
+    iterable (a bare Generator among them) raises ValueError(usage) at once,
+    an item that is not a Generator when it is reached."""
+    try:
+        items = iter(rngs)
+    except TypeError:
+        raise ValueError(usage) from None
+
+    def checked():
+        for rng in items:
+            if not isinstance(rng, np.random.Generator):
+                raise ValueError(usage)
+            yield rng
+    return checked()
 
 
 def apply_readout_degradation(
@@ -234,7 +248,7 @@ def apply_readout_degradation(
     if counts.dtype != np.bool_ or counts.ndim == 0:
         raise ValueError("readout degradation is defined for single-sensor outcomes, "
                          "given as a bool array")
-    _check_streams(rngs)
+    streams = _streams(rngs, _PER_TABLE)
     if flip_prob == 0.0:
         return counts
     out = counts.copy()
@@ -243,7 +257,6 @@ def apply_readout_degradation(
     step = max(1, _ROW_BLOCK // max(n, 1))
     u = np.empty((min(step, len(rows)), n))
     flips = np.empty(u.shape, dtype=bool)
-    streams = iter(rngs)
     for lo in range(0, len(rows), step):
         block = rows[lo:lo + step]
         k = len(block)
@@ -269,11 +282,11 @@ def excess_noise_channel(
     """
     if not (excess_factor >= 1 and math.isfinite(excess_factor)):
         raise ValueError("excess_factor must be finite and >= 1")
-    _check_streams(rngs)
+    streams = _streams(rngs, _PER_TABLE)
     if excess_factor == 1.0:
         return est
     scale = math.sqrt(excess_factor**2 - 1.0)
     jitter = [rng.normal(0.0, q * scale)
-              for rng, q in zip(rngs, np.ravel(est.qpn_err), strict=True)]
+              for rng, q in zip(streams, np.ravel(est.qpn_err), strict=True)]
     p_hat = np.clip(est.p_hat + np.reshape(jitter, np.shape(est.p_hat)), 0.0, 1.0)
     return replace(est, p_hat=p_hat, std_err=est.std_err * excess_factor)

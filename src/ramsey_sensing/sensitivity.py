@@ -28,7 +28,6 @@ from .sensor import EnsembleConfig, SensorModel, contrast, mean_population, qpn_
 from .signals import (
     Constant,
     SignalSpec,
-    ToneConvention,
     TwoToneStochastic,
     small_g_curvature,
 )
@@ -211,10 +210,9 @@ def gmin_intermittent(
     ensemble: EnsembleConfig,
     omega_s: float,
     sigma: float,
-    convention: ToneConvention = ToneConvention.FULL_SPLIT,
 ) -> SensitivityResult:
     """Minimum detectable tone separation for a one-period burst measurement."""
-    kappa = small_g_curvature(omega_s, sigma, convention)
+    kappa = small_g_curvature(omega_s, sigma)
     t1 = 2 * math.pi / omega_s
     g = gmin_gaussian_kernel(contrast(sensor, t1), ensemble.total, kappa)
     return _closed_form(g, kappa * g * g, t1)
@@ -373,7 +371,6 @@ def gmin_continuous_two_tone(
     ensemble: EnsembleConfig,
     omega_s: float,
     sigma: float,
-    convention: ToneConvention = ToneConvention.FULL_SPLIT,
 ) -> SensitivityResult:
     """Root-found g_min for a continuous two-tone signal at its best time.
 
@@ -386,7 +383,7 @@ def gmin_continuous_two_tone(
     ensemble size and a ValueError is raised. The reference for
     gmin_continuous_kernel in tests/test_sensitivity.py::TestContinuousTwoTone.
     """
-    template = TwoToneStochastic(omega_s, 0.0, sigma, convention)
+    template = TwoToneStochastic(omega_s, 0.0, sigma)
     period = 2 * math.pi / omega_s
     n_max = max(1, int(5.0 * sensor.t2 / period))
 
@@ -413,7 +410,6 @@ def gmin_continuous_kernel(
     ensemble: EnsembleConfig,
     omega_s: float,
     sigma: float,
-    convention: ToneConvention = ToneConvention.FULL_SPLIT,
 ) -> SensitivityResult:
     """Closed-form g_min for a continuous two-tone signal.
 
@@ -424,7 +420,7 @@ def gmin_continuous_kernel(
     this extends to arbitrarily small contrast (the linearization ignores
     saturation), which is also where its validity flag turns False.
     """
-    kappa_1 = small_g_curvature(omega_s, sigma, convention)
+    kappa_1 = small_g_curvature(omega_s, sigma)
     period = 2 * math.pi / omega_s
     n_max = max(1, int(5.0 * sensor.t2 / period))
 
@@ -444,7 +440,6 @@ def gmin_at_optimum(
     *,
     omega_s: float | None = None,
     sigma: float | None = None,
-    convention: ToneConvention = ToneConvention.FULL_SPLIT,
 ) -> SensitivityResult:
     """g_min of a scenario at its own optimal integration time.
 
@@ -466,7 +461,7 @@ def gmin_at_optimum(
         raise ValueError(f"unknown scenario: {scenario}")
     if omega_s is None or sigma is None:
         raise ValueError(f"scenario {scenario} needs omega_s and sigma")
-    return two_tone[scenario](sensor, ensemble, omega_s, sigma, convention)
+    return two_tone[scenario](sensor, ensemble, omega_s, sigma)
 
 
 def compensation_threshold(
@@ -477,7 +472,6 @@ def compensation_threshold(
     t2: float,
     omega_s: float | None = None,
     sigma: float | None = None,
-    convention: ToneConvention = ToneConvention.FULL_SPLIT,
 ) -> float:
     """Real-valued sensor count where g_min(F, M) = g_min(1, 1) exactly.
 
@@ -500,15 +494,14 @@ def compensation_threshold(
     unity, ensemble = SensorModel(1.0, t2), EnsembleConfig(n_shots, 1)
     if scenario == "constant":
         return 1.0 / fidelity**2
-    target = gmin_at_optimum(scenario, unity, ensemble, omega_s=omega_s, sigma=sigma,
-                             convention=convention).g_min
+    target = gmin_at_optimum(scenario, unity, ensemble, omega_s=omega_s, sigma=sigma).g_min
     if scenario == "variance":
         def count(f: float) -> float:
             sensor = SensorModel(f, t2)
             nm_at = lambda t: _kernel_nm(contrast(sensor, t), t * t * target * target / 2.0)
             return nm_at(_golden_min(nm_at, 1e-6 * t2, 5.0 * t2, _T_TOL * t2))
     else:
-        kappa, t1 = small_g_curvature(omega_s, sigma, convention), 2 * math.pi / omega_s
+        kappa, t1 = small_g_curvature(omega_s, sigma), 2 * math.pi / omega_s
         count = lambda f: _kernel_nm(contrast(SensorModel(f, t2), t1), kappa * target * target)
     nm = count(fidelity)
     if not math.isfinite(nm):

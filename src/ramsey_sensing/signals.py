@@ -17,14 +17,12 @@ coefficient row; they serve as its reference.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ToneConvention",
     "Constant",
     "StochasticAmplitude",
     "TwoToneStochastic",
@@ -41,19 +39,6 @@ __all__ = [
 # numpy's standard normals stay below 14 in magnitude (the ziggurat's tail
 # on 53-bit uniforms), so a phase can overflow only at a scale above this
 _UNCHECKED_SCALE = float(np.finfo(np.float64).max) / 2.0**10
-
-
-class ToneConvention(enum.Enum):
-    """How the separation parameter g maps to the two tone frequencies.
-
-    FULL_SPLIT places the tones at omega_s +/- g (default; the small-g
-    population exponent is then 4*pi^2*sigma^2*g^2/omega_s^4). HALF_SPLIT
-    places them at omega_s +/- g/2, the literal reading of "separation
-    g = omega_1 - omega_2".
-    """
-
-    FULL_SPLIT = "full_split"
-    HALF_SPLIT = "half_split"
 
 
 @dataclass(frozen=True)
@@ -83,14 +68,17 @@ class StochasticAmplitude:
 class TwoToneStochastic:
     """B(t) = A1 sin(w1 t) + B1 cos(w1 t) + A2 sin(w2 t) + B2 cos(w2 t).
 
-    The four amplitudes are i.i.d. N(0, sigma^2) per shot. Tones sit at
-    omega_s +/- delta with delta set by the convention.
+    The four amplitudes are i.i.d. N(0, sigma^2) per shot. The tones sit at
+    omega_s +/- g, so the small-g population exponent is
+    4*pi^2*sigma^2*g^2/omega_s^4; this is the reading under which the
+    replica's burst threshold comes out at the paper's 290 Hz. For a
+    separation read as omega_1 - omega_2, pass g = (omega_1 - omega_2)/2; a
+    threshold stated as omega_1 - omega_2 is then 2*g_min.
     """
 
     omega_s: float  # rad/s, center frequency
-    g: float  # rad/s, tone separation parameter
+    g: float  # rad/s, half the tone separation
     sigma: float  # rad/s, std of each quadrature amplitude
-    convention: ToneConvention = ToneConvention.FULL_SPLIT
 
     def __post_init__(self) -> None:
         if not (self.omega_s > 0 and math.isfinite(self.omega_s)):
@@ -110,10 +98,9 @@ class IntermittentTwoTone:
     g: float
     sigma: float
     t_sig: float  # s, burst duration
-    convention: ToneConvention = ToneConvention.FULL_SPLIT
 
     def __post_init__(self) -> None:
-        TwoToneStochastic(self.omega_s, self.g, self.sigma, self.convention)
+        TwoToneStochastic(self.omega_s, self.g, self.sigma)
         # bursts longer than two center-frequency periods are out of scope
         if not (0 < self.t_sig <= 2 * (2 * math.pi / self.omega_s)):
             raise ValueError("t_sig must be in (0, 2*(2*pi/omega_s)]")
@@ -127,9 +114,8 @@ SignalSpec = Constant | StochasticAmplitude | TwoToneStochastic | IntermittentTw
 
 
 def tone_angular_frequencies(spec: TwoToneStochastic | IntermittentTwoTone) -> tuple[float, float]:
-    """(omega_1, omega_2) = omega_s +/- delta under the spec's convention."""
-    delta = spec.g if spec.convention is ToneConvention.FULL_SPLIT else spec.g / 2.0
-    return spec.omega_s + delta, spec.omega_s - delta
+    """(omega_1, omega_2) = omega_s +/- g."""
+    return spec.omega_s + spec.g, spec.omega_s - spec.g
 
 
 def sample_realizations(spec: SignalSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,8 +155,8 @@ def _phase_weights(spec: TwoToneStochastic | IntermittentTwoTone, t_i: float) ->
 
     A sin(wt) integrates to A*(1-cos(w t_i))/w and B cos(wt) to
     B*sin(w t_i)/w; 1-cos is evaluated as 2 sin^2 for small-angle accuracy.
-    A tone at w = 0 (g = omega_s under FULL_SPLIT, 2 omega_s under
-    HALF_SPLIT) takes the w -> 0 limit of both weights, (0, t_i).
+    A tone at w = 0 (g = omega_s) takes the w -> 0 limit of both weights,
+    (0, t_i).
     """
     w1, w2 = tone_angular_frequencies(spec)
     out = np.empty(4)
@@ -259,20 +245,15 @@ def _fill_phases(spec: SignalSpec, scale: float, rng, out: np.ndarray) -> np.nda
         raise ValueError("the phase scale is too large: a phase overflows a float") from None
 
 
-def small_g_curvature(omega_s: float, sigma: float, convention: ToneConvention) -> float:
-    """kappa with Var(phi)/2 ~ kappa*g^2 at t_i = one center period, g -> 0.
-
-    4*pi^2*sigma^2/omega_s^4 under FULL_SPLIT, a quarter of that under
-    HALF_SPLIT.
-    """
+def small_g_curvature(omega_s: float, sigma: float) -> float:
+    """kappa = 4*pi^2*sigma^2/omega_s^4, with Var(phi)/2 ~ kappa*g^2 at t_i =
+    one center period, g -> 0."""
     if not (0 < omega_s < math.inf and 0 < sigma < math.inf):
         raise ValueError("omega_s and sigma must be finite and > 0")
     try:
         kappa = 4 * math.pi**2 * sigma**2 / omega_s**4
     except (OverflowError, ZeroDivisionError):  # sigma^2 or omega_s^4 out of float range
         kappa = math.nan
-    if convention is ToneConvention.HALF_SPLIT:
-        kappa /= 4.0
     if not (0 < kappa < math.inf):
         raise ValueError("omega_s and sigma give a kappa that is not finite and > 0")
     return kappa

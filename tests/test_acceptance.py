@@ -42,7 +42,6 @@ from ramsey_sensing.sensor import (
 )
 from ramsey_sensing.signals import (
     Constant,
-    ToneConvention,
     TwoToneStochastic,
     phase_variance_exact,
     small_g_curvature,
@@ -149,8 +148,7 @@ def test_contrast_loss_inversion_root_is_positive_branch():
     goes negative once NM C^2 > 1 + C^2, so only the positive quadratic
     branch is usable. Budget: 1 second."""
     start = time.perf_counter()
-    kappa_1 = small_g_curvature(TWO_PI * 2000, TWO_PI * 275,
-                                ToneConvention.FULL_SPLIT)
+    kappa_1 = small_g_curvature(TWO_PI * 2000, TWO_PI * 275)
     c_grid = [0.05 + 0.1 * j for j in range(10)]
     nm_grid = [int(round(v)) for v in np.logspace(1, 6, 10)]
     worst = 0.0
@@ -257,8 +255,7 @@ def test_burst_two_tone_sensitivity_reproduces_290_hz():
     limited) lands in [250, 340] Hz and does not improve when 17% excess
     noise is added. Budget: 3 minutes."""
     start = time.perf_counter()
-    kappa = small_g_curvature(TWO_PI * 2000, TWO_PI * 275,
-                              ToneConvention.FULL_SPLIT)
+    kappa = small_g_curvature(TWO_PI * 2000, TWO_PI * 275)
     g_analytic = gmin_gaussian_kernel(0.903, 1000, kappa)
     report = run_experiment_replica(7)
     elapsed = time.perf_counter() - start

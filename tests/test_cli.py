@@ -121,8 +121,8 @@ class TestAnalytic:
         (["--scenario", "intermittent", "--fidelity", "0.9", "--t2", "8e-3",
           "--omega-s-hz", "2000", "--sigma-hz", "275", "--ti", "1"], "--ti"),
         (["--scenario", "constant", "--fidelity", "1", "--t2", "1", "--ti", "1",
-          "--contrast", "0.5", "--sigma-hz", "275", "--convention", "full_split"],
-         "--contrast, --sigma-hz, --convention"),
+          "--contrast", "0.5", "--sigma-hz", "275"],
+         "--contrast, --sigma-hz"),
         (["--scenario", "variance", "--fidelity", "1", "--t2", "1", "--ti", "1",
           "--seed", "3", "--out", "x", "--threads", "2"], "--seed, --out, --threads"),
     ])
@@ -189,7 +189,7 @@ class TestArgumentFile:
     @pytest.mark.parametrize("text, message", [
         ("--seeed 1\n", "unrecognized arguments: --seeed 1"),
         ("--n many\n", "argument --n: invalid int value: 'many'"),
-        ("--convention sideways\n", "argument --convention: invalid choice: 'sideways'"),
+        ("--convention full_split\n", "unrecognized arguments: --convention full_split"),
     ])
     def test_bad_file_flags_exit_2(self, capsys, tmp_path, text, message):
         constant = ["analytic", "--scenario", "constant", "--fidelity", "1", "--t2", "1",
@@ -226,6 +226,27 @@ class TestArgumentFile:
     def test_the_config_flag_is_gone(self, capsys):
         assert run_cli([*self.BURST, "--config", "x"]) == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+# the tones always sit at omega_s +/- g: no command takes a tone convention
+NO_CONVENTION = {
+    "analytic": ["analytic", "--scenario", "intermittent", "--contrast", "0.903",
+                 "--omega-s-hz", "2000", "--sigma-hz", "275"],
+    "simulate": ["simulate", "--scenario", "two_tone", "--g-hz", "120", "--omega-s-hz",
+                 "2000", "--sigma-hz", "275", "--fidelity", "0.9", "--t2", "8e-3",
+                 "--ti", "5e-4", "--n", "40", "--m", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_CONVENTION))
+def test_a_convention_flag_is_unrecognized(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    argv = [*NO_CONVENTION[command], "--convention", "full_split", "--out", str(out)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --convention full_split" in captured.err
+    assert not out.exists()
 
 
 class TestSimulate:
@@ -291,7 +312,7 @@ class TestShotTableIO:
             "seed": 41,
             "parameters": {
                 "signal": "IntermittentTwoTone", "g_hz": 120.0, "omega_s_hz": 2000.0,
-                "sigma_hz": 275.0, "convention": "full_split", "t_sig_s": 6e-4,
+                "sigma_hz": 275.0, "t_sig_s": 6e-4,
                 "fidelity": 0.9, "t2_s": 8e-3, "theta_rad": 0.0, "n_shots": 64,
                 "m_sensors": 1, "t_i_s": 5e-4, "stream_path": [0, 0],
             },
@@ -310,9 +331,8 @@ class TestShotTableIO:
     @pytest.mark.parametrize("scenario, signal, keys", [
         ("constant", "Constant", set()),
         ("stochastic", "StochasticAmplitude", set()),
-        ("two_tone", "TwoToneStochastic", {"omega_s_hz", "sigma_hz", "convention"}),
-        ("intermittent", "IntermittentTwoTone",
-         {"omega_s_hz", "sigma_hz", "convention", "t_sig_s"}),
+        ("two_tone", "TwoToneStochastic", {"omega_s_hz", "sigma_hz"}),
+        ("intermittent", "IntermittentTwoTone", {"omega_s_hz", "sigma_hz", "t_sig_s"}),
     ])
     def test_signal_tags_cover_every_class(self, capsys, tmp_path, scenario, signal, keys):
         flags = self.TONES if keys else []
@@ -527,7 +547,7 @@ UNREAD = [
     *((f"simulate --scenario {scenario}", SHOT_FLAGS, flag, value)
       for scenario in ("constant", "stochastic")
       for flag, value in (("--omega-s-hz", "2000"), ("--sigma-hz", "275"), ("--t-sig", "5e-4"),
-                          ("--convention", "full_split"), ("--threads", "2"))),
+                          ("--threads", "2"))),
     ("simulate --scenario two_tone", SHOT_FLAGS + TONE_FLAGS, "--t-sig", "5e-4"),
     ("simulate --scenario two_tone", SHOT_FLAGS + TONE_FLAGS, "--threads", "2"),
     ("simulate --scenario intermittent", SHOT_FLAGS + TONE_FLAGS, "--threads", "2"),

@@ -28,7 +28,7 @@ from ramsey_sensing.estimators import (
 )
 from ramsey_sensing.io_utils import write_csv
 from ramsey_sensing.sensor import SensorModel, contrast, mean_population
-from ramsey_sensing.signals import IntermittentTwoTone, ToneConvention, small_g_curvature
+from ramsey_sensing.signals import IntermittentTwoTone, small_g_curvature
 
 TWO_PI = 2 * math.pi
 DEFINED, BELOW_BASELINE, OUT_OF_DOMAIN = range(3)
@@ -47,7 +47,7 @@ class TestFrequencySeparationEstimator:
     def test_small_separation_round_trip(self):
         # the inversion assumes the small-g kernel, so drive it with the
         # kernel model rather than the full two-tone response
-        kappa = small_g_curvature(self.SPEC.omega_s, self.SPEC.sigma, ToneConvention.FULL_SPLIT)
+        kappa = small_g_curvature(self.SPEC.omega_s, self.SPEC.sigma)
         c = contrast(self.SENSOR, self.SPEC.period)
         for g_hz in (20.0, 80.0, 300.0):
             g = TWO_PI * g_hz
@@ -132,7 +132,6 @@ class TestFrequencySeparationEstimator:
 TONES = dict(
     omega_s_hz=st.floats(300.0, 3e4),
     sigma_hz=st.floats(1.0, 1e4),
-    convention=st.sampled_from(list(ToneConvention)),
 )
 # contrasts over (0, 1], with extra weight next to 1 and on tiny values
 CONTRASTS = (st.floats(0.0, 1.0, exclude_min=True)
@@ -140,21 +139,20 @@ CONTRASTS = (st.floats(0.0, 1.0, exclude_min=True)
              | st.floats(5e-324, 1e-12))
 
 
-def _burst(omega_s_hz, sigma_hz, convention, g=0.0) -> IntermittentTwoTone:
+def _burst(omega_s_hz, sigma_hz, g=0.0) -> IntermittentTwoTone:
     omega_s = TWO_PI * omega_s_hz
-    return IntermittentTwoTone(omega_s, g, TWO_PI * sigma_hz, TWO_PI / omega_s, convention)
+    return IntermittentTwoTone(omega_s, g, TWO_PI * sigma_hz, TWO_PI / omega_s)
 
 
 class TestFrequencySeparationProperties:
     @settings(max_examples=300, deadline=None)
     @given(p_hat=st.floats(0.0, 1.0), fidelity=st.floats(1e-3, 1.0),
            t2=st.floats(1e-4, 1.0), **TONES)
-    def test_total_on_the_unit_interval(self, p_hat, fidelity, t2, omega_s_hz,
-                                        sigma_hz, convention):
+    def test_total_on_the_unit_interval(self, p_hat, fidelity, t2, omega_s_hz, sigma_hz):
         # every population gives a finite g_hat >= 0 or an exclusion code
         g_hat, reason = invert_frequency_separation(
             p_hat, SensorModel(fidelity, t2),
-            _burst(omega_s_hz, sigma_hz, convention))
+            _burst(omega_s_hz, sigma_hz))
         if reason == DEFINED:
             assert math.isfinite(g_hat) and g_hat >= 0.0
         else:
@@ -163,18 +161,17 @@ class TestFrequencySeparationProperties:
     @settings(max_examples=300, deadline=None)
     @given(log_x=st.floats(-6.0, math.log10(5.0)),
            fidelity=st.floats(0.1, 1.0), t2_over_t1=st.floats(1.0, 1e3), **TONES)
-    def test_inverts_its_own_model(self, log_x, fidelity, t2_over_t1, omega_s_hz,
-                                   sigma_hz, convention):
+    def test_inverts_its_own_model(self, log_x, fidelity, t2_over_t1, omega_s_hz, sigma_hz):
         # x = kappa g^2 in [1e-6, 5] at contrast C(t1) >= 0.1
-        spec = _burst(omega_s_hz, sigma_hz, convention)
+        spec = _burst(omega_s_hz, sigma_hz)
         sensor = SensorModel(fidelity, t2_over_t1 * spec.period)
         c = contrast(sensor, spec.period)
         assume(c >= 0.1)
         x = 10.0**log_x
-        g = math.sqrt(x / small_g_curvature(spec.omega_s, spec.sigma, convention))
+        g = math.sqrt(x / small_g_curvature(spec.omega_s, spec.sigma))
         p = 0.5 * (1.0 - c * math.exp(-x))
         g_hat, reason = invert_frequency_separation(
-            p, sensor, _burst(omega_s_hz, sigma_hz, convention, g))
+            p, sensor, _burst(omega_s_hz, sigma_hz, g))
         assert reason == DEFINED
         assert g_hat == pytest.approx(g, rel=1e-8)
 

@@ -375,7 +375,7 @@ class TestOutputBytes:
         ("replica", "49f318ee6098d63e"),
         ("degrade", "68ed4687bd2c0f71"),
         ("replica_unit_excess", "73fd16376898d03c"),
-        ("simulate_m1", "fd7f80501beb1250"),
+        ("simulate_m1", "b905fe6a13c12fcf"),
         ("simulate_m5", "11846ddfe1580b65"),
     ])
     def test_written_bytes_are_pinned(self, request, capsys, tmp_path, case, sha16):

@@ -492,7 +492,7 @@ class TestExcessNoiseChannel:
 class TestOneStreamPerTable:
     """Both channels take an iterable of streams, one per table in row order;
     a bare Generator is a usage error even where the channel would draw
-    nothing."""
+    nothing, and so is an item that is not a Generator."""
 
     CHANNELS = {
         "flip": lambda rngs, strength: apply_readout_degradation(
@@ -506,6 +506,11 @@ class TestOneStreamPerTable:
     def test_a_bare_generator_is_rejected(self, channel, strength):
         with pytest.raises(ValueError, match="one stream per table"):
             self.CHANNELS[channel](derive_stream(41, 37), strength)
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_an_item_that_is_not_a_stream_is_rejected(self, channel):
+        with pytest.raises(ValueError, match="one stream per table"):
+            self.CHANNELS[channel]([1, 2], 1)
 
 
 def _oracle_streams(seed, *path, shape):

@@ -45,7 +45,6 @@ from ramsey_sensing.sensitivity import (
 from ramsey_sensing.signals import (
     Constant,
     StochasticAmplitude,
-    ToneConvention,
     TwoToneStochastic,
     small_g_curvature,
 )
@@ -159,14 +158,6 @@ class TestIntermittentClosedForm:
         assert res.validity
         assert res.t_i == pytest.approx(0.5e-3, rel=1e-12)
 
-    def test_half_split_convention_doubles_the_threshold(self):
-        sensor = SensorModel(0.9, 10e-3)
-        ens = EnsembleConfig(1000, 1)
-        full = gmin_intermittent(sensor, ens, self.OMEGA_S, self.SIGMA)
-        half = gmin_intermittent(
-            sensor, ens, self.OMEGA_S, self.SIGMA, ToneConvention.HALF_SPLIT)
-        assert_allclose(half.g_min, 2.0 * full.g_min, rtol=1e-12)
-
 
 BAD_TONES = [
     (0.0, TWO_PI * 275.0),
@@ -205,12 +196,6 @@ class TestGminAtOptimum:
         for scenario, direct in expected.items():
             assert gmin_at_optimum(scenario, s, ens, **self.TONES) == direct
         assert gmin_at_optimum("variance", s, ens).t_i == t_var
-
-    def test_convention_reaches_the_two_tone_forms(self):
-        full = gmin_at_optimum("intermittent", self.SENSOR, self.ENS, **self.TONES)
-        half = gmin_at_optimum("intermittent", self.SENSOR, self.ENS, **self.TONES,
-                               convention=ToneConvention.HALF_SPLIT)
-        assert_allclose(half.g_min, 2.0 * full.g_min, rtol=1e-12)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -484,17 +469,16 @@ class TestCompensationThresholdProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(fidelity=FIDELITIES, n_shots=N_SHOTS, t2=T2S,
-           omega_s_hz=st.floats(300.0, 3e4), sigma_hz=st.floats(1.0, 1e4),
-           convention=st.sampled_from(list(ToneConvention)))
+           omega_s_hz=st.floats(300.0, 3e4), sigma_hz=st.floats(1.0, 1e4))
     def test_intermittent_threshold_reproduces_the_unity_target(
-            self, fidelity, n_shots, t2, omega_s_hz, sigma_hz, convention):
+            self, fidelity, n_shots, t2, omega_s_hz, sigma_hz):
         omega_s, sigma = TWO_PI * omega_s_hz, TWO_PI * sigma_hz
         th = compensation_threshold("intermittent", fidelity, n_shots=n_shots, t2=t2,
-                                    omega_s=omega_s, sigma=sigma, convention=convention)
+                                    omega_s=omega_s, sigma=sigma)
         target = gmin_intermittent(SensorModel(1.0, t2), EnsembleConfig(n_shots, 1),
-                                   omega_s, sigma, convention).g_min
+                                   omega_s, sigma).g_min
         c = contrast(SensorModel(fidelity, t2), TWO_PI / omega_s)
-        g = gmin_gaussian_kernel(c, n_shots * th, small_g_curvature(omega_s, sigma, convention))
+        g = gmin_gaussian_kernel(c, n_shots * th, small_g_curvature(omega_s, sigma))
         assert g == pytest.approx(target, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)

@@ -18,7 +18,6 @@ from ramsey_sensing.signals import (
     Constant,
     IntermittentTwoTone,
     StochasticAmplitude,
-    ToneConvention,
     TwoToneStochastic,
     accrued_phases,
     phase_variance_exact,
@@ -71,17 +70,6 @@ class TestToneFrequencies:
     def test_full_split_places_tones_at_omega_plus_minus_g(self):
         spec = TwoToneStochastic(10.0, 3.0, 1.0)
         assert tone_angular_frequencies(spec) == (13.0, 7.0)
-
-    def test_half_split_places_tones_at_omega_plus_minus_half_g(self):
-        spec = TwoToneStochastic(10.0, 3.0, 1.0, ToneConvention.HALF_SPLIT)
-        assert tone_angular_frequencies(spec) == (11.5, 8.5)
-
-    def test_half_split_variance_equals_full_split_at_half_g(self):
-        # same tone positions, so the physics must be identical
-        full = TwoToneStochastic(10.0, 1.5, 1.0, ToneConvention.FULL_SPLIT)
-        half = TwoToneStochastic(10.0, 3.0, 1.0, ToneConvention.HALF_SPLIT)
-        for t in (0.01, 0.4, 1.3):
-            assert phase_variance_exact(half, t) == phase_variance_exact(full, t)
 
 
 class TestSampling:
@@ -232,26 +220,23 @@ class TestPhaseVariance:
 
 
 class TestZeroFrequencyTone:
-    # one tone sits at w = 0: g = omega_s under FULL_SPLIT, 2 omega_s under
-    # HALF_SPLIT; its weights take the w -> 0 limit (0, t_i)
+    # one tone sits at w = 0 when g = omega_s; its weights take the w -> 0
+    # limit (0, t_i)
     OMEGA_S, SIGMA = TWO_PI * 2000, TWO_PI * 275
-    CASES = [(ToneConvention.FULL_SPLIT, 1.0), (ToneConvention.HALF_SPLIT, 2.0)]
 
-    @pytest.mark.parametrize("convention, g_over_omega_s", CASES)
     @pytest.mark.parametrize("cls", [TwoToneStochastic, IntermittentTwoTone])
-    def test_variance_is_finite_and_the_limit_of_nearby_tones(
-            self, cls, convention, g_over_omega_s):
+    def test_variance_is_finite_and_the_limit_of_nearby_tones(self, cls):
         t_i = 0.37e-3  # inside the one-period burst
 
         def spec(g):
             if cls is IntermittentTwoTone:
-                return cls(self.OMEGA_S, g, self.SIGMA, TWO_PI / self.OMEGA_S, convention)
-            return cls(self.OMEGA_S, g, self.SIGMA, convention)
+                return cls(self.OMEGA_S, g, self.SIGMA, TWO_PI / self.OMEGA_S)
+            return cls(self.OMEGA_S, g, self.SIGMA)
 
         def variance(g):
             return phase_variance_exact(spec(g), t_i)
 
-        g_0 = g_over_omega_s * self.OMEGA_S
+        g_0 = self.OMEGA_S
         assert 0.0 in tone_angular_frequencies(spec(g_0))
         v = variance(g_0)
         assert math.isfinite(v) and v > 0
@@ -259,11 +244,8 @@ class TestZeroFrequencyTone:
         for eps in (1e-5, -1e-5, 1e-8, -1e-8, 1e-11, -1e-11):
             assert_allclose(variance(g_0 * (1 + eps)), v, rtol=abs(eps))
 
-    @pytest.mark.parametrize("convention, g_over_omega_s", CASES)
-    def test_accrued_phase_integrates_the_zero_tone_as_constant(
-            self, convention, g_over_omega_s):
-        spec = TwoToneStochastic(self.OMEGA_S, g_over_omega_s * self.OMEGA_S,
-                                 self.SIGMA, convention)
+    def test_accrued_phase_integrates_the_zero_tone_as_constant(self):
+        spec = TwoToneStochastic(self.OMEGA_S, self.OMEGA_S, self.SIGMA)
         t_i = 0.37e-3
         w1, _ = tone_angular_frequencies(spec)
         # the w = 0 tone contributes B2 * t_i; A2 multiplies sin(0) = 0
@@ -294,8 +276,7 @@ class TestSamplePhases:
         cases = [
             (TwoToneStochastic(TWO_PI * 1000, TWO_PI * 300, TWO_PI * 500), 0.37e-3),
             (TwoToneStochastic(TWO_PI * 1000, TWO_PI * 300, TWO_PI * 500), 2.3e-3),
-            (TwoToneStochastic(TWO_PI * 2000, TWO_PI * 275, TWO_PI * 137,
-                               ToneConvention.HALF_SPLIT), 1e-3),
+            (TwoToneStochastic(TWO_PI * 2000, TWO_PI * 137.5, TWO_PI * 137), 1e-3),
             (IntermittentTwoTone(TWO_PI * 2000, TWO_PI * 290, TWO_PI * 275, 0.5e-3), 0.5e-3),
         ]
         for k, (spec, t_i) in enumerate(cases):
@@ -326,12 +307,10 @@ class TestSmallGCurvature:
         g = omega_s / 1e4
         spec = TwoToneStochastic(omega_s, g, sigma)
         t1 = TWO_PI / omega_s
-        kappa = small_g_curvature(omega_s, sigma, ToneConvention.FULL_SPLIT)
+        kappa = small_g_curvature(omega_s, sigma)
         assert_allclose(phase_variance_exact(spec, t1) / (2 * g * g), kappa, rtol=1e-6)
 
-    def test_full_split_value_and_half_split_quarter(self):
+    def test_closed_form_value(self):
         omega_s, sigma = TWO_PI * 2000.0, TWO_PI * 275.0
-        full = small_g_curvature(omega_s, sigma, ToneConvention.FULL_SPLIT)
-        assert_allclose(full, 4 * math.pi**2 * sigma**2 / omega_s**4, rtol=1e-15)
-        half = small_g_curvature(omega_s, sigma, ToneConvention.HALF_SPLIT)
-        assert half == full / 4.0
+        kappa = small_g_curvature(omega_s, sigma)
+        assert_allclose(kappa, 4 * math.pi**2 * sigma**2 / omega_s**4, rtol=1e-15)
