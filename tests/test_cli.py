@@ -235,6 +235,11 @@ NO_CONVENTION = {
     "simulate": ["simulate", "--scenario", "two_tone", "--g-hz", "120", "--omega-s-hz",
                  "2000", "--sigma-hz", "275", "--fidelity", "0.9", "--t2", "8e-3",
                  "--ti", "5e-4", "--n", "40", "--m", "1"],
+    # the one-tone scenarios never read the tones: the flag is unknown there too
+    **{f"simulate_{scenario}": ["simulate", "--scenario", scenario, "--g-hz", "120",
+                                "--fidelity", "0.9", "--t2", "8e-3", "--ti", "5e-4",
+                                "--n", "40", "--m", "1"]
+       for scenario in ("constant", "stochastic")},
 }
 
 

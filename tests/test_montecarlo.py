@@ -492,7 +492,8 @@ class TestExcessNoiseChannel:
 class TestOneStreamPerTable:
     """Both channels take an iterable of streams, one per table in row order;
     a bare Generator is a usage error even where the channel would draw
-    nothing, and so is an item that is not a Generator."""
+    nothing, and so is an item that is not a Generator, as it is in the shot
+    draw."""
 
     CHANNELS = {
         "flip": lambda rngs, strength: apply_readout_degradation(
@@ -511,6 +512,12 @@ class TestOneStreamPerTable:
     def test_an_item_that_is_not_a_stream_is_rejected(self, channel):
         with pytest.raises(ValueError, match="one stream per table"):
             self.CHANNELS[channel]([1, 2], 1)
+
+    def test_simulate_shots_rejects_an_item_that_is_not_a_stream(self):
+        # the shot draw takes one bare Generator, but a family's items are checked alike
+        with pytest.raises(ValueError, match="sized iterable of streams"):
+            simulate_shots(Constant(0.0), SensorModel(0.9, 10e-3), EnsembleConfig(8, 1),
+                           1e-5, [derive_stream(41, 38), 2])
 
 
 def _oracle_streams(seed, *path, shape):

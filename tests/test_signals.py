@@ -71,6 +71,15 @@ class TestToneFrequencies:
         spec = TwoToneStochastic(10.0, 3.0, 1.0)
         assert tone_angular_frequencies(spec) == (13.0, 7.0)
 
+    def test_burst_places_its_tones_at_omega_plus_minus_g_too(self):
+        spec = IntermittentTwoTone(10.0, 3.0, 1.0, 0.5)
+        assert tone_angular_frequencies(spec) == (13.0, 7.0)
+
+    def test_a_separation_read_as_w1_minus_w2_passes_half_of_it(self):
+        w1, w2 = TWO_PI * 2290.0, TWO_PI * 1710.0
+        spec = TwoToneStochastic((w1 + w2) / 2, (w1 - w2) / 2, 1.0)
+        assert_allclose(tone_angular_frequencies(spec), (w1, w2), rtol=1e-15)
+
 
 class TestSampling:
     def test_coefficient_shapes(self):
@@ -243,6 +252,15 @@ class TestZeroFrequencyTone:
         # the other tone moves too, so nearby values differ at first order
         for eps in (1e-5, -1e-5, 1e-8, -1e-8, 1e-11, -1e-11):
             assert_allclose(variance(g_0 * (1 + eps)), v, rtol=abs(eps))
+
+    def test_a_tone_below_zero_acts_as_its_mirror(self):
+        # g > omega_s puts the lower tone at omega_s - g < 0; its amplitudes are
+        # symmetric, so it is the tone at g - omega_s: swapping the two fields
+        for t_i in (0.11e-3, 0.5e-3, 1.9e-3):
+            below = TwoToneStochastic(self.OMEGA_S, 1.5 * self.OMEGA_S, self.SIGMA)
+            mirror = TwoToneStochastic(1.5 * self.OMEGA_S, self.OMEGA_S, self.SIGMA)
+            assert_allclose(phase_variance_exact(below, t_i), phase_variance_exact(mirror, t_i),
+                            rtol=1e-12)
 
     def test_accrued_phase_integrates_the_zero_tone_as_constant(self):
         spec = TwoToneStochastic(self.OMEGA_S, self.OMEGA_S, self.SIGMA)
