@@ -8,10 +8,13 @@ deterministic under its master seed regardless of worker count: each scan
 point derives its own counter-based stream.
 
 The replica and degradation studies share one setup, held as module data:
-the signal at each grid point, the sensor and the ensemble. They hold their
-shot tables as one bool stack of shape (grid, repetitions, N); each worker
-fills one grid point's block, the estimate and the channels run over the
-whole stack, and both studies invert a (grid, repetitions) p_hat table
+the signal at each grid point, the sensor and the ensemble, and one
+simulation of a grid point's (repetitions, N) bool block of outcomes. The
+replica fills one stack of shape (grid, repetitions, N) a block per worker
+task and estimates it whole. The degradation study holds one point's block
+at a time: each task flips its block at every level and keeps only the
+excited counts, so its memory scales with repetitions*N, not
+grid*repetitions*N. Both studies invert a (grid, repetitions) p_hat table
 through one scan helper.
 """
 
@@ -355,21 +358,26 @@ _REPLICA_SENSOR = SensorModel(REPLICA_PARAMS["fidelity"], REPLICA_PARAMS["t2"],
 _REPLICA_ENSEMBLE = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_sensors"])
 
 
-def _simulate_replica_tables(seed: int, reps: int, threads: int) -> np.ndarray:
-    """Counts of every (grid point, repetition) table, shared with degrade.
+def _replica_block(seed: int, gi: int, reps: int) -> np.ndarray:
+    """The bool outcomes of grid point gi's reps tables, shape (reps, n_shots).
 
-    One bool stack of shape (grid, reps, n_shots). Each task fills one grid
-    point's block stack[gi] with one simulate_shots call over the point's
-    reps streams, derived in one call; every table comes from its own
-    stream, so the stack is the same whatever the worker count.
+    One simulate_shots call over the point's reps streams, derived in one
+    call; every table comes from its own stream, so a block is the same
+    whichever task or worker simulates it.
     """
+    rngs = derive_stream(seed, _NS_REPLICA, 0, gi, shape=(reps,))
+    counts = simulate_shots(_REPLICA_SPECS[gi], _REPLICA_SENSOR, _REPLICA_ENSEMBLE,
+                            REPLICA_PARAMS["t1"], rngs).counts
+    return counts.reshape(reps, -1).astype(bool)
+
+
+def _simulate_replica_tables(seed: int, reps: int, threads: int) -> np.ndarray:
+    """Outcomes of every (grid point, repetition) table: one bool stack of
+    shape (grid, reps, n_shots), each task filling one grid point's block."""
     stack = np.empty((len(_REPLICA_SPECS), reps, _REPLICA_ENSEMBLE.n_shots), dtype=bool)
 
     def fill(gi: int) -> None:
-        rngs = derive_stream(seed, _NS_REPLICA, 0, gi, shape=(reps,))
-        counts = simulate_shots(_REPLICA_SPECS[gi], _REPLICA_SENSOR, _REPLICA_ENSEMBLE,
-                                REPLICA_PARAMS["t1"], rngs).counts
-        stack[gi] = counts.reshape(reps, -1)
+        stack[gi] = _replica_block(seed, gi, reps)
 
     _pmap(fill, range(len(_REPLICA_SPECS)), threads)
     return stack
@@ -485,6 +493,12 @@ def run_fidelity_degradation(
     The g_min(F_eff) curve is compared against the burst closed form and
     against a 1/sqrt(F) scaling anchored at flip=0, so the grid must hold
     0.0 and no probability twice.
+
+    Each worker task holds one grid point's (reps, N) block at a time: it
+    simulates the block, flips it at every level (streams keyed (flip
+    index, grid point, repetition)) and keeps only each table's excited
+    count. So memory scales with reps*N per worker, not grid*reps*N, and
+    p_hat = count/N is estimate_population's p_hat bit for bit.
     """
     if not flip_grid:
         raise ValueError("flip grid must hold at least one probability")
@@ -499,19 +513,27 @@ def run_fidelity_degradation(
         raise ValueError("repetitions must be an integer >= 2")
     flip_grid = tuple(sorted(abs(f) for f in flip_grid))  # -0.0 reads as 0.0
     reps = repetitions
-    stack = _simulate_replica_tables(seed, reps, threads)
     sensor, ensemble = _REPLICA_SENSOR, _REPLICA_ENSEMBLE
     t1 = REPLICA_PARAMS["t1"]
     decay = math.exp(-(t1**2) / (2 * sensor.t2**2))
+    excited = np.empty((len(flip_grid), len(_REPLICA_SPECS), reps), dtype=np.int64)
+
+    def count(gi: int) -> None:
+        block = _replica_block(seed, gi, reps)
+        for fi, flip in enumerate(flip_grid):
+            # flip 0 draws nothing, so it derives no streams
+            rngs = derive_stream(seed, _NS_DEGRADE, fi, gi, shape=(reps,)) if flip else ()
+            excited[fi, gi] = np.count_nonzero(
+                apply_readout_degradation(block, flip, rngs), axis=-1)
+
+    _pmap(count, range(len(_REPLICA_SPECS)), threads)
 
     deg_rows, est_tables = [], []
     for fi, flip in enumerate(flip_grid):
         f_eff_expected = (1.0 - 2.0 * flip) * REPLICA_PARAMS["fidelity"]
         sensor_eff = SensorModel(f_eff_expected, sensor.t2, sensor.theta)
-        # flip 0 draws nothing, so it derives no streams
-        rngs = derive_stream(seed, _NS_DEGRADE, fi, shape=stack.shape[:2]) if flip else ()
-        degraded = apply_readout_degradation(stack, flip, rngs)
-        p_hat = estimate_population(degraded, ensemble.m_sensors).p_hat
+        # a 0/1 mean is an exact integer sum over N: estimate_population's p_hat, bit for bit
+        p_hat = excited[fi] / ensemble.n_shots
         scan, gmin = _scan(p_hat, sensor_eff)
         est_tables.append({"flip_prob": np.full(p_hat.size, flip), **bias_scan_table(scan)})
 

@@ -232,12 +232,12 @@ def apply_readout_degradation(
     """Flip each recorded single-sensor outcome with probability flip_prob.
 
     counts holds the bool outcomes of one table, shape (N,), or of a stack
-    of tables, shape (..., N); a bool array cannot hold a multi-sensor
-    count. rngs yields one stream per table in row order, and a count that
-    differs from the number of tables raises ValueError. Row r draws its N
-    uniforms from its own stream, so it flips exactly as its table would
-    alone; the rows of a block draw into one buffer, which one comparison
-    and one XOR then apply. Returns a new array; at flip_prob = 0 returns
+    of tables, shape (..., N) with N >= 1; a bool array cannot hold a
+    multi-sensor count. rngs yields one stream per table in row order, and
+    a count that differs from the number of tables raises ValueError. Row r
+    draws its N uniforms from its own stream, so it flips exactly as its
+    table would alone; the rows of a block draw into one buffer, which one
+    comparison and one XOR then apply. Returns a new array; at flip_prob = 0 returns
     counts itself and takes nothing from rngs. Two applications with
     probabilities a then b compose to a+b-2ab, and the effective contrast
     scales by (1-2*flip_prob).
@@ -248,13 +248,15 @@ def apply_readout_degradation(
     if counts.dtype != np.bool_ or counts.ndim == 0:
         raise ValueError("readout degradation is defined for single-sensor outcomes, "
                          "given as a bool array")
+    if counts.shape[-1] < 1:
+        raise ValueError("counts need a last axis of at least one shot")
     streams = _streams(rngs, _PER_TABLE)
     if flip_prob == 0.0:
         return counts
     out = counts.copy()
     rows = out.reshape(-1, out.shape[-1])
     n = rows.shape[1]
-    step = max(1, _ROW_BLOCK // max(n, 1))
+    step = max(1, _ROW_BLOCK // n)
     u = np.empty((min(step, len(rows)), n))
     flips = np.empty(u.shape, dtype=bool)
     for lo in range(0, len(rows), step):

@@ -7,12 +7,14 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ramsey_sensing import experiments
+from ramsey_sensing.estimators import STATUS, invert_frequency_separation
 from ramsey_sensing.experiments import (
     Check,
     PipelineReport,
@@ -24,6 +26,8 @@ from ramsey_sensing.experiments import (
 )
 from ramsey_sensing.cli import main
 from ramsey_sensing.io_utils import format_value, write_csv
+from ramsey_sensing.montecarlo import apply_readout_degradation, estimate_population
+from ramsey_sensing.sensor import SensorModel
 from ramsey_sensing.streams import derive_stream
 
 TWO_PI = 2 * math.pi
@@ -282,6 +286,65 @@ class TestDegradation:
         assert len(paths) == 2 * tables
         assert sorted(p for p in paths if p[0] == 5) == [
             (5, 1, gi, rep) for gi in range(22) for rep in range(2)]
+
+    def test_estimates_equal_the_whole_stack_composition(self):
+        # the reference flips the whole (grid, reps) stack with (grid, reps)
+        # stream families, estimates it and inverts the p_hat table
+        seed, flips, reps = 11, (0.0, 0.05, 0.3), 3
+        stack = experiments._simulate_replica_tables(seed, reps, threads=1)
+        sensor = experiments._REPLICA_SENSOR
+        g_hat_hz, status = [], []
+        for fi, flip in enumerate(flips):
+            rngs = derive_stream(seed, 5, fi, shape=stack.shape[:2]) if flip else ()
+            p_hat = estimate_population(apply_readout_degradation(stack, flip, rngs), 1).p_hat
+            sensor_eff = SensorModel((1.0 - 2.0 * flip) * experiments.REPLICA_PARAMS["fidelity"],
+                                     sensor.t2, sensor.theta)
+            g_hat, reason = invert_frequency_separation(
+                p_hat, sensor_eff, experiments._REPLICA_SPECS[0])
+            g_hat_hz.append((g_hat / TWO_PI).ravel())
+            status.append(np.array(STATUS)[reason.ravel()])
+        table = run_fidelity_degradation(seed, flips, repetitions=reps).tables[
+            "estimates_degraded"]
+        assert_array_equal(table["g_hat_hz"], np.concatenate(g_hat_hz), strict=True)
+        assert_array_equal(table["status"], np.concatenate(status), strict=True)
+
+    def test_every_flip_sees_one_points_block(self, monkeypatch):
+        shapes = []
+
+        def recording(counts, flip_prob, rngs):
+            shapes.append(np.shape(counts))
+            return apply_readout_degradation(counts, flip_prob, rngs)
+
+        monkeypatch.setattr(experiments, "apply_readout_degradation", recording)
+        run_fidelity_degradation(REPLICA_SEED, (0.0, 0.1), repetitions=4)
+        assert shapes == [(4, 1000)] * (2 * 22)
+
+    def test_peak_memory_stays_below_one_table_stack(self):
+        # each point's block is flipped and counted alone, so no (grid, reps, N)
+        # stack of outcomes is ever held, let alone a flipped copy of one
+        reps = 176
+        stack_bytes = len(experiments._REPLICA_SPECS) * reps * 1000
+        tracemalloc.start()
+        try:
+            run_fidelity_degradation(11, (0.0, 0.1), repetitions=reps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes
+
+    def test_workers_count_disjoint_grid_points(self, tmp_path):
+        # more workers than cores, switching threads as often as possible
+        serial = run_fidelity_degradation(REPLICA_SEED, (0.0, 0.1, 0.2), repetitions=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_fidelity_degradation(REPLICA_SEED, (0.0, 0.1, 0.2), repetitions=3,
+                                                threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        write_report(serial, tmp_path / "serial")
+        write_report(threaded, tmp_path / "threaded")
+        assert written_bytes(tmp_path / "threaded") == written_bytes(tmp_path / "serial")
 
     def test_default_grid_needs_four_resolved_rows(self, degrade_report):
         # a grid of fewer than four flips needs every row (tests/test_cli.py)

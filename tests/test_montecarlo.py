@@ -353,6 +353,16 @@ class TestReadoutDegradation:
             with pytest.raises(ValueError):
                 apply_readout_degradation(counts, 0.1, [derive_stream(41, 24)])
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0,)])
+    def test_zero_shot_tables_rejected_before_drawing(self, shape):
+        def streams():
+            raise AssertionError("no stream may be taken for a zero-shot table")
+            yield
+
+        for flip in (0.0, 0.1):
+            with pytest.raises(ValueError, match="at least one shot"):
+                apply_readout_degradation(np.zeros(shape, dtype=bool), flip, streams())
+
     def test_one_stream_per_row(self):
         stack = np.zeros((3, 8), dtype=bool)
         for rows in (2, 4):
