@@ -16,7 +16,7 @@ from ramsey_sensing.estimators import (
     invert_frequency_separation,
 )
 from ramsey_sensing.montecarlo import estimate_population, simulate_shots
-from ramsey_sensing.sensitivity import gmin_intermittent
+from ramsey_sensing.sensitivity import gmin_at_optimum
 from ramsey_sensing.sensor import EnsembleConfig, SensorModel, contrast
 from ramsey_sensing.signals import IntermittentTwoTone, phase_variance_exact, sample_phases
 from ramsey_sensing.streams import derive_stream
@@ -35,7 +35,7 @@ sensor = SensorModel(FIDELITY, T2)
 ensemble = EnsembleConfig(1000, 1)
 
 print(f"fringe contrast at the burst time: {contrast(sensor, T1):.4f}")
-analytic = gmin_intermittent(sensor, ensemble, OMEGA_S, SIGMA)
+analytic = gmin_at_optimum("intermittent", sensor, ensemble, omega_s=OMEGA_S, sigma=SIGMA)
 print(f"closed-form g_min: {analytic.g_min / TWO_PI:.1f} Hz "
       f"(validity={analytic.validity})")
 

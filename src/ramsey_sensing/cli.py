@@ -32,9 +32,9 @@ from .sensor import EnsembleConfig, SensorModel
 from .sensitivity import (
     VALIDITY_LIMIT,
     SensitivityResult,
+    gmin_at_optimum,
     gmin_constant,
     gmin_gaussian_kernel,
-    gmin_intermittent,
     gmin_variance,
 )
 from .signals import (
@@ -225,7 +225,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         else:
             _require(args, "fidelity", "t2")
             sensor = SensorModel(args.fidelity, args.t2)
-            result = gmin_intermittent(sensor, ensemble, omega_s, sigma)
+            result = gmin_at_optimum("intermittent", sensor, ensemble, omega_s=omega_s, sigma=sigma)
             echo += [("fidelity", args.fidelity), ("t2_s", args.t2)]
 
     echo += [("n_shots", args.n), ("m_sensors", args.m)]

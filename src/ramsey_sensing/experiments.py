@@ -46,7 +46,6 @@ from .sensitivity import (
     compensation_threshold,
     excess_sensors,
     gmin_at_optimum,
-    gmin_intermittent,
     mc_snr,
     snr_curve,
 )
@@ -412,8 +411,8 @@ def run_experiment_replica(
     scan_qpn, gmin_qpn = _scan(est.p_hat, sensor)
     scan_exc, gmin_exc = _scan(est_x.p_hat, sensor)
     p_models = [mean_population(spec, sensor, REPLICA_PARAMS["t1"]) for spec in _REPLICA_SPECS]
-    analytic = gmin_intermittent(sensor, ensemble, REPLICA_PARAMS["omega_s"],
-                                 REPLICA_PARAMS["sigma"])
+    analytic = gmin_at_optimum("intermittent", sensor, ensemble,
+                               omega_s=REPLICA_PARAMS["omega_s"], sigma=REPLICA_PARAMS["sigma"])
 
     report = PipelineReport(
         "replica",
@@ -544,8 +543,9 @@ def run_fidelity_degradation(
         sigma_f = 2.0 * math.sqrt(qpn_variance(p0_model, ensemble) / reps) / decay
 
         c_eff = f_eff_expected * decay
-        model_hz = gmin_intermittent(sensor_eff, ensemble, REPLICA_PARAMS["omega_s"],
-                                     REPLICA_PARAMS["sigma"]).g_min / TWO_PI
+        model_hz = gmin_at_optimum("intermittent", sensor_eff, ensemble,
+                                   omega_s=REPLICA_PARAMS["omega_s"],
+                                   sigma=REPLICA_PARAMS["sigma"]).g_min / TWO_PI
         if fi == 0:  # the sorted grid starts at flip 0, the anchor of the 1/sqrt(F) curve
             anchor_hz, anchor_f = model_hz, f_eff_expected
         deg_rows.append((flip, f_eff_expected, f_eff_measured, sigma_f, c_eff,

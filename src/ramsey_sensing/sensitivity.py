@@ -4,17 +4,18 @@ compensation counts.
 Closed forms cover the constant signal, the linearized Gaussian-kernel
 family (variance and burst frequency-separation estimation), and the
 compensation count; each result carries the integration time t_i at which
-its g_min holds. `gmin_at_optimum` is the one place that maps a scenario
-name to its g_min at its optimal integration time; the pipelines and the
-compensation counts go through it; every optimum over t is a golden-section
+its g_min holds. `gmin_at_optimum` maps a scenario name to its g_min at its
+optimal integration time; it, the compensation counts and the variance
+optimum read one table of the kernel scenarios' candidate times and
+kappa(t), `_kernel_optimum`, and every optimum over t is a golden-section
 search to 1e-7 T2. The count is the kernel inverse `_kernel_nm` =
 `_floor_nm` + 2/x: `compensation_threshold` is the ratio of two such counts
 at finite N, F over unity fidelity, so F = 1 gives 1 by construction, and
 `excess_sensors` the ratio of two of their NM -> infinity limits. Only the
 tests call the references that back the closed forms: the exact-SNR
-root-finder `root_found_gmin` (by the in-package Brent solver `brentq`,
-with no small-signal expansion), `gmin_continuous_two_tone`, and the
-Monte-Carlo crossing `mc_gmin_crossing`.
+root-finder `root_found_gmin` (by the in-package Brent solver `brentq`, with
+no small-signal expansion), `gmin_continuous_two_tone`, and the Monte-Carlo
+crossing `mc_gmin_crossing`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ __all__ = [
     "gmin_constant",
     "gmin_gaussian_kernel",
     "gmin_variance",
-    "gmin_intermittent",
     "gmin_continuous_two_tone",
-    "gmin_continuous_kernel",
     "gmin_at_optimum",
     "exact_snr",
     "root_found_gmin",
@@ -205,19 +204,6 @@ def gmin_variance(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
     return _closed_form(g, kappa * g * g, t_i)
 
 
-def gmin_intermittent(
-    sensor: SensorModel,
-    ensemble: EnsembleConfig,
-    omega_s: float,
-    sigma: float,
-) -> SensitivityResult:
-    """Minimum detectable tone separation for a one-period burst measurement."""
-    kappa = small_g_curvature(omega_s, sigma)
-    t1 = 2 * math.pi / omega_s
-    g = gmin_gaussian_kernel(contrast(sensor, t1), ensemble.total, kappa)
-    return _closed_form(g, kappa * g * g, t1)
-
-
 def _with_g(spec: SignalSpec, g: float) -> SignalSpec:
     return replace(spec, g=g)
 
@@ -344,9 +330,27 @@ def snr_curve(
     ]
 
 
-# golden-section tolerance, in T2, of every search over t in (0, 5 T2]; a
-# minimum's error is second order in its argmin's, about 1e-14 here
-_T_TOL = 1e-7
+def _argmin_t(f: Callable[[float], float], t2: float) -> float:
+    """Golden-section argmin of f over t in (0, 5 T2] to 1e-7 T2 (f to about 1e-14)."""
+    return _golden_min(f, 1e-6 * t2, 5.0 * t2, 1e-7 * t2)
+
+
+def _kernel_optimum(scenario: str, t2: float, omega_s: float | None, sigma: float | None,
+                    cost: Callable[[float, float], float]) -> tuple[float, float, float]:
+    """(cost, t, kappa) at the candidate time t of a kernel scenario (the table
+    of gmin_at_optimum) where cost(t, kappa) is least; on a tie the shortest t."""
+    if scenario == "variance":
+        kappa = lambda t: t * t / 2.0
+        t = _argmin_t(lambda t: cost(t, kappa(t)), t2)
+        return cost(t, kappa(t)), t, kappa(t)
+    if scenario not in ("continuous_two_tone", "intermittent"):
+        raise ValueError(f"unknown scenario: {scenario}")
+    if omega_s is None or sigma is None:
+        raise ValueError(f"scenario {scenario} needs omega_s and sigma")
+    kappa_1, period = small_g_curvature(omega_s, sigma), 2 * math.pi / omega_s
+    n_max = max(1, int(5.0 * t2 / period)) if scenario == "continuous_two_tone" else 1
+    return min((cost(n * period, n * n * kappa_1), n * period, n * n * kappa_1)
+               for n in range(1, n_max + 1))
 
 
 def optimal_integration_time(kind: str, sensor: SensorModel, ensemble: EnsembleConfig) -> float:
@@ -357,13 +361,11 @@ def optimal_integration_time(kind: str, sensor: SensorModel, ensemble: EnsembleC
     grows: 1.2624 T2 at F = 1, and sqrt(2) T2 only in the small-F limit.
     """
     if kind == "constant":
-        gmin = gmin_constant
-    elif kind == "variance":
-        gmin = gmin_variance
-    else:
-        raise ValueError(f"unknown scenario kind: {kind}")
-    t2 = sensor.t2
-    return _golden_min(lambda t: gmin(sensor, ensemble, t).g_min, 1e-6 * t2, 5.0 * t2, _T_TOL * t2)
+        return _argmin_t(lambda t: gmin_constant(sensor, ensemble, t).g_min, sensor.t2)
+    if kind == "variance":
+        return _kernel_optimum("variance", sensor.t2, None, None,
+                               lambda t, kappa: gmin_variance(sensor, ensemble, t).g_min)[1]
+    raise ValueError(f"unknown scenario kind: {kind}")
 
 
 def gmin_continuous_two_tone(
@@ -374,18 +376,17 @@ def gmin_continuous_two_tone(
 ) -> SensitivityResult:
     """Root-found g_min for a continuous two-tone signal at its best time.
 
-    The candidate times are the integer multiples of the center period
-    (where the g=0 noise floor rephases), the best candidate is refined by
-    golden-section, and the crossing is root-found at the refined time.
-    Times where no crossing exists (the saturated population shift C(t)/2
-    stays below the projection-noise floor) count as infinitely bad; if
-    every candidate is saturated the signal is undetectable at this
-    ensemble size and a ValueError is raised. The reference for
-    gmin_continuous_kernel in tests/test_sensitivity.py::TestContinuousTwoTone.
+    Its candidate times are gmin_at_optimum's continuous_two_tone row, where
+    the g=0 noise floor rephases; the best is refined by golden-section, and
+    the crossing is root-found at the refined time. Times where no crossing
+    exists (the saturated population shift C(t)/2 stays below the
+    projection-noise floor) count as infinitely bad; if every candidate is
+    saturated the signal is undetectable at this ensemble size and a
+    ValueError is raised. The reference for the kernel form in
+    tests/test_sensitivity.py::TestContinuousTwoTone.
     """
     template = TwoToneStochastic(omega_s, 0.0, sigma)
     period = 2 * math.pi / omega_s
-    n_max = max(1, int(5.0 * sensor.t2 / period))
 
     def gmin_at(t_i: float) -> float:
         try:
@@ -393,44 +394,15 @@ def gmin_continuous_two_tone(
         except ValueError:
             return math.inf
 
-    best_n = min(range(1, n_max + 1), key=lambda n: gmin_at(n * period))
-    center = best_n * period
-    if not math.isfinite(gmin_at(center)):
+    g_center, center, _ = _kernel_optimum("continuous_two_tone", sensor.t2, omega_s, sigma,
+                                          lambda t, kappa: gmin_at(t))
+    if not math.isfinite(g_center):
         raise ValueError("signal is undetectable at every candidate time "
                          "(population shift saturates below the noise floor)")
     t_opt = _golden_min(gmin_at, center - period / 2, center + period / 2,
                         1e-4 * sensor.t2)
-    candidates = [(gmin_at(t), t) for t in (center, t_opt)]
-    g_best, t_best = min(candidates)
+    g_best, t_best = min((g_center, center), (gmin_at(t_opt), t_opt))
     return SensitivityResult(g_best, "root_found", True, t_best)
-
-
-def gmin_continuous_kernel(
-    sensor: SensorModel,
-    ensemble: EnsembleConfig,
-    omega_s: float,
-    sigma: float,
-) -> SensitivityResult:
-    """Closed-form g_min for a continuous two-tone signal.
-
-    At t_n = n periods of the center frequency the baseline rephases
-    exactly and the small-g phase variance grows as n^2, so each candidate
-    reduces to the Gaussian-kernel form with curvature n^2 * kappa_1; the
-    best integer multiple within 5 T2 wins. Unlike the root-found variant
-    this extends to arbitrarily small contrast (the linearization ignores
-    saturation), which is also where its validity flag turns False.
-    """
-    kappa_1 = small_g_curvature(omega_s, sigma)
-    period = 2 * math.pi / omega_s
-    n_max = max(1, int(5.0 * sensor.t2 / period))
-
-    def g_at(n: int) -> float:
-        c = contrast(sensor, n * period)
-        return gmin_gaussian_kernel(c, ensemble.total, n * n * kappa_1)
-
-    best_n = min(range(1, n_max + 1), key=g_at)
-    g = g_at(best_n)
-    return _closed_form(g, best_n * best_n * kappa_1 * g * g, best_n * period)
 
 
 def gmin_at_optimum(
@@ -443,25 +415,24 @@ def gmin_at_optimum(
 ) -> SensitivityResult:
     """g_min of a scenario at its own optimal integration time.
 
-    constant: at T2, the argmin of 1/(t C(t)) for every fidelity;
-    variance: at optimal_integration_time; continuous_two_tone: the kernel
-    form at its best period multiple (the root-found variant saturates at
-    low contrast and cannot cover a whole fidelity grid); intermittent:
-    pinned to one center period. The two-tone scenarios need omega_s and
-    sigma.
+    constant: at T2, the argmin of 1/(t C(t)) for every fidelity. A kernel
+    scenario, signal C(t) e^{-kappa g^2}, takes gmin_gaussian_kernel(C(t), NM,
+    kappa) at the best of its candidate times t, with P = 2 pi/omega_s:
+
+        variance             any t in (0, 5 T2]               kappa = t^2/2
+        continuous_two_tone  t = n P, n <= max(1, 5 T2 // P)  kappa = n^2 kappa_1
+        intermittent         t = P only                       kappa = kappa_1
+
+    kappa_1 = small_g_curvature(omega_s, sigma), so the two-tone rows need the
+    tones. At n P the baseline rephases and the phase variance grows as n^2.
+    Unlike gmin_continuous_two_tone, the kernel form covers any contrast.
     """
     if scenario == "constant":
         return gmin_constant(sensor, ensemble, sensor.t2)
-    if scenario == "variance":
-        return gmin_variance(sensor, ensemble,
-                             optimal_integration_time("variance", sensor, ensemble))
-    two_tone = {"continuous_two_tone": gmin_continuous_kernel,
-                "intermittent": gmin_intermittent}
-    if scenario not in two_tone:
-        raise ValueError(f"unknown scenario: {scenario}")
-    if omega_s is None or sigma is None:
-        raise ValueError(f"scenario {scenario} needs omega_s and sigma")
-    return two_tone[scenario](sensor, ensemble, omega_s, sigma)
+    g, t_i, kappa = _kernel_optimum(
+        scenario, sensor.t2, omega_s, sigma,
+        lambda t, kappa: gmin_gaussian_kernel(contrast(sensor, t), ensemble.total, kappa))
+    return _closed_form(g, kappa * g * g, t_i)
 
 
 def compensation_threshold(
@@ -477,15 +448,14 @@ def compensation_threshold(
 
     The integer compensation count is the ceiling of this; exposing the real
     threshold separates the physics (how close M*F^2 sits to 1) from integer
-    rounding, which dominates when the count is small. The constant signal
-    gives 1/F^2 in closed form. For the Gaussian-kernel scenarios the
-    threshold is a ratio of two kernel counts, count(F)/count(1), where
-    count(f) is the N*M a sensor of fidelity f needs to detect the unity
-    sensor's g_min g_1: intermittent, _kernel_nm at t1 with x = kappa g_1^2;
-    variance, the golden-section minimum over t of the _kernel_nm with
-    x(t) = t^2 g_1^2/2. count(1) is N up to the solver's error, which the
-    ratio cancels, and at F = 1 both counts are one computation, so the
-    threshold is 1 by construction.
+    rounding, which dominates when the count is small. It is the ratio
+    count(F)/count(1); a count past the float range is a ValueError. The
+    constant signal gives 1/F^2 in closed form. For the variance and
+    intermittent kernels count(f) is the N*M a sensor of fidelity f needs to
+    detect the unity sensor's g_min g_1, the least _kernel_nm(C_f(t), kappa
+    g_1^2) over the candidates of gmin_at_optimum. count(1) is N up to the
+    solver's error, which the ratio cancels, and at F = 1 both counts are
+    one computation, so the threshold is 1 by construction.
     """
     if scenario not in ("constant", "variance", "intermittent"):
         raise ValueError(f"unknown scenario: {scenario}")
@@ -493,16 +463,14 @@ def compensation_threshold(
         raise ValueError("fidelity must be in (0, 1]")
     unity, ensemble = SensorModel(1.0, t2), EnsembleConfig(n_shots, 1)
     if scenario == "constant":
-        return 1.0 / fidelity**2
-    target = gmin_at_optimum(scenario, unity, ensemble, omega_s=omega_s, sigma=sigma).g_min
-    if scenario == "variance":
+        count = lambda f: 1.0 / f**2 if f**2 > 0 else math.inf
+    else:
+        target = gmin_at_optimum(scenario, unity, ensemble, omega_s=omega_s, sigma=sigma).g_min
+
         def count(f: float) -> float:
             sensor = SensorModel(f, t2)
-            nm_at = lambda t: _kernel_nm(contrast(sensor, t), t * t * target * target / 2.0)
-            return nm_at(_golden_min(nm_at, 1e-6 * t2, 5.0 * t2, _T_TOL * t2))
-    else:
-        kappa, t1 = small_g_curvature(omega_s, sigma), 2 * math.pi / omega_s
-        count = lambda f: _kernel_nm(contrast(SensorModel(f, t2), t1), kappa * target * target)
+            return _kernel_optimum(scenario, t2, omega_s, sigma, lambda t, kappa: _kernel_nm(
+                contrast(sensor, t), kappa * target * target))[0]
     nm = count(fidelity)
     if not math.isfinite(nm):
         raise ValueError("compensation threshold overflows a float")
@@ -536,7 +504,8 @@ def excess_sensors(fidelity: float, t1_over_t2: float) -> float:
     and cancels. The continuous side has each sensor at its own optimal
     time, where x = t^2 g^2/2 grows as u = continuous_optimal_u(F). Unity
     fidelity gives exactly 1 for every t1; for F well below the burst
-    contrast the factor grows as 1/t1^2.
+    contrast the factor grows as 1/t1^2. F below about 1e-154 (a count past
+    the float range) or t1 below about 1e-8 T2 (C(t1) = 1) is a ValueError.
     """
     if not (0 < fidelity <= 1):
         raise ValueError("fidelity must be in (0, 1]")
@@ -545,6 +514,12 @@ def excess_sensors(fidelity: float, t1_over_t2: float) -> float:
     c = lambda f, u: f * math.exp(-u / 2.0)  # the contrast at t = sqrt(u) T2
     u1 = t1_over_t2**2
     u_fid, u_unit = continuous_optimal_u(fidelity), continuous_optimal_u(1.0)
-    m_burst = _floor_nm(c(fidelity, u1), 1.0) / _floor_nm(c(1.0, u1), 1.0)
-    m_cont = _floor_nm(c(fidelity, u_fid), u_fid) / _floor_nm(c(1.0, u_unit), u_unit)
-    return m_burst / m_cont
+    try:
+        m_burst = _floor_nm(c(fidelity, u1), 1.0) / _floor_nm(c(1.0, u1), 1.0)
+        m_cont = _floor_nm(c(fidelity, u_fid), u_fid) / _floor_nm(c(1.0, u_unit), u_unit)
+        m_ex = m_burst / m_cont
+    except ZeroDivisionError:  # a floor term of 0: a contrast of exactly 1, or of 0
+        m_ex = math.nan
+    if not (0 < m_ex < math.inf):
+        raise ValueError("excess sensor factor is not finite at this fidelity and t1_over_t2")
+    return m_ex

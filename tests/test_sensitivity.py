@@ -31,10 +31,8 @@ from ramsey_sensing.sensitivity import (
     excess_sensors,
     gmin_at_optimum,
     gmin_constant,
-    gmin_continuous_kernel,
     gmin_continuous_two_tone,
     gmin_gaussian_kernel,
-    gmin_intermittent,
     gmin_variance,
     mc_gmin_crossing,
     mc_snr,
@@ -153,7 +151,8 @@ class TestIntermittentClosedForm:
 
     def test_frozen_burst_sensitivity(self):
         sensor = SensorModel(0.9047787237550715, 7.97e-3)
-        res = gmin_intermittent(sensor, EnsembleConfig(1000, 1), self.OMEGA_S, self.SIGMA)
+        res = gmin_at_optimum("intermittent", sensor, EnsembleConfig(1000, 1),
+                              omega_s=self.OMEGA_S, sigma=self.SIGMA)
         assert_allclose(res.g_min / TWO_PI, 293.5471862857504, rtol=1e-12)
         assert res.validity
         assert res.t_i == pytest.approx(0.5e-3, rel=1e-12)
@@ -171,11 +170,12 @@ BAD_TONES = [
 ]
 
 
-@pytest.mark.parametrize("solver", [gmin_intermittent, gmin_continuous_kernel])
+@pytest.mark.parametrize("scenario", ["intermittent", "continuous_two_tone"])
 @pytest.mark.parametrize("omega_s, sigma", BAD_TONES)
-def test_two_tone_closed_forms_reject_bad_tones(solver, omega_s, sigma):
+def test_two_tone_closed_forms_reject_bad_tones(scenario, omega_s, sigma):
     with pytest.raises(ValueError, match="omega_s and sigma"):
-        solver(SensorModel(0.9, 8e-3), EnsembleConfig(1000, 1), omega_s, sigma)
+        gmin_at_optimum(scenario, SensorModel(0.9, 8e-3), EnsembleConfig(1000, 1),
+                        omega_s=omega_s, sigma=sigma)
 
 
 class TestGminAtOptimum:
@@ -183,19 +183,33 @@ class TestGminAtOptimum:
     ENS = EnsembleConfig(1000, 1)
     TONES = dict(omega_s=TWO_PI * 1000.0, sigma=TWO_PI * 500.0)
 
-    def test_dispatches_each_scenario_at_its_optimal_time(self):
+    def test_constant_and_variance_sit_at_their_optimal_times(self):
         s, ens = self.SENSOR, self.ENS
         t_var = optimal_integration_time("variance", s, ens)
-        w, sig = self.TONES["omega_s"], self.TONES["sigma"]
-        expected = {
-            "constant": gmin_constant(s, ens, s.t2),
-            "variance": gmin_variance(s, ens, t_var),
-            "continuous_two_tone": gmin_continuous_kernel(s, ens, w, sig),
-            "intermittent": gmin_intermittent(s, ens, w, sig),
-        }
-        for scenario, direct in expected.items():
-            assert gmin_at_optimum(scenario, s, ens, **self.TONES) == direct
+        assert gmin_at_optimum("constant", s, ens) == gmin_constant(s, ens, s.t2)
+        assert gmin_at_optimum("variance", s, ens) == gmin_variance(s, ens, t_var)
         assert gmin_at_optimum("variance", s, ens).t_i == t_var
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=st.sampled_from(["continuous_two_tone", "intermittent"]),
+           fidelity=st.floats(1e-3, 1.0), nm=st.integers(1, 10**6), t2=st.floats(1e-3, 0.05),
+           omega_s_hz=st.floats(100.0, 1e4), sigma_hz=st.floats(1.0, 1e4))
+    def test_two_tone_scenarios_take_their_best_period_multiple(
+            self, scenario, fidelity, nm, t2, omega_s_hz, sigma_hz):
+        # the kernel form at t = n P with kappa = n^2 kappa_1, least over
+        # n <= 5 T2 / P (continuous) or n = 1 (intermittent), ties to the smaller n;
+        # P <= 10 T2 here, so C(P) stays above 0
+        omega_s, sigma = TWO_PI * omega_s_hz, TWO_PI * sigma_hz
+        sensor = SensorModel(fidelity, t2)
+        period, kappa_1 = TWO_PI / omega_s, small_g_curvature(omega_s, sigma)
+        n_max = max(1, int(5.0 * t2 / period)) if scenario == "continuous_two_tone" else 1
+        g, n = min((gmin_gaussian_kernel(contrast(sensor, n * period), nm, n * n * kappa_1), n)
+                   for n in range(1, n_max + 1))
+        expected = SensitivityResult(g, "closed_form", n * n * kappa_1 * g * g < VALIDITY_LIMIT,
+                                     n * period)
+        got = gmin_at_optimum(scenario, sensor, EnsembleConfig(nm, 1),
+                              omega_s=omega_s, sigma=sigma)
+        assert got == expected
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -317,18 +331,20 @@ class TestOptimalIntegrationTime:
 class TestContinuousTwoTone:
     OMEGA_S = TWO_PI * 1000.0
     SIGMA = TWO_PI * 500.0
+    TONES = dict(omega_s=OMEGA_S, sigma=SIGMA)
 
     def test_kernel_and_root_finder_agree_at_high_fidelity(self):
         sensor = SensorModel(0.95, 10e-3)
         ens = EnsembleConfig(10**6, 1)
-        ck = gmin_continuous_kernel(sensor, ens, self.OMEGA_S, self.SIGMA)
+        ck = gmin_at_optimum("continuous_two_tone", sensor, ens, **self.TONES)
         cr = gmin_continuous_two_tone(sensor, ens, self.OMEGA_S, self.SIGMA)
         assert ck.validity
         assert abs(ck.g_min - cr.g_min) / cr.g_min < 0.01
 
     def test_kernel_optimum_is_an_integer_period_multiple(self):
         sensor = SensorModel(0.95, 10e-3)
-        res = gmin_continuous_kernel(sensor, EnsembleConfig(1000, 1), self.OMEGA_S, self.SIGMA)
+        res = gmin_at_optimum("continuous_two_tone", sensor, EnsembleConfig(1000, 1),
+                              **self.TONES)
         period = TWO_PI / self.OMEGA_S
         n = round(res.t_i / period)
         assert n >= 1
@@ -348,7 +364,7 @@ class TestContinuousTwoTone:
         # still returns a number but flags the regime
         sensor = SensorModel(0.02, 10e-3)
         ens = EnsembleConfig(1000, 1)
-        res = gmin_continuous_kernel(sensor, ens, self.OMEGA_S, self.SIGMA)
+        res = gmin_at_optimum("continuous_two_tone", sensor, ens, **self.TONES)
         assert res.g_min > 0 and not res.validity
         with pytest.raises(ValueError):
             gmin_continuous_two_tone(sensor, ens, self.OMEGA_S, self.SIGMA)
@@ -475,8 +491,8 @@ class TestCompensationThresholdProperties:
         omega_s, sigma = TWO_PI * omega_s_hz, TWO_PI * sigma_hz
         th = compensation_threshold("intermittent", fidelity, n_shots=n_shots, t2=t2,
                                     omega_s=omega_s, sigma=sigma)
-        target = gmin_intermittent(SensorModel(1.0, t2), EnsembleConfig(n_shots, 1),
-                                   omega_s, sigma).g_min
+        target = gmin_at_optimum("intermittent", SensorModel(1.0, t2), EnsembleConfig(n_shots, 1),
+                                 omega_s=omega_s, sigma=sigma).g_min
         c = contrast(SensorModel(fidelity, t2), TWO_PI / omega_s)
         g = gmin_gaussian_kernel(c, n_shots * th, small_g_curvature(omega_s, sigma))
         assert g == pytest.approx(target, rel=1e-12)
@@ -489,8 +505,9 @@ class TestCompensationThresholdProperties:
                                     omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
         assert th == 1.0
 
-    @pytest.mark.parametrize("scenario", ["variance", "intermittent"])
-    @pytest.mark.parametrize("fidelity", [1e-200, 5e-324])  # count ~1e400; contrast 0
+    @pytest.mark.parametrize("scenario", ["constant", "variance", "intermittent"])
+    # counts of about 1e310 and 1e400 (1/F^2 or N/(x C)^2); then a contrast of 0
+    @pytest.mark.parametrize("fidelity", [1e-155, 1e-200, 5e-324])
     def test_count_past_the_float_range_is_rejected(self, scenario, fidelity):
         with pytest.raises(ValueError, match="overflows"):
             compensation_threshold(scenario, fidelity, n_shots=1000, t2=7.97e-3,
@@ -550,6 +567,10 @@ class TestExcessSensors:
             excess_sensors(0.0, 1e-3)
         with pytest.raises(ValueError):
             excess_sensors(0.5, 6.0)
+        with pytest.raises(ValueError):  # both counts overflow: inf/inf
+            excess_sensors(1e-154, 1.0)
+        with pytest.raises(ValueError):  # C(t1) of the unity sensor rounds to 1
+            excess_sensors(0.5, 1e-8)
 
 
 class TestCompensationLimits:
