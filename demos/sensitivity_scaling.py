@@ -9,9 +9,8 @@ import math
 
 from ramsey_sensing.sensitivity import (
     compensation_threshold,
-    continuous_optimal_u,
+    gmin_at_optimum,
     gmin_constant,
-    gmin_variance,
     optimal_integration_time,
 )
 from ramsey_sensing.sensor import EnsembleConfig, SensorModel
@@ -24,8 +23,7 @@ print(f"{'F':>5} {'constant g_min/2pi [Hz]':>24} {'variance g_min/2pi [Hz]':>24}
 for f in (1.0, 0.8, 0.5, 0.2, 0.1):
     sensor = SensorModel(f, T2)
     g_c = gmin_constant(sensor, ENSEMBLE, T2).g_min
-    t_opt = optimal_integration_time("variance", sensor, ENSEMBLE)
-    g_v = gmin_variance(sensor, ENSEMBLE, t_opt).g_min
+    g_v = gmin_at_optimum("variance", sensor, ENSEMBLE).g_min
     print(f"{f:5.2f} {g_c / (2 * math.pi):24.3f} {g_v / (2 * math.pi):24.2f}")
 
 # the constant scenario loses sensitivity exactly as 1/F, the variance
@@ -38,8 +36,9 @@ print("\noptimal integration times (F=1)")
 t_c = optimal_integration_time("constant", SensorModel(1.0, T2), ENSEMBLE)
 t_v = optimal_integration_time("variance", SensorModel(1.0, T2), ENSEMBLE)
 print(f"  constant: t_opt = {t_c / T2:.4f} T2")
+t_large = gmin_at_optimum("variance", SensorModel(1.0, T2), EnsembleConfig(10**9, 1)).t_i
 print(f"  variance: t_opt = {t_v / T2:.4f} T2  "
-      f"(large-NM limit sqrt(u) T2 = {math.sqrt(continuous_optimal_u(1.0)):.4f} T2; "
+      f"(large-NM optimum {t_large / T2:.4f} T2 at NM = 1e9; "
       f"sqrt(2) T2 = {math.sqrt(2):.4f} T2 is the small-F limit)")
 
 print("\nsensors needed to match one F=1 sensor")

@@ -30,8 +30,7 @@ from .io_utils import format_value, write_csv
 from .montecarlo import estimate_population, simulate_shots
 from .sensor import EnsembleConfig, SensorModel
 from .sensitivity import (
-    VALIDITY_LIMIT,
-    SensitivityResult,
+    _closed_form,
     gmin_at_optimum,
     gmin_constant,
     gmin_gaussian_kernel,
@@ -219,8 +218,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             # direct-contrast path: the burst closed form needs only C(t1)
             kappa = small_g_curvature(omega_s, sigma)
             g = gmin_gaussian_kernel(args.contrast, ensemble.total, kappa)
-            result = SensitivityResult(g, "closed_form", kappa * g * g < VALIDITY_LIMIT,
-                                       t_i=TWO_PI / omega_s)
+            result = _closed_form(g, kappa * g * g, TWO_PI / omega_s)
             echo.append(("contrast", args.contrast))
         else:
             _require(args, "fidelity", "t2")

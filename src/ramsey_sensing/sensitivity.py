@@ -5,7 +5,7 @@ Closed forms cover the constant signal, the linearized Gaussian-kernel
 family (variance and burst frequency-separation estimation), and the
 compensation count; each result carries the integration time t_i at which
 its g_min holds. `gmin_at_optimum` maps a scenario name to its g_min at its
-optimal integration time; it, the compensation counts and the variance
+optimal integration time; it, both compensation counts and the variance
 optimum read one table of the kernel scenarios' candidate times and
 kappa(t), `_kernel_optimum`, and every optimum over t is a golden-section
 search to 1e-7 T2. The count is the kernel inverse `_kernel_nm` =
@@ -48,7 +48,6 @@ __all__ = [
     "optimal_integration_time",
     "compensation_threshold",
     "excess_sensors",
-    "continuous_optimal_u",
 ]
 
 VALIDITY_LIMIT = 0.1  # small-signal assumption: (g t)^2 or kappa g^2 below this
@@ -357,8 +356,9 @@ def optimal_integration_time(kind: str, sensor: SensorModel, ensemble: EnsembleC
     """Integration time t_opt (s) minimizing the constant or variance g_min,
     by golden-section on (0, 5 T2] to 1e-7 T2.
 
-    The variance optimum falls toward sqrt(continuous_optimal_u(F)) T2 as NM
-    grows: 1.2624 T2 at F = 1, and sqrt(2) T2 only in the small-F limit.
+    As NM grows the variance optimum falls toward the variance row's NM ->
+    infinity optimum sqrt(u) T2, u = 2 (1 - F^2 e^{-u}) (see excess_sensors):
+    1.2624 T2 at F = 1, and sqrt(2) T2 only in the small-F limit.
     """
     if kind == "constant":
         return _argmin_t(lambda t: gmin_constant(sensor, ensemble, t).g_min, sensor.t2)
@@ -450,15 +450,13 @@ def compensation_threshold(
     threshold separates the physics (how close M*F^2 sits to 1) from integer
     rounding, which dominates when the count is small. It is the ratio
     count(F)/count(1); a count past the float range is a ValueError. The
-    constant signal gives 1/F^2 in closed form. For the variance and
-    intermittent kernels count(f) is the N*M a sensor of fidelity f needs to
-    detect the unity sensor's g_min g_1, the least _kernel_nm(C_f(t), kappa
-    g_1^2) over the candidates of gmin_at_optimum. count(1) is N up to the
-    solver's error, which the ratio cancels, and at F = 1 both counts are
-    one computation, so the threshold is 1 by construction.
+    constant signal gives 1/F^2 in closed form. For every other scenario,
+    a row of the kernel table, count(f) is the N*M a sensor of fidelity f
+    needs to detect the unity sensor's g_min g_1, the least
+    _kernel_nm(C_f(t), kappa g_1^2) over that row's candidates. count(1) is N
+    up to the solver's error, which the ratio cancels, and at F = 1 both
+    counts are one computation, so the threshold is 1 by construction.
     """
-    if scenario not in ("constant", "variance", "intermittent"):
-        raise ValueError(f"unknown scenario: {scenario}")
     if not (0 < fidelity <= 1):
         raise ValueError("fidelity must be in (0, 1]")
     unity, ensemble = SensorModel(1.0, t2), EnsembleConfig(n_shots, 1)
@@ -477,47 +475,32 @@ def compensation_threshold(
     return nm / count(1.0)
 
 
-def continuous_optimal_u(fidelity: float) -> float:
-    """Self-consistent optimum u = (t/T2)^2 for continuous estimation in the
-    projection-noise-floor regime: u = 2 (1 - F^2 e^{-u}).
-
-    u(1) = 1.5936 (t = 1.2624 T2); u -> 2 (t -> sqrt(2) T2) as F -> 0.
-    """
-    if not (0 < fidelity <= 1):
-        raise ValueError("fidelity must be in (0, 1]")
-    u = 2.0
-    for _ in range(200):
-        nxt = 2.0 * (1.0 - fidelity**2 * math.exp(-u))
-        if abs(nxt - u) < 1e-15:
-            return nxt
-        u = nxt
-    return u
-
-
 def excess_sensors(fidelity: float, t1_over_t2: float) -> float:
     """Sensor factor for a burst-limited measurement to match the continuous
     one at the same fidelity: the ratio of two compensation counts, each
     _floor_nm at F over _floor_nm at F = 1, the NM -> infinity limit of
-    compensation_threshold (reached as NM^(-1/2); N-free).
+    compensation_threshold (reached as NM^(-1/2); N-free, so T2 = 1).
 
     The burst side has both sensors at t1, so one kernel root x serves both
-    and cancels. The continuous side has each sensor at its own optimal
-    time, where x = t^2 g^2/2 grows as u = continuous_optimal_u(F). Unity
-    fidelity gives exactly 1 for every t1; for F well below the burst
-    contrast the factor grows as 1/t1^2. F below about 1e-154 (a count past
-    the float range) or t1 below about 1e-8 T2 (C(t1) = 1) is a ValueError.
+    and cancels. The continuous side takes the least _floor_nm(C(t), t^2/2)
+    over the variance row, at t = sqrt(u) T2 with u = 2 (1 - F^2 e^{-u}):
+    1.5936 at F = 1, and 2 as F -> 0. Unity fidelity gives exactly 1 for
+    every t1; for F well below the burst contrast the factor grows as
+    1/t1^2. F below about 1e-154 (a count past the float range) or t1 below
+    about 1e-8 T2 (C(t1) = 1) is a ValueError.
     """
     if not (0 < fidelity <= 1):
         raise ValueError("fidelity must be in (0, 1]")
     if not (0 < t1_over_t2 <= 5):
         raise ValueError("t1_over_t2 must be in (0, 5]")
-    c = lambda f, u: f * math.exp(-u / 2.0)  # the contrast at t = sqrt(u) T2
-    u1 = t1_over_t2**2
-    u_fid, u_unit = continuous_optimal_u(fidelity), continuous_optimal_u(1.0)
+
+    def floors(f: float) -> tuple[float, float]:  # (burst, continuous)
+        sensor = SensorModel(f, 1.0)
+        floor = lambda t, kappa: _floor_nm(contrast(sensor, t), kappa)
+        return floor(t1_over_t2, 1.0), _kernel_optimum("variance", 1.0, None, None, floor)[0]
     try:
-        m_burst = _floor_nm(c(fidelity, u1), 1.0) / _floor_nm(c(1.0, u1), 1.0)
-        m_cont = _floor_nm(c(fidelity, u_fid), u_fid) / _floor_nm(c(1.0, u_unit), u_unit)
-        m_ex = m_burst / m_cont
+        (burst_f, cont_f), (burst_1, cont_1) = floors(fidelity), floors(1.0)
+        m_ex = (burst_f / burst_1) / (cont_f / cont_1)
     except ZeroDivisionError:  # a floor term of 0: a contrast of exactly 1, or of 0
         m_ex = math.nan
     if not (0 < m_ex < math.inf):

@@ -27,7 +27,6 @@ from ramsey_sensing.experiments import (
 from ramsey_sensing.montecarlo import estimate_population, simulate_shots
 from ramsey_sensing.sensitivity import (
     compensation_threshold,
-    continuous_optimal_u,
     excess_sensors,
     gmin_constant,
     gmin_gaussian_kernel,
@@ -122,7 +121,9 @@ def test_compensation_law_holds_in_each_regime():
     limit; the intermittent signal needs more than the variance one at every
     F < 1. Budget: 1 second."""
     start = time.perf_counter()
-    u1 = continuous_optimal_u(1.0)
+    # u1 = 2 (1 - e^{-u1}), the variance optimum (t/T2)^2 as NM -> infinity,
+    # solved here by brentq; the bracket [0.5, 2] excludes the root u = 0
+    u1 = brentq(lambda u: u - 2.0 * (1.0 - math.exp(-u)), 0.5, 2.0, xtol=1e-14)
     c1 = math.exp(-u1 / 2.0)
     limit = math.e**2 * u1**2 * c1**2 / (4.0 * (1.0 - c1**2))
     tones = {"omega_s": FIG3_PARAMS["omega_s"], "sigma": FIG3_PARAMS["sigma"]}
@@ -194,7 +195,7 @@ def test_optimal_integration_times_sit_at_t2_and_near_sqrt2_t2():
     # error (~1e-5 T2) and, at F = 0.01 and NM = 1e3, the finite-NM shift of
     # the argmin to ~7e-5 T2 above sqrt(2) T2.
     slack = 2e-4
-    # u* solved here by brentq, independently of continuous_optimal_u; the
+    # u* solved here by brentq, independently of the package's optimizer; the
     # bracket [0.5, 2] excludes the spurious root u = 0 at F = 1.
     root_u = {f: brentq(lambda u, f=f: u - 2.0 * (1.0 - f * f * math.exp(-u)),
                         0.5, 2.0, xtol=1e-14)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ramsey_sensing
-from ramsey_sensing import experiments
+from ramsey_sensing import experiments, sensitivity
 from ramsey_sensing.cli import main
 from ramsey_sensing.montecarlo import simulate_shots
 from ramsey_sensing.sensor import EnsembleConfig, SensorModel
@@ -55,6 +55,14 @@ class TestAnalytic:
         assert kv["method"] == "closed_form"
         # printed pair is self-consistent after round-tripping through text
         assert float(kv["g_min_rad_s"]) / TWO_PI == float(kv["g_min_hz"])
+
+    def test_contrast_path_reads_the_package_validity_rule(self, capsys, monkeypatch):
+        # one validity rule: tightening sensitivity's limit flips the printed flag
+        monkeypatch.setattr(sensitivity, "VALIDITY_LIMIT", 0.0)
+        rc = run_cli(["analytic", "--scenario", "intermittent", "--contrast", "0.903",
+                      "--omega-s-hz", "2000", "--sigma-hz", "275"])
+        assert rc == 0
+        assert kv_output(capsys)["validity"] == "false"
 
     def test_fidelity_path_matches_contrast_path(self, capsys):
         rc = run_cli(["analytic", "--scenario", "intermittent",

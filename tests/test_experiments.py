@@ -434,7 +434,7 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("case, sha16", [
         ("fig2", "bebb563aee7a0a76"),
-        ("fig3", "d8565a07f19a6ed4"),
+        ("fig3", "74e4181fe7334c2d"),
         ("replica", "49f318ee6098d63e"),
         ("degrade", "68ed4687bd2c0f71"),
         ("replica_unit_excess", "73fd16376898d03c"),

@@ -26,7 +26,6 @@ from ramsey_sensing.sensitivity import (
     SensitivityResult,
     brentq,
     compensation_threshold,
-    continuous_optimal_u,
     exact_snr,
     excess_sensors,
     gmin_at_optimum,
@@ -388,7 +387,8 @@ class TestCompensation:
             assert 1.03 < th * f * f < 1.16
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        # the kernel table names the scenarios a count accepts
+        with pytest.raises(ValueError, match="unknown scenario: ramp"):
             compensation_threshold("ramp", 0.5, n_shots=10, t2=1.0)
 
     @pytest.mark.parametrize("kwargs", [dict(n_shots=0, t2=1.0), dict(n_shots=10, t2=-1.0)])
@@ -397,7 +397,8 @@ class TestCompensation:
         with pytest.raises(ValueError):
             compensation_threshold("constant", 0.5, **kwargs)
 
-    @pytest.mark.parametrize("scenario", ["constant", "variance", "intermittent"])
+    @pytest.mark.parametrize("scenario", ["constant", "variance", "continuous_two_tone",
+                                          "intermittent"])
     @pytest.mark.parametrize("fidelity", [0.0, 1.5, math.nan])
     def test_fidelity_outside_unit_interval_rejected(self, scenario, fidelity):
         kwargs = dict(n_shots=1000, t2=7.97e-3, omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
@@ -408,13 +409,26 @@ class TestCompensation:
         with pytest.raises(ValueError, match="needs omega_s and sigma"):
             compensation_threshold("intermittent", 0.5, n_shots=1000, t2=7.97e-3)
         with pytest.raises(ValueError, match="needs omega_s and sigma"):
+            compensation_threshold("continuous_two_tone", 0.5, n_shots=1000, t2=7.97e-3)
+        with pytest.raises(ValueError, match="needs omega_s and sigma"):
             compensation_threshold("intermittent", 0.5, n_shots=1000, t2=7.97e-3,
                                    omega_s=TWO_PI * 2000)
 
-    def test_continuous_two_tone_has_no_compensation_count(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            compensation_threshold("continuous_two_tone", 0.5, n_shots=1000, t2=10e-3,
-                                   omega_s=TWO_PI * 1000, sigma=TWO_PI * 500)
+    @pytest.mark.parametrize("fidelity, m_f2", [(0.9, 1.0361), (0.5, 1.1245),
+                                                 (0.1, 1.1575), (0.05, 1.1585)])
+    def test_continuous_two_tone_count_at_fig3s_tones(self, fidelity, m_f2):
+        # fig3's tones, T2 = 10 ms and N = 1000; the count reads the two-tone
+        # row of the kernel table, t = n P with kappa = n^2 kappa_1
+        tones = dict(omega_s=TWO_PI * 1000, sigma=TWO_PI * 500)
+        th = compensation_threshold("continuous_two_tone", fidelity, n_shots=1000, t2=10e-3,
+                                    **tones)
+        assert th * fidelity**2 == pytest.approx(m_f2, rel=1e-4)
+        g_unity = gmin_at_optimum("continuous_two_tone", SensorModel(1.0, 10e-3),
+                                  EnsembleConfig(1000, 1), **tones).g_min
+        g_at = lambda m: gmin_at_optimum("continuous_two_tone", SensorModel(fidelity, 10e-3),
+                                         EnsembleConfig(1000, m), **tones).g_min
+        m = math.ceil(th)
+        assert g_at(m) <= g_unity < g_at(m - 1)
 
 
 class TestBrentq:
@@ -498,14 +512,16 @@ class TestCompensationThresholdProperties:
         assert g == pytest.approx(target, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
-    @given(scenario=st.sampled_from(["constant", "variance", "intermittent"]),
+    @given(scenario=st.sampled_from(["constant", "variance", "continuous_two_tone",
+                                     "intermittent"]),
            n_shots=N_SHOTS, t2=T2S)
     def test_unity_fidelity_needs_exactly_one_sensor(self, scenario, n_shots, t2):
         th = compensation_threshold(scenario, 1.0, n_shots=n_shots, t2=t2,
                                     omega_s=TWO_PI * 2000, sigma=TWO_PI * 275)
         assert th == 1.0
 
-    @pytest.mark.parametrize("scenario", ["constant", "variance", "intermittent"])
+    @pytest.mark.parametrize("scenario", ["constant", "variance", "continuous_two_tone",
+                                          "intermittent"])
     # counts of about 1e310 and 1e400 (1/F^2 or N/(x C)^2); then a contrast of 0
     @pytest.mark.parametrize("fidelity", [1e-155, 1e-200, 5e-324])
     def test_count_past_the_float_range_is_rejected(self, scenario, fidelity):
@@ -520,7 +536,7 @@ class TestThresholdJustBelowUnity:
     sides are solved alike, and no solver error can push it below 1."""
 
     @settings(max_examples=60, deadline=None)
-    @given(scenario=st.sampled_from(["variance", "intermittent"]),
+    @given(scenario=st.sampled_from(["variance", "continuous_two_tone", "intermittent"]),
            fidelity=st.floats(1e-15, 1e-8).map(lambda eps: 1.0 - eps),
            n_shots=st.integers(10**2, 10**6), t2=T2S,
            omega_s_hz=st.floats(300.0, 3e4), sigma_hz=st.floats(1.0, 1e4))
@@ -533,25 +549,26 @@ class TestThresholdJustBelowUnity:
         assert th >= 1.0
 
 
-class TestContinuousOptimum:
-    def test_unit_fidelity_fixed_point(self):
-        assert_allclose(continuous_optimal_u(1.0), 1.5936242600400405, rtol=1e-12)
-
-    def test_low_fidelity_limit(self):
-        assert_allclose(continuous_optimal_u(1e-9), 2.0, rtol=1e-12)
-
-    def test_self_consistency(self):
-        for f in (0.05, 0.3, 0.7, 1.0):
-            u = continuous_optimal_u(f)
-            assert_allclose(u, 2.0 * (1.0 - f * f * math.exp(-u)), rtol=1e-12)
-
-    @pytest.mark.parametrize("fidelity", [math.nan, math.inf, -math.inf, 1.5, -1.0, 0.0])
-    def test_fidelity_outside_unit_interval_rejected(self, fidelity):
-        with pytest.raises(ValueError, match="fidelity"):
-            continuous_optimal_u(fidelity)
+def _u_star(fidelity: float) -> float:
+    """The variance optimum u = (t/T2)^2 in the noise-floor regime (NM ->
+    infinity), the root of u = 2 (1 - F^2 e^{-u}) in [0.5, 2], solved here by
+    scipy; the bracket excludes the spurious root u = 0 at F = 1."""
+    return scipy_brentq(lambda u: u - 2.0 * (1.0 - fidelity**2 * math.exp(-u)),
+                        0.5, 2.0, xtol=1e-14)
 
 
 class TestExcessSensors:
+    def test_matches_the_closed_form_on_fig3d_grid(self):
+        # burst floor (1 - C^2)/C^2 at t1 over the continuous floor
+        # (1 - C^2)/(u C)^2 at t = sqrt(u*) T2, each at F over at F = 1
+        floor = lambda c, x: (1.0 - c * c) / (x * c) ** 2
+        for f in (1.0, 0.9997, 0.2):
+            u_f, u_1 = _u_star(f), _u_star(1.0)
+            m_cont = floor(f * math.exp(-u_f / 2), u_f) / floor(math.exp(-u_1 / 2), u_1)
+            for t1 in np.logspace(-3, 0, 30):
+                m_burst = floor(f * math.exp(-t1**2 / 2), 1.0) / floor(math.exp(-t1**2 / 2), 1.0)
+                assert excess_sensors(f, t1) == pytest.approx(m_burst / m_cont, rel=1e-12)
+
     def test_unit_fidelity_is_exactly_flat(self):
         for t1 in (1e-3, 0.03, 0.4, 2.0):
             assert excess_sensors(1.0, t1) == 1.0
@@ -592,7 +609,7 @@ class TestCompensationLimits:
     def test_variance_count_reaches_the_closed_form_limit(self):
         # e^2 u1^2 c1^2 / (4 (1 - c1^2)): the F -> 0 limit of M F^2, with c1
         # the unity sensor's contrast at its optimal time sqrt(u1) T2
-        u1 = continuous_optimal_u(1.0)
+        u1 = _u_star(1.0)
         c1 = math.exp(-u1 / 2.0)
         limit = math.e**2 * u1**2 * c1**2 / (4.0 * (1.0 - c1**2))
         assert limit == pytest.approx(1.19631, abs=1e-5)
