@@ -3,9 +3,10 @@
 Four pipelines: the fidelity-compensation study (fig2), the burst-signal
 scaling study (fig3), the measurement replica (11 repetitions of N=1000
 single-sensor shots against a burst two-tone signal), and the readout
-degradation study built on the replica's shot tables. Every pipeline is
-deterministic under its master seed regardless of worker count: each scan
-point derives its own counter-based stream.
+degradation study built on the replica's shot tables. fig2 and fig3's
+panels (b) and (c) are one fidelity study. Every pipeline is deterministic
+under its master seed regardless of worker count: each scan point derives
+its own counter-based stream.
 
 The replica and degradation studies share one setup, held as module data:
 the signal at each grid point, the sensor and the ensemble, and one
@@ -136,6 +137,26 @@ def _loglog_slope(xs, ys) -> float:
 # ----------------------------------------------------------------------
 # fidelity compensation study
 
+_RATIO_COLUMNS = ("scenario", "fidelity", "t_opt_s", "gmin_rad_s", "gmin_over_unity")
+_COMPENSATION_COLUMNS = ("scenario", "fidelity", "m_sensors", "m_threshold")
+
+
+def _fidelity_study(scenarios, f_grid, ensemble: EnsembleConfig, t2: float, tones: dict):
+    """The rows of the ratio and compensation tables (columns as named above)
+    of each scenario over a fidelity grid ending at F = 1, each g_min at M = 1
+    and its scenario-optimal time: fig2, and fig3's panels (b) and (c)."""
+    ratio_rows, comp_rows = [], []
+    for scenario in scenarios:
+        results = [gmin_at_optimum(scenario, SensorModel(f, t2), ensemble, **tones)
+                   for f in f_grid]
+        g_unity = results[-1].g_min  # the grid ends at F = 1
+        for f, result in zip(f_grid, results):
+            ratio_rows.append((scenario, f, result.t_i, result.g_min, result.g_min / g_unity))
+            m_real = compensation_threshold(scenario, f, n_shots=ensemble.n_shots, t2=t2, **tones)
+            comp_rows.append((scenario, f, math.ceil(m_real), m_real))
+    return ratio_rows, comp_rows
+
+
 def run_fig2(*, n_shots: int = 1000, t2: float = 10e-3) -> PipelineReport:
     """Sensitivity loss and sensor compensation versus fidelity.
 
@@ -145,16 +166,7 @@ def run_fig2(*, n_shots: int = 1000, t2: float = 10e-3) -> PipelineReport:
     """
     f_grid = _fidelity_grid()
     scenarios = ("constant", "variance")
-    ensemble = EnsembleConfig(n_shots, 1)
-
-    ratio_rows, comp_rows = [], []
-    for scenario in scenarios:
-        results = [gmin_at_optimum(scenario, SensorModel(f, t2), ensemble) for f in f_grid]
-        g_unity = results[-1].g_min  # the grid ends at F = 1
-        for f, result in zip(f_grid, results):
-            ratio_rows.append((scenario, f, result.t_i, result.g_min, result.g_min / g_unity))
-            m_real = compensation_threshold(scenario, f, n_shots=n_shots, t2=t2)
-            comp_rows.append((scenario, f, math.ceil(m_real), m_real))
+    ratio_rows, comp_rows = _fidelity_study(scenarios, f_grid, EnsembleConfig(n_shots, 1), t2, {})
 
     report = PipelineReport(
         "fig2",
@@ -162,10 +174,8 @@ def run_fig2(*, n_shots: int = 1000, t2: float = 10e-3) -> PipelineReport:
         parameters={"n_shots": n_shots, "m_sensors": 1, "t2_s": t2,
                     "scenarios": list(scenarios), "f_grid_size": len(f_grid)},
     )
-    report.tables["sensitivity_ratio"] = _columns(
-        ("scenario", "fidelity", "t_opt_s", "gmin_rad_s", "gmin_over_unity"), ratio_rows)
-    report.tables["compensation"] = _columns(
-        ("scenario", "fidelity", "m_sensors", "m_threshold"), comp_rows)
+    report.tables["sensitivity_ratio"] = _columns(_RATIO_COLUMNS, ratio_rows)
+    report.tables["compensation"] = _columns(_COMPENSATION_COLUMNS, comp_rows)
 
     by = {(scenario, f): ratio for scenario, f, _, _, ratio in ratio_rows}
     sensors_by = {(scenario, f): m for scenario, f, m, _ in comp_rows}
@@ -273,43 +283,30 @@ def run_fig3(
         "snr_mc_concordance", worst <= band, worst, 0.0, band,
         note="max |MC - analytic| SNR over the coarse grid"))
 
-    # (b) g_min versus fidelity, all four scenarios at their optimal times
+    # (b) g_min versus fidelity and (c) compensation counts, all four
+    # scenarios at their optimal times: one fidelity study
     tones = {"omega_s": omega_s, "sigma": sigma_amp}
-
-    def gmin(scenario: str, f: float) -> float:
-        return gmin_at_optimum(scenario, SensorModel(f, t2), ensemble, **tones).g_min
-
     scenarios = ("constant", "variance", "continuous_two_tone", "intermittent")
-    rows_b, unity = [], {}
-    for scenario in scenarios:
-        gs = [gmin(scenario, f) for f in f_grid]
-        unity[scenario] = gs[-1]  # the grid ends at F = 1
-        rows_b += [(scenario, f, g, g / unity[scenario]) for f, g in zip(f_grid, gs)]
-    report.tables["fig3b_gmin_vs_fidelity"] = _columns(
-        ("scenario", "fidelity", "gmin_rad_s", "gmin_over_unity"), rows_b)
-    by = {(scenario, f): ratio for scenario, f, _, ratio in rows_b}
+    rows_b, rows_c = _fidelity_study(scenarios, f_grid, ensemble, t2, tones)
+    report.tables["fig3b_gmin_vs_fidelity"] = _columns(_RATIO_COLUMNS, rows_b)
+    report.tables["fig3c_compensation"] = _columns(_COMPENSATION_COLUMNS, rows_c)
+    by = {(scenario, f): (g, ratio) for scenario, f, _, g, ratio in rows_b}
 
     window = [f for f in f_grid if 0.1 <= f <= 0.5]
     slopes = {}
     for scenario, expected in (("constant", -1.0), ("variance", -0.5),
                                ("continuous_two_tone", -0.5)):
-        slopes[scenario] = _loglog_slope(window, [by[(scenario, f)] for f in window])
+        slopes[scenario] = _loglog_slope(window, [by[(scenario, f)][1] for f in window])
         report.checks.append(Check(
             f"{scenario}_fidelity_slope", abs(slopes[scenario] - expected) < 0.05,
             slopes[scenario], expected, 0.05))
-    g_09 = gmin("intermittent", 0.9)
-    g_10 = unity["intermittent"]
+    g_09 = gmin_at_optimum("intermittent", SensorModel(0.9, t2), ensemble, **tones).g_min
+    g_10 = by[("intermittent", 1.0)][0]
     slope_near_1 = (math.log(g_10) - math.log(g_09)) / (math.log(1.0) - math.log(0.9))
     report.checks.append(Check(
         "intermittent_slope_near_unity_steeper", slope_near_1 < -0.5,
         slope_near_1, -0.5, 0.0,
         note="log-log slope of intermittent g_min between F=0.9 and 1"))
-
-    # (c) integer compensation counts
-    rows_c = [(scenario, f, math.ceil(compensation_threshold(
-                  scenario, f, n_shots=ensemble.n_shots, t2=t2, **tones)))
-              for scenario in ("constant", "variance", "intermittent") for f in f_grid]
-    report.tables["fig3c_compensation"] = _columns(("scenario", "fidelity", "m_sensors"), rows_c)
 
     # (d) burst excess-sensor factor
     rows_d = [(f, t1, excess_sensors(f, t1)) for f in (1.0, 0.9997, 0.2) for t1 in t1_grid]

@@ -337,7 +337,15 @@ def _argmin_t(f: Callable[[float], float], t2: float) -> float:
 def _kernel_optimum(scenario: str, t2: float, omega_s: float | None, sigma: float | None,
                     cost: Callable[[float, float], float]) -> tuple[float, float, float]:
     """(cost, t, kappa) at the candidate time t of a kernel scenario (the table
-    of gmin_at_optimum) where cost(t, kappa) is least; on a tie the shortest t."""
+    of gmin_at_optimum) where cost(t, kappa) is least; on a tie the shortest t.
+
+    On the two-tone lattice kappa = n^2 kappa_1 = (t/P)^2 kappa_1, the variance
+    row's t^2/2 times 2 kappa_1/P^2, so the least multiple neighbours the
+    argmin of the same variance-shaped cost over [P, n_max P]. A golden
+    section to P/2 puts t* within P/4 of that argmin, so only n0 - 1, n0 and
+    n0 + 1 in [1, n_max], n0 = round(t*/P), are tried: 15 costs at 50
+    multiples, 39 at five million, none at kappa below kappa_1.
+    """
     if scenario == "variance":
         kappa = lambda t: t * t / 2.0
         t = _argmin_t(lambda t: cost(t, kappa(t)), t2)
@@ -347,21 +355,28 @@ def _kernel_optimum(scenario: str, t2: float, omega_s: float | None, sigma: floa
     if omega_s is None or sigma is None:
         raise ValueError(f"scenario {scenario} needs omega_s and sigma")
     kappa_1, period = small_g_curvature(omega_s, sigma), 2 * math.pi / omega_s
-    n_max = max(1, int(5.0 * t2 / period)) if scenario == "continuous_two_tone" else 1
+    if scenario == "intermittent":
+        return cost(period, kappa_1), period, kappa_1
+    n_max = max(1, int(5.0 * t2 / period))
+    t_star = _golden_min(lambda t: cost(t, (t / period) ** 2 * kappa_1),
+                         period, n_max * period, period / 2)
+    n0 = round(t_star / period)
     return min((cost(n * period, n * n * kappa_1), n * period, n * n * kappa_1)
-               for n in range(1, n_max + 1))
+               for n in range(max(1, n0 - 1), min(n_max, n0 + 1) + 1))
 
 
 def optimal_integration_time(kind: str, sensor: SensorModel, ensemble: EnsembleConfig) -> float:
-    """Integration time t_opt (s) minimizing the constant or variance g_min,
-    by golden-section on (0, 5 T2] to 1e-7 T2.
+    """Integration time t_opt (s) minimizing the constant or variance g_min.
 
-    As NM grows the variance optimum falls toward the variance row's NM ->
-    infinity optimum sqrt(u) T2, u = 2 (1 - F^2 e^{-u}) (see excess_sensors):
-    1.2624 T2 at F = 1, and sqrt(2) T2 only in the small-F limit.
+    constant: exactly T2, the argmin of 1/(t C(t)) with C = F e^{-t^2/2T2^2},
+    the time gmin_at_optimum uses. variance: by golden-section on (0, 5 T2]
+    to 1e-7 T2. As NM grows the variance optimum falls toward the variance
+    row's NM -> infinity optimum sqrt(u) T2, u = 2 (1 - F^2 e^{-u}) (see
+    excess_sensors): 1.2624 T2 at F = 1, and sqrt(2) T2 only in the small-F
+    limit.
     """
     if kind == "constant":
-        return _argmin_t(lambda t: gmin_constant(sensor, ensemble, t).g_min, sensor.t2)
+        return sensor.t2
     if kind == "variance":
         return _kernel_optimum("variance", sensor.t2, None, None,
                                lambda t, kappa: gmin_variance(sensor, ensemble, t).g_min)[1]
@@ -377,7 +392,8 @@ def gmin_continuous_two_tone(
     """Root-found g_min for a continuous two-tone signal at its best time.
 
     Its candidate times are gmin_at_optimum's continuous_two_tone row, where
-    the g=0 noise floor rephases; the best is refined by golden-section, and
+    the g=0 noise floor rephases, each multiple tried in turn (so this checks
+    that row's bounded search); the best is refined by golden-section, and
     the crossing is root-found at the refined time. Times where no crossing
     exists (the saturated population shift C(t)/2 stays below the
     projection-noise floor) count as infinitely bad; if every candidate is
@@ -394,8 +410,8 @@ def gmin_continuous_two_tone(
         except ValueError:
             return math.inf
 
-    g_center, center, _ = _kernel_optimum("continuous_two_tone", sensor.t2, omega_s, sigma,
-                                          lambda t, kappa: gmin_at(t))
+    n_max = max(1, int(5.0 * sensor.t2 / period))
+    g_center, center = min((gmin_at(n * period), n * period) for n in range(1, n_max + 1))
     if not math.isfinite(g_center):
         raise ValueError("signal is undetectable at every candidate time "
                          "(population shift saturates below the noise floor)")
@@ -425,7 +441,10 @@ def gmin_at_optimum(
 
     kappa_1 = small_g_curvature(omega_s, sigma), so the two-tone rows need the
     tones. At n P the baseline rephases and the phase variance grows as n^2.
-    Unlike gmin_continuous_two_tone, the kernel form covers any contrast.
+    The continuous_two_tone row evaluates only the three multiples around its
+    golden-section optimum over t (see _kernel_optimum), so its cost grows
+    only as log(T2 omega_s). Unlike gmin_continuous_two_tone, the kernel form
+    covers any contrast.
     """
     if scenario == "constant":
         return gmin_constant(sensor, ensemble, sensor.t2)

@@ -116,10 +116,11 @@ def test_sensor_compensation_follows_inverse_square_fidelity():
 def test_compensation_law_holds_in_each_regime():
     """At fig3's N = 1000 (NM >= 1000, the projection-noise-floor regime),
     T2 = 10 ms and tones, over the whole fidelity grid: the constant signal
-    recovers with exactly M F^2 = 1; the variance signal needs
-    1 <= M F^2 <= e^2 u1^2 c1^2 / (4 (1 - c1^2)) = 1.19631, its NM -> infinity
-    limit; the intermittent signal needs more than the variance one at every
-    F < 1. Budget: 1 second."""
+    recovers with exactly M F^2 = 1; the continuous stochastic signals, the
+    variance one and the two tones sensed at period multiples, need
+    1 <= M F^2 <= e^2 u1^2 c1^2 / (4 (1 - c1^2)) = 1.19631, the variance
+    row's NM -> infinity limit; the intermittent signal needs more than the
+    variance one at every F < 1. Budget: 1 second."""
     start = time.perf_counter()
     # u1 = 2 (1 - e^{-u1}), the variance optimum (t/T2)^2 as NM -> infinity,
     # solved here by brentq; the bracket [0.5, 2] excludes the root u = 0
@@ -131,13 +132,15 @@ def test_compensation_law_holds_in_each_regime():
     for f in _fidelity_grid():
         m_f2 = {scenario: compensation_threshold(scenario, f, n_shots=1000, t2=10e-3,
                                                  **tones) * f * f
-                for scenario in ("constant", "variance", "intermittent")}
+                for scenario in ("constant", "variance", "continuous_two_tone",
+                                 "intermittent")}
         rows.append((f, m_f2))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f} s"
     for f, m_f2 in rows:
         assert abs(m_f2["constant"] - 1.0) <= 1e-12, f"constant at F={f}"
-        assert 1.0 <= m_f2["variance"] <= limit, f"variance at F={f}"
+        for scenario in ("variance", "continuous_two_tone"):
+            assert 1.0 <= m_f2[scenario] <= limit, f"{scenario} at F={f}"
         if f < 1.0:
             assert m_f2["intermittent"] > m_f2["variance"], f"intermittent at F={f}"
 

@@ -150,13 +150,30 @@ class TestFig3:
         assert t_star == pytest.approx(12.0e-3, rel=1e-9)
 
     def test_gmin_panel_covers_four_scenarios(self, fig3_report):
-        table = fig3_report.tables["fig3b_gmin_vs_fidelity"]
-        by_scenario = {}
-        for scenario, fidelity in zip(table["scenario"], table["fidelity"]):
-            by_scenario.setdefault(scenario, []).append(fidelity)
-        assert set(by_scenario) == {
-            "constant", "variance", "continuous_two_tone", "intermittent"}
-        assert all(len(v) == 51 for v in by_scenario.values())
+        # panels (b) and (c) both hold the four scenarios' 51 fidelities
+        for panel in ("fig3b_gmin_vs_fidelity", "fig3c_compensation"):
+            table = fig3_report.tables[panel]
+            by_scenario = {}
+            for scenario, fidelity in zip(table["scenario"], table["fidelity"]):
+                by_scenario.setdefault(scenario, []).append(fidelity)
+            assert list(by_scenario) == [
+                "constant", "variance", "continuous_two_tone", "intermittent"], panel
+            assert all(len(v) == 51 for v in by_scenario.values()), panel
+        table = fig3_report.tables["fig3c_compensation"]
+        assert table["m_sensors"] == [math.ceil(m) for m in table["m_threshold"]]
+
+    @pytest.mark.parametrize("fig2_table, fig3_table", [
+        ("sensitivity_ratio", "fig3b_gmin_vs_fidelity"),
+        ("compensation", "fig3c_compensation"),
+    ])
+    def test_fig2_tables_are_fig3s_constant_and_variance_rows(
+            self, fig2_report, fig3_report, fig2_table, fig3_table):
+        # both studies solve N = 1000, M = 1 and T2 = 10 ms on one fidelity grid
+        fig2, fig3 = fig2_report.tables[fig2_table], fig3_report.tables[fig3_table]
+        rows = [i for i, scenario in enumerate(fig3["scenario"])
+                if scenario in ("constant", "variance")]
+        assert list(fig3) == list(fig2)
+        assert {name: [column[i] for i in rows] for name, column in fig3.items()} == fig2
 
     def test_excess_sensor_panel_fidelities(self, fig3_report):
         fidelity = fig3_report.tables["fig3d_excess_sensors"]["fidelity"]
@@ -434,7 +451,7 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("case, sha16", [
         ("fig2", "bebb563aee7a0a76"),
-        ("fig3", "74e4181fe7334c2d"),
+        ("fig3", "e01ad6c61eec0ce4"),
         ("replica", "49f318ee6098d63e"),
         ("degrade", "68ed4687bd2c0f71"),
         ("replica_unit_excess", "73fd16376898d03c"),

@@ -17,6 +17,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
+from ramsey_sensing import sensitivity
+from ramsey_sensing.experiments import _fidelity_grid
 from ramsey_sensing.sensor import EnsembleConfig, SensorModel, contrast, mean_population, qpn_variance
 from ramsey_sensing.sensitivity import (
     BRENT_MAXITER,
@@ -186,6 +188,8 @@ class TestGminAtOptimum:
         s, ens = self.SENSOR, self.ENS
         t_var = optimal_integration_time("variance", s, ens)
         assert gmin_at_optimum("constant", s, ens) == gmin_constant(s, ens, s.t2)
+        assert optimal_integration_time("constant", s, ens) == gmin_at_optimum(
+            "constant", s, ens).t_i == s.t2
         assert gmin_at_optimum("variance", s, ens) == gmin_variance(s, ens, t_var)
         assert gmin_at_optimum("variance", s, ens).t_i == t_var
 
@@ -220,6 +224,65 @@ class TestGminAtOptimum:
         tones = {k: v for k, v in self.TONES.items() if k != missing}
         with pytest.raises(ValueError, match="needs omega_s and sigma"):
             gmin_at_optimum(scenario, self.SENSOR, self.ENS, **tones)
+
+
+def _two_tone_costs(fidelity, nm, t2, omega_s, sigma):
+    """The two costs the continuous two-tone row is searched with: the kernel
+    g_min at N*M = nm, and the count that detects the unity sensor's g_min."""
+    sensor = SensorModel(fidelity, t2)
+    target = gmin_at_optimum("continuous_two_tone", SensorModel(1.0, t2), EnsembleConfig(nm, 1),
+                             omega_s=omega_s, sigma=sigma).g_min
+    return (lambda t, kappa: gmin_gaussian_kernel(contrast(sensor, t), nm, kappa),
+            lambda t, kappa: sensitivity._kernel_nm(contrast(sensor, t), kappa * target**2))
+
+
+def _every_multiple(t2, omega_s, sigma, cost):
+    """The continuous two-tone row searched at every multiple n P, n <= max(1, 5 T2 // P)."""
+    period, kappa_1 = TWO_PI / omega_s, small_g_curvature(omega_s, sigma)
+    n_max = max(1, int(5.0 * t2 / period))
+    return min((cost(n * period, n * n * kappa_1), n * period, n * n * kappa_1)
+               for n in range(1, n_max + 1))
+
+
+class TestTwoToneSearch:
+    """The continuous two-tone row evaluates three multiples around a
+    golden-section optimum over t, and picks what trying every multiple
+    picks, bit for bit, at a cost that grows only as log(T2 omega_s)."""
+
+    FIG3_TONES = dict(omega_s=TWO_PI * 1000.0, sigma=TWO_PI * 500.0)
+
+    def test_fig3s_grid_matches_every_multiple(self):
+        for f in _fidelity_grid():
+            for cost in _two_tone_costs(f, 1000, 10e-3, **self.FIG3_TONES):
+                got = sensitivity._kernel_optimum("continuous_two_tone", 10e-3,
+                                                  cost=cost, **self.FIG3_TONES)
+                assert got == _every_multiple(10e-3, cost=cost, **self.FIG3_TONES), f
+
+    @settings(max_examples=150, deadline=None)
+    @given(fidelity=st.floats(0.01, 1.0), nm=st.integers(10, 10**6), t2=st.floats(1e-3, 0.1),
+           omega_s_hz=st.floats(100.0, 1e4), sigma_hz=st.floats(1.0, 1e4))
+    def test_random_inputs_match_every_multiple(self, fidelity, nm, t2, omega_s_hz, sigma_hz):
+        tones = dict(omega_s=TWO_PI * omega_s_hz, sigma=TWO_PI * sigma_hz)
+        for cost in _two_tone_costs(fidelity, nm, t2, **tones):
+            got = sensitivity._kernel_optimum("continuous_two_tone", t2, cost=cost, **tones)
+            assert got == _every_multiple(t2, cost=cost, **tones)
+
+    def test_cost_evaluations_do_not_grow_with_t2_omega_s(self):
+        # omega_s = 2 pi 1 MHz at T2 = 1 s: five million multiples, of which
+        # the search evaluates the golden-section steps to half a period (36)
+        # and three, none with kappa below kappa_1
+        tones = dict(omega_s=TWO_PI * 1e6, sigma=TWO_PI * 500.0)
+        kappa_1 = small_g_curvature(**tones)
+        for cost in _two_tone_costs(0.9, 1000, 1.0, **tones):
+            kappas = []
+
+            def counting(t, kappa, cost=cost):
+                kappas.append(kappa)
+                return cost(t, kappa)
+
+            sensitivity._kernel_optimum("continuous_two_tone", 1.0, cost=counting, **tones)
+            assert len(kappas) <= 50
+            assert min(kappas) >= kappa_1
 
 
 class TestRootFinder:
