@@ -13,10 +13,10 @@ the signal at each grid point, the sensor and the ensemble, and one
 simulation of a grid point's (repetitions, N) bool block of outcomes. The
 replica fills one stack of shape (grid, repetitions, N) a block per worker
 task and estimates it whole. The degradation study holds one point's block
-at a time: each task flips its block at every level and keeps only the
-excited counts, so its memory scales with repetitions*N, not
-grid*repetitions*N. Both studies invert a (grid, repetitions) p_hat table
-through one scan helper.
+at a time: each task keeps only its tables' excited counts, so its memory
+scales with repetitions*N, not grid*repetitions*N, and the readout flips
+then act on those counts, two binomials per table. Both studies invert a
+(grid, repetitions) p_hat table through one scan helper.
 """
 
 from __future__ import annotations
@@ -490,11 +490,13 @@ def run_fidelity_degradation(
     against a 1/sqrt(F) scaling anchored at flip=0, so the grid must hold
     0.0 and no probability twice.
 
-    Each worker task holds one grid point's (reps, N) block at a time: it
-    simulates the block, flips it at every level (streams keyed (flip
-    index, grid point, repetition)) and keeps only each table's excited
-    count. So memory scales with reps*N per worker, not grid*reps*N, and
-    p_hat = count/N is estimate_population's p_hat bit for bit.
+    Each worker task holds one grid point's (reps, N) block at a time and
+    keeps only each table's excited count, so memory scales with reps*N per
+    worker, not grid*reps*N, and p_hat = count/N is estimate_population's
+    p_hat bit for bit. Each flip level f > 0 then flips those counts with
+    apply_readout_degradation, one stream keyed (flip index, grid point)
+    serving that point's reps tables in order: the law of flipping every
+    outcome, with two binomials per table.
     """
     if not flip_grid:
         raise ValueError("flip grid must hold at least one probability")
@@ -512,24 +514,24 @@ def run_fidelity_degradation(
     sensor, ensemble = _REPLICA_SENSOR, _REPLICA_ENSEMBLE
     t1 = REPLICA_PARAMS["t1"]
     decay = math.exp(-(t1**2) / (2 * sensor.t2**2))
-    excited = np.empty((len(flip_grid), len(_REPLICA_SPECS), reps), dtype=np.int64)
+    base = np.empty((len(_REPLICA_SPECS), reps), dtype=np.int64)
 
     def count(gi: int) -> None:
-        block = _replica_block(seed, gi, reps)
-        for fi, flip in enumerate(flip_grid):
-            # flip 0 draws nothing, so it derives no streams
-            rngs = derive_stream(seed, _NS_DEGRADE, fi, gi, shape=(reps,)) if flip else ()
-            excited[fi, gi] = np.count_nonzero(
-                apply_readout_degradation(block, flip, rngs), axis=-1)
+        base[gi] = np.count_nonzero(_replica_block(seed, gi, reps), axis=-1)
 
     _pmap(count, range(len(_REPLICA_SPECS)), threads)
 
     deg_rows, est_tables = [], []
     for fi, flip in enumerate(flip_grid):
+        excited = base
+        if flip:  # flip 0 draws nothing, so it derives no streams
+            rngs = derive_stream(seed, _NS_DEGRADE, fi, shape=(len(base),))
+            excited = np.stack([apply_readout_degradation(k, ensemble.n_shots, flip, rng)
+                                for k, rng in zip(base, rngs)])
         f_eff_expected = (1.0 - 2.0 * flip) * REPLICA_PARAMS["fidelity"]
         sensor_eff = SensorModel(f_eff_expected, sensor.t2, sensor.theta)
         # a 0/1 mean is an exact integer sum over N: estimate_population's p_hat, bit for bit
-        p_hat = excited[fi] / ensemble.n_shots
+        p_hat = excited / ensemble.n_shots
         scan, gmin = _scan(p_hat, sensor_eff)
         est_tables.append({"flip_prob": np.full(p_hat.size, flip), **bias_scan_table(scan)})
 

@@ -33,16 +33,20 @@ and uniforms. The screen runs over 8192-shot blocks of the flat buffer
 that holds them all, so small tables pay the per-call cost of numpy once
 per block, not once per table. A study holds their counts as one stack of
 shape (..., N), one table per row. The population estimate reduces the
-last axis, and every Monte-Carlo channel takes one table or a stack with
+last axis, and the excess-noise channel takes one table or a stack with
 one stream per table, in row order: row r draws only from its own stream
-and gets exactly the bits its table gets alone.
+and gets exactly the bits its table gets alone. The readout-flip channel
+acts on what a study keeps of a single-sensor table, its excited count:
+flipping each outcome with probability f takes a count k to
+k - Bin(k, f) + Bin(N - k, f), so it draws two binomials per table, all
+from one stream in row order, not one uniform per shot.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Iterable, Iterator, Sized
 
 import numpy as np
@@ -61,14 +65,14 @@ __all__ = [
 
 # shots per uniform draw in simulate_shots: a 64 kB block stays in cache
 _BLOCK = 8192
-# values per block of the row-wise passes (the population estimate, the
-# readout flips): each block costs a fixed number of numpy calls whatever
-# its size, and these passes hold one float buffer where the screen holds
-# three, so a larger block (32 rows of 1000 shots) pays fewer calls; every
-# row is reduced or drawn on its own, so no bit depends on the block size
+# values per block of the population estimate's row-wise pass: each block
+# costs a fixed number of numpy calls whatever its size, and the pass holds
+# one float buffer where the screen holds three, so a larger block (32 rows
+# of 1000 shots) pays fewer calls; every row is reduced on its own, so no
+# bit depends on the block size
 _ROW_BLOCK = 32768
 _F32_MAX = float(np.finfo(np.float32).max)
-# the usage errors of the streams each channel takes
+# the usage errors of the streams the shot draw and the excess-noise channel take
 _ONE_OR_SIZED = "rng must be one stream or a sized iterable of streams"
 _PER_TABLE = "rngs must yield one stream per table, each a numpy Generator"
 
@@ -227,47 +231,42 @@ def _streams(rngs, usage: str) -> Iterator[np.random.Generator]:
 
 
 def apply_readout_degradation(
-    counts, flip_prob: float, rngs: Iterable[np.random.Generator]
+    excited, n_shots: int, flip_prob: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Flip each recorded single-sensor outcome with probability flip_prob.
+    """Flip each recorded single-sensor outcome with probability flip_prob,
+    as a law on the excited counts of tables of n_shots shots.
 
-    counts holds the bool outcomes of one table, shape (N,), or of a stack
-    of tables, shape (..., N) with N >= 1; a bool array cannot hold a
-    multi-sensor count. rngs yields one stream per table in row order, and
-    a count that differs from the number of tables raises ValueError. Row r
-    draws its N uniforms from its own stream, so it flips exactly as its
-    table would alone; the rows of a block draw into one buffer, which one
-    comparison and one XOR then apply. Returns a new array; at flip_prob = 0 returns
-    counts itself and takes nothing from rngs. Two applications with
-    probabilities a then b compose to a+b-2ab, and the effective contrast
-    scales by (1-2*flip_prob).
+    excited holds the excited count k of each table, an integer array of
+    any shape with every count in [0, n_shots]. Flipping every outcome on
+    its own takes k to k - Bin(k, f) + Bin(n_shots - k, f): the excited
+    outcomes that flip down and the ground ones that flip up. rng draws
+    x = rng.binomial(np.stack([k, n_shots - k], axis=-1), flip_prob), both
+    binomials of each table in row order, and the result is
+    k - x[..., 0] + x[..., 1], a new int64 array of excited's shape. At
+    flip_prob = 0 returns excited itself and draws nothing. Given k the
+    flipped count has mean k(1-f) + (n_shots-k)f and variance
+    n_shots*f(1-f); two applications with probabilities a then b compose
+    to a+b-2ab, and the effective contrast scales by (1-2*flip_prob).
+    Every input is checked before anything is drawn.
     """
-    if not (0 <= flip_prob <= 0.5):
+    if isinstance(n_shots, bool) or not (isinstance(n_shots, (int, np.integer))
+                                         and n_shots >= 1):
+        raise ValueError("n_shots must be an integer >= 1")
+    if not (isinstance(flip_prob, Real) and 0 <= flip_prob <= 0.5):
         raise ValueError("flip_prob must be in [0, 1/2]")
-    counts = np.asarray(counts)
-    if counts.dtype != np.bool_ or counts.ndim == 0:
-        raise ValueError("readout degradation is defined for single-sensor outcomes, "
-                         "given as a bool array")
-    if counts.shape[-1] < 1:
-        raise ValueError("counts need a last axis of at least one shot")
-    streams = _streams(rngs, _PER_TABLE)
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError("rng must be one numpy Generator")
+    k = np.asarray(excited)
+    if k.dtype.kind not in "iu":
+        raise ValueError("readout degradation takes the integer excited counts of "
+                         "single-sensor tables")
+    if k.size and (k.min() < 0 or k.max() > n_shots):
+        raise ValueError("excited counts must lie in [0, n_shots]")
     if flip_prob == 0.0:
-        return counts
-    out = counts.copy()
-    rows = out.reshape(-1, out.shape[-1])
-    n = rows.shape[1]
-    step = max(1, _ROW_BLOCK // n)
-    u = np.empty((min(step, len(rows)), n))
-    flips = np.empty(u.shape, dtype=bool)
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step]
-        k = len(block)
-        for row_u, rng in zip(u[:k], itertools.islice(streams, k), strict=True):
-            rng.random(out=row_u)
-        block ^= np.less(u[:k], flip_prob, out=flips[:k])
-    if next(streams, None) is not None:
-        raise ValueError("rngs must yield one stream per table, and no more")
-    return out
+        return excited
+    k = k.astype(np.int64, copy=False)
+    x = rng.binomial(np.stack([k, int(n_shots) - k], axis=-1), flip_prob)
+    return k - x[..., 0] + x[..., 1]
 
 
 def excess_noise_channel(

@@ -26,7 +26,7 @@ from ramsey_sensing.experiments import (
 )
 from ramsey_sensing.cli import main
 from ramsey_sensing.io_utils import format_value, write_csv
-from ramsey_sensing.montecarlo import apply_readout_degradation, estimate_population
+from ramsey_sensing.montecarlo import apply_readout_degradation
 from ramsey_sensing.sensor import SensorModel
 from ramsey_sensing.streams import derive_stream
 
@@ -240,8 +240,8 @@ class TestDegradation:
 
     def test_frozen_residual_comparison(self, degrade_report):
         check = check_named(degrade_report, "burst_scaling_beats_sqrt")
-        assert_allclose(check.measured, 403134.55634257506, rtol=1e-9)
-        assert_allclose(check.expected, 668075.7440206879, rtol=1e-9)
+        assert_allclose(check.measured, 3446.926233354282, rtol=1e-9)
+        assert_allclose(check.expected, 33276.69186956354, rtol=1e-9)
         assert check.measured < check.expected
 
     def test_zero_flip_row_reproduces_the_replica(self, degrade_report):
@@ -288,8 +288,8 @@ class TestDegradation:
         assert np.array_equal(threaded, serial)
 
     def test_one_stream_per_table_and_drawing_flip(self, monkeypatch):
-        # one stream per simulated table, then one per table at each flip > 0;
-        # a shaped call derives the key (*path, *index) of every index
+        # one stream per simulated table, then one per grid point at each
+        # flip > 0; a shaped call derives the key (*path, *index) of every index
         paths = []
 
         def counting(seed, *path, shape=None):
@@ -299,25 +299,29 @@ class TestDegradation:
 
         monkeypatch.setattr(experiments, "derive_stream", counting)
         run_fidelity_degradation(REPLICA_SEED, (0.0, 0.1), repetitions=2)
-        tables = 22 * 2
-        assert len(paths) == 2 * tables
-        assert sorted(p for p in paths if p[0] == 5) == [
-            (5, 1, gi, rep) for gi in range(22) for rep in range(2)]
+        assert len(paths) == 22 * 2 + 22
+        assert sorted(p for p in paths if p[0] == 5) == [(5, 1, gi) for gi in range(22)]
 
     def test_estimates_equal_the_whole_stack_composition(self):
-        # the reference flips the whole (grid, reps) stack with (grid, reps)
-        # stream families, estimates it and inverts the p_hat table
+        # the reference counts the whole (grid, reps) stack, flips each count
+        # with two scalar binomials from its point's stream, (flip index,
+        # grid point), and inverts the p_hat table
         seed, flips, reps = 11, (0.0, 0.05, 0.3), 3
-        stack = experiments._simulate_replica_tables(seed, reps, threads=1)
+        n = experiments.REPLICA_PARAMS["n_shots"]
+        base = np.count_nonzero(experiments._simulate_replica_tables(seed, reps, threads=1),
+                                axis=-1)
         sensor = experiments._REPLICA_SENSOR
         g_hat_hz, status = [], []
         for fi, flip in enumerate(flips):
-            rngs = derive_stream(seed, 5, fi, shape=stack.shape[:2]) if flip else ()
-            p_hat = estimate_population(apply_readout_degradation(stack, flip, rngs), 1).p_hat
+            excited = base.copy()
+            if flip:
+                for gi, rng in enumerate(derive_stream(seed, 5, fi, shape=(len(base),))):
+                    for r, k in enumerate(base[gi].tolist()):
+                        excited[gi, r] = k - rng.binomial(k, flip) + rng.binomial(n - k, flip)
             sensor_eff = SensorModel((1.0 - 2.0 * flip) * experiments.REPLICA_PARAMS["fidelity"],
                                      sensor.t2, sensor.theta)
             g_hat, reason = invert_frequency_separation(
-                p_hat, sensor_eff, experiments._REPLICA_SPECS[0])
+                excited / n, sensor_eff, experiments._REPLICA_SPECS[0])
             g_hat_hz.append((g_hat / TWO_PI).ravel())
             status.append(np.array(STATUS)[reason.ravel()])
         table = run_fidelity_degradation(seed, flips, repetitions=reps).tables[
@@ -326,15 +330,16 @@ class TestDegradation:
         assert_array_equal(table["status"], np.concatenate(status), strict=True)
 
     def test_every_flip_sees_one_points_block(self, monkeypatch):
-        shapes = []
+        # each flip > 0 takes one grid point's excited counts per call
+        calls = []
 
-        def recording(counts, flip_prob, rngs):
-            shapes.append(np.shape(counts))
-            return apply_readout_degradation(counts, flip_prob, rngs)
+        def recording(excited, n_shots, flip_prob, rng):
+            calls.append((np.shape(excited), n_shots, flip_prob))
+            return apply_readout_degradation(excited, n_shots, flip_prob, rng)
 
         monkeypatch.setattr(experiments, "apply_readout_degradation", recording)
         run_fidelity_degradation(REPLICA_SEED, (0.0, 0.1), repetitions=4)
-        assert shapes == [(4, 1000)] * (2 * 22)
+        assert calls == [((4,), 1000, 0.1)] * 22
 
     def test_peak_memory_stays_below_one_table_stack(self):
         # each point's block is flipped and counted alone, so no (grid, reps, N)
@@ -416,7 +421,7 @@ class TestEstimateTableBytes:
         ("replica", "estimates_qpn_limited.csv"):
             "154ee297d1f93b22d296691ec3cc9e0ee28c30fae7491b92b017759988ce5866",
         ("degrade", "estimates_degraded.csv"):
-            "4da8ee1d28296c603ead72e72f79eae01a489bfdac9f65ea77c5acbf6354f251",
+            "7f15128596f9c6c9d28430b08efa5593575288beded194d9c9972bca2802686f",
     }
 
     def test_written_estimate_tables_are_pinned(self, replica_report, degrade_report, tmp_path):
@@ -453,7 +458,7 @@ class TestOutputBytes:
         ("fig2", "bebb563aee7a0a76"),
         ("fig3", "e01ad6c61eec0ce4"),
         ("replica", "49f318ee6098d63e"),
-        ("degrade", "68ed4687bd2c0f71"),
+        ("degrade", "4fac2a696b776fc3"),
         ("replica_unit_excess", "73fd16376898d03c"),
         ("simulate_m1", "b905fe6a13c12fcf"),
         ("simulate_m5", "11846ddfe1580b65"),

@@ -1,6 +1,6 @@
 """Shot engine: projective statistics, determinism, the float32 screen of
-single-sensor outcomes, the row-wise population estimate and readout
-degradation over table stacks, and the excess-noise channel."""
+single-sensor outcomes, the row-wise population estimate, the law of
+readout degradation on excited counts, and the excess-noise channel."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import binom, chi2, norm
 
 from ramsey_sensing import montecarlo
 from ramsey_sensing.montecarlo import (
@@ -326,95 +327,124 @@ def _streams(*path, rows):
     return [derive_stream(*path, r) for r in range(rows)]
 
 
+# the false-alarm rate of each statistical test of the flip channel's law
+FLIP_ALPHA = 1e-3
+
+
+def _untouched(rng, *path):
+    """Whether rng, the stream of path, has drawn nothing yet."""
+    return rng.random() == derive_stream(*path).random()
+
+
+def _flipped_law(n, k, f):
+    """The exact pmf over 0..n of k - Bin(k, f) + Bin(n - k, f): the excited
+    outcomes that stay, Bin(k, 1 - f), plus the ground ones that flip up."""
+    return np.convolve(binom.pmf(np.arange(k + 1), k, 1 - f),
+                       binom.pmf(np.arange(n - k + 1), n - k, f))
+
+
 class TestReadoutDegradation:
+    N = 1000
+
     def test_zero_flip_is_the_identity_and_draws_nothing(self):
-        stack = np.stack([_constant_table(n=100, seed_path=(41, 20, r)).counts
-                          for r in range(3)]).astype(bool)
+        excited = np.array([[0, 310, 1000], [7, 500, 999]])
+        rng = derive_stream(41, 20)
+        assert apply_readout_degradation(excited, self.N, 0.0, rng) is excited
+        assert _untouched(rng, 41, 20)
 
-        def streams():
-            raise AssertionError("no stream may be taken at flip 0")
-            yield
+    @pytest.mark.parametrize("n_shots", [N, np.uint64(N)])
+    def test_draws_two_binomials_per_table_in_row_order(self, n_shots):
+        # one stream serves a whole stack: per table, the excited outcomes
+        # that flip down, then the ground ones that flip up
+        excited = np.random.default_rng(41).integers(0, self.N + 1, (3, 4)).astype(np.uint16)
+        before = excited.copy()
+        flipped = apply_readout_degradation(excited, n_shots, 0.2, derive_stream(41, 26))
+        assert flipped.dtype == np.int64 and flipped.shape == excited.shape
+        assert np.array_equal(excited, before)  # the input is left as it was
+        rng = derive_stream(41, 26)
+        for index in np.ndindex(excited.shape):
+            k = int(excited[index])
+            down, up = rng.binomial(k, 0.2), rng.binomial(self.N - k, 0.2)
+            assert flipped[index] == k - down + up
 
-        assert apply_readout_degradation(stack, 0.0, streams()) is stack
+    @pytest.mark.parametrize("i, k, f", [
+        (0, 0, 0.05), (1, 80, 0.05), (2, 500, 0.3), (3, 930, 0.3), (4, 1000, 0.5)])
+    def test_flipped_count_has_the_mean_and_variance_of_its_law(self, i, k, f):
+        # given k, the flipped count has mean k(1-f) + (N-k)f and variance
+        # N f(1-f); each statistic holds at the false-alarm rate FLIP_ALPHA
+        reps, n = 20_000, self.N
+        flipped = apply_readout_degradation(np.full(reps, k), n, f, derive_stream(41, 21, i))
+        mean, var = k * (1 - f) + (n - k) * f, n * f * (1 - f)
+        z = (flipped.mean() - mean) / math.sqrt(var / reps)
+        assert abs(z) <= norm.ppf(1 - FLIP_ALPHA / 2)
+        stat = np.sum((flipped - flipped.mean()) ** 2) / var
+        lo, hi = chi2.ppf([FLIP_ALPHA / 2, 1 - FLIP_ALPHA / 2], reps - 1)
+        assert lo <= stat <= hi
 
-    def test_flip_probability_bounds(self):
-        counts = _constant_table(n=10, seed_path=(41, 21)).counts.astype(bool)
-        for bad in (-0.01, 0.51, math.nan):
-            with pytest.raises(ValueError):
-                apply_readout_degradation(counts, bad, [derive_stream(41, 22)])
-
-    def test_multi_sensor_tables_rejected(self):
-        # a multi-sensor table is rejected even where no count exceeds 1
-        ens = EnsembleConfig(10, 2)
-        table = simulate_shots(Constant(1.0), SENSOR, ens, 1e-3, derive_stream(41, 23))
-        assert table.counts.max() <= 1
-        for counts in (table.counts, table.counts.astype(np.uint8), table.counts / 2.0,
-                       np.bool_(True)):
-            with pytest.raises(ValueError):
-                apply_readout_degradation(counts, 0.1, [derive_stream(41, 24)])
-
-    @pytest.mark.parametrize("shape", [(2, 0), (0,)])
-    def test_zero_shot_tables_rejected_before_drawing(self, shape):
-        def streams():
-            raise AssertionError("no stream may be taken for a zero-shot table")
-            yield
-
-        for flip in (0.0, 0.1):
-            with pytest.raises(ValueError, match="at least one shot"):
-                apply_readout_degradation(np.zeros(shape, dtype=bool), flip, streams())
-
-    def test_one_stream_per_row(self):
-        stack = np.zeros((3, 8), dtype=bool)
-        for rows in (2, 4):
-            with pytest.raises(ValueError):
-                apply_readout_degradation(stack, 0.1, _streams(41, 35, rows=rows))
-
-    def test_stack_row_equals_its_table_flipped_alone(self):
-        stack = np.stack([_constant_table(n=1000, seed_path=(41, 25, r)).counts
-                          for r in range(6)]).astype(bool).reshape(2, 3, 1000)
-        before = stack.copy()
-        flipped = apply_readout_degradation(stack, 0.2, _streams(41, 26, rows=6))
-        assert flipped.dtype == bool and flipped.shape == stack.shape
-        assert np.array_equal(stack, before)  # the input is left as it was
-        rows = stack.reshape(6, 1000)
-        for r, row in enumerate(flipped.reshape(6, 1000)):
-            alone = apply_readout_degradation(rows[r], 0.2, [derive_stream(41, 26, r)])
-            assert np.array_equal(row, alone)
-            # the channel XORs each outcome with a uniform draw below flip_prob
-            expected = rows[r] ^ (derive_stream(41, 26, r).random(1000) < 0.2)
-            assert np.array_equal(alone, expected)
-
-    def test_rows_past_the_last_full_block_flip_as_alone(self):
-        # 70 rows of 1000 shots: two full row blocks and a partial third
-        n = 1000
-        rows = 2 * (montecarlo._ROW_BLOCK // n) + 6
-        stack = np.random.default_rng(41).random((rows, n)) < 0.3
-        flipped = apply_readout_degradation(stack, 0.2, derive_stream(41, 39, shape=(rows,)))
-        for r, rng in enumerate(derive_stream(41, 39, shape=(rows,))):
-            assert np.array_equal(flipped[r], stack[r] ^ (rng.random(n) < 0.2))
-        for count in (rows - 1, rows + 1):
-            with pytest.raises(ValueError):
-                apply_readout_degradation(stack, 0.2, derive_stream(41, 39, shape=(count,)))
+    @pytest.mark.parametrize("i, k", [(0, 0), (1, 300), (2, 1000)])
+    def test_two_flips_compose_to_one_at_a_plus_b_minus_2ab(self, i, k):
+        # flipping at a, then at b, draws from the exact law of one flip at
+        # a + b - 2ab: a chi-squared goodness of fit at FLIP_ALPHA
+        reps, n, a, b = 20_000, self.N, 0.1, 0.2
+        once = apply_readout_degradation(np.full(reps, k), n, a, derive_stream(41, 27, i))
+        twice = apply_readout_degradation(once, n, b, derive_stream(41, 28, i))
+        expected = reps * _flipped_law(n, k, a + b - 2 * a * b)
+        observed = np.bincount(twice, minlength=n + 1)
+        # counts whose expected number is below 5 pool into one bin per tail
+        big = np.flatnonzero(expected >= 5)
+        lo, hi = big[0], big[-1] + 1
+        exp_bins = np.r_[expected[:lo].sum(), expected[lo:hi], expected[hi:].sum()]
+        obs_bins = np.r_[observed[:lo].sum(), observed[lo:hi], observed[hi:].sum()]
+        keep = exp_bins > 0
+        stat = np.sum((obs_bins[keep] - exp_bins[keep]) ** 2 / exp_bins[keep])
+        assert stat <= chi2.ppf(1 - FLIP_ALPHA, keep.sum() - 1)
 
     def test_mean_moves_to_the_flipped_mixture(self):
-        table = _constant_table()
+        k = int(_constant_table().counts.sum())
         p = mean_population(CONST_SPEC, SENSOR, CONST_TI)
         n = CONST_N
         for f in (0.1, 0.3):
-            deg = apply_readout_degradation(table.counts.astype(bool), f, [derive_stream(41, 3)])
+            deg = apply_readout_degradation(k, n, f, derive_stream(41, 3))
             expected = f + (1 - 2 * f) * p
             tol = 4 * math.sqrt(expected * (1 - expected) / n)
-            assert abs(estimate_population(deg, 1).p_hat - expected) < tol
+            assert abs(deg / n - expected) < tol
 
-    def test_two_flips_compose(self):
-        table = _constant_table()
-        p = mean_population(CONST_SPEC, SENSOR, CONST_TI)
-        once = apply_readout_degradation(table.counts.astype(bool), 0.1, [derive_stream(41, 27)])
-        twice = apply_readout_degradation(once, 0.2, [derive_stream(41, 28)])
-        f = 0.1 + 0.2 - 2 * 0.1 * 0.2
-        expected = f + (1 - 2 * f) * p
-        tol = 4 * math.sqrt(expected * (1 - expected) / CONST_N)
-        assert abs(estimate_population(twice, 1).p_hat - expected) < tol
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    @pytest.mark.parametrize("change, match", [
+        ({"excited": np.array([True, False])}, "integer excited counts"),
+        ({"excited": np.array([3.0, 7.0])}, "integer excited counts"),
+        ({"excited": np.array([3, None], dtype=object)}, "integer excited counts"),
+        ({"excited": np.array([-1, 7])}, r"lie in \[0, n_shots\]"),
+        ({"excited": np.array([3, 11])}, r"lie in \[0, n_shots\]"),
+        ({"n_shots": 0}, "n_shots must be an integer"),
+        ({"n_shots": -10}, "n_shots must be an integer"),
+        ({"n_shots": 10.0}, "n_shots must be an integer"),
+        ({"n_shots": True}, "n_shots must be an integer"),
+        ({"n_shots": "10"}, "n_shots must be an integer"),
+    ], ids=["bool", "float", "object", "negative", "above-n", "n-zero", "n-negative",
+            "n-float", "n-bool", "n-str"])
+    def test_bad_counts_and_shots_raise_before_any_draw(self, flip, change, match):
+        rng = derive_stream(41, 22)
+        args = {"excited": np.array([3, 7]), "n_shots": 10, "flip_prob": flip, "rng": rng,
+                **change}
+        with pytest.raises(ValueError, match=match):
+            apply_readout_degradation(**args)
+        assert _untouched(rng, 41, 22)
+
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_an_rng_that_is_not_one_generator_is_rejected(self, flip):
+        rng = derive_stream(41, 22)
+        for bad in (None, np.random.RandomState(0), derive_stream(41, 22, shape=(2,)), [rng]):
+            with pytest.raises(ValueError, match="rng must be one numpy Generator"):
+                apply_readout_degradation(np.array([3, 7]), 10, flip, bad)
+        assert _untouched(rng, 41, 22)
+
+    @pytest.mark.parametrize("bad", [-0.01, 0.51, 1.0, math.nan, math.inf, "0.1", None])
+    def test_flip_probability_outside_half_interval_raises_before_any_draw(self, bad):
+        rng = derive_stream(41, 22)
+        with pytest.raises(ValueError, match="flip_prob must be in"):
+            apply_readout_degradation(np.array([3, 7]), 10, bad, rng)
+        assert _untouched(rng, 41, 22)
 
 
 class TestExcessNoiseChannel:
@@ -500,14 +530,12 @@ class TestExcessNoiseChannel:
 
 
 class TestOneStreamPerTable:
-    """Both channels take an iterable of streams, one per table in row order;
-    a bare Generator is a usage error even where the channel would draw
-    nothing, and so is an item that is not a Generator, as it is in the shot
-    draw."""
+    """The excess-noise channel takes an iterable of streams, one per table
+    in row order; a bare Generator is a usage error even where the channel
+    would draw nothing, and so is an item that is not a Generator, as it is
+    in the shot draw."""
 
     CHANNELS = {
-        "flip": lambda rngs, strength: apply_readout_degradation(
-            np.zeros((2, 8), dtype=bool), 0.1 * strength, rngs),
         "excess": lambda rngs, strength: excess_noise_channel(
             estimate_population(np.zeros((2, 8), dtype=bool), 1), 1.0 + strength, rngs),
     }
@@ -553,13 +581,6 @@ class TestChannelsOnAStreamFamily:
         alone = [simulate_shots(self.SPEC, self.MID_SENSOR, ens, self.T_I, rng).counts
                  for rng in _oracle_streams(43, 1, shape=(5,))]
         assert np.array_equal(batch.counts, np.concatenate(alone))
-
-    def test_apply_readout_degradation(self):
-        stack = np.random.default_rng(0).random((3, 4, 500)) < 0.3
-        batch = apply_readout_degradation(stack, 0.2, derive_stream(43, 2, shape=(3, 4)))
-        alone = [apply_readout_degradation(stack[index], 0.2, [rng])
-                 for index, rng in zip(np.ndindex(3, 4), _oracle_streams(43, 2, shape=(3, 4)))]
-        assert np.array_equal(batch, np.reshape(alone, stack.shape))
 
     def test_excess_noise_channel(self):
         est = estimate_population(np.random.default_rng(1).random((3, 4, 500)) < 0.3, 1)

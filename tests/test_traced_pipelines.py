@@ -68,15 +68,18 @@ def test_traced_replica_pipelines_match_an_untraced_run(tmp_path):
     assert _written(traced, tmp_path / "traced") == _written(_pipelines(), tmp_path / "plain")
 
 
-@pytest.mark.parametrize("iteration, solves, shots", [
-    # 22 grid points of 11 replica and 2 degrade repetitions, 1000 shots each
-    (_pipelines, 6, 22 * 11 * 1000 + 22 * 2 * 1000),
-    # 120 Monte-Carlo points of 2000 shots; solves: 120 mc_snr, one snr_curve,
-    # 4 x 51 gmin_at_optimum and compensation_threshold, one more g_min at
-    # F = 0.9 and 90 excess_sensors
-    (lambda: run_fig3(42, mc_shots=2000), 620, 240_000),
+@pytest.mark.parametrize("iteration, solves, shots, streams", [
+    # 22 grid points of 11 replica and 2 degrade repetitions, 1000 shots each;
+    # derive_stream calls, whatever the repetitions: one per grid point and
+    # one for the excess noise in the replica, one per grid point and one
+    # per flip > 0 in degrade
+    (_pipelines, 6, 22 * 11 * 1000 + 22 * 2 * 1000, 22 + 1 + 22 + 4),
+    # 120 Monte-Carlo points of 2000 shots, one stream each; solves: 120
+    # mc_snr, one snr_curve, 4 x 51 gmin_at_optimum and compensation_threshold,
+    # one more g_min at F = 0.9 and 90 excess_sensors
+    (lambda: run_fig3(42, mc_shots=2000), 620, 240_000, 120),
 ], ids=["replica+degrade", "fig3"])
-def test_declared_layer_metrics_are_numbers(iteration, solves, shots):
+def test_declared_layer_metrics_are_numbers(iteration, solves, shots, streams):
     # the benchmark prints each declared per-layer metric; one that has lost
     # its base (a ratio over zero calls reads None) makes its output malformed
     spans = _load("spans")
@@ -86,6 +89,7 @@ def test_declared_layer_metrics_are_numbers(iteration, solves, shots):
     metrics = spans.layer_metrics(trace)
     assert metrics["sensitivity.solves"] == solves  # the base of solves_per_s
     assert metrics["montecarlo.shots"] == shots  # the base of shots_per_s
+    assert metrics["streams.derive_stream.calls"] == streams
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     values = {name: metrics[name] for name in declared if name in metrics}
     assert "streams.us_per_stream" in values
