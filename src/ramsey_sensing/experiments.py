@@ -10,13 +10,13 @@ its own counter-based stream.
 
 The replica and degradation studies share one setup, held as module data:
 the signal at each grid point, the sensor and the ensemble, and one
-simulation of a grid point's (repetitions, N) bool block of outcomes. The
-replica fills one stack of shape (grid, repetitions, N) a block per worker
-task and estimates it whole. The degradation study holds one point's block
-at a time: each task keeps only its tables' excited counts, so its memory
-scales with repetitions*N, not grid*repetitions*N, and the readout flips
-then act on those counts, two binomials per table. Both studies invert a
-(grid, repetitions) p_hat table through one scan helper.
+simulation of a grid point's (repetitions, N) block of single-shot counts.
+Both reduce each point's block inside its own worker task, so neither holds
+more than one block per worker and memory scales with repetitions*N, not
+grid*repetitions*N: the replica keeps each point's population estimate, the
+degradation study each table's excited count, on which the readout flips
+then act, two binomials per table. Both studies invert a (grid,
+repetitions) p_hat table through one scan helper.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ from .estimators import (
 )
 from .io_utils import write_csv, write_json
 from .montecarlo import (
+    PopulationEstimate,
     apply_readout_degradation,
     estimate_population,
     excess_noise_channel,
     simulate_shots,
 )
-from .sensor import EnsembleConfig, SensorModel, mean_population, qpn_variance
+from .sensor import EnsembleConfig, SensorModel, contrast, mean_population, qpn_variance
 from .sensitivity import (
     compensation_threshold,
     excess_sensors,
@@ -355,7 +356,8 @@ _REPLICA_ENSEMBLE = EnsembleConfig(REPLICA_PARAMS["n_shots"], REPLICA_PARAMS["m_
 
 
 def _replica_block(seed: int, gi: int, reps: int) -> np.ndarray:
-    """The bool outcomes of grid point gi's reps tables, shape (reps, n_shots).
+    """The excited counts of grid point gi's reps tables, shape (reps, n_shots):
+    simulate_shots' int64 counts reshaped, each 0 or 1 as M = 1.
 
     One simulate_shots call over the point's reps streams, derived in one
     call; every table comes from its own stream, so a block is the same
@@ -364,19 +366,7 @@ def _replica_block(seed: int, gi: int, reps: int) -> np.ndarray:
     rngs = derive_stream(seed, _NS_REPLICA, 0, gi, shape=(reps,))
     counts = simulate_shots(_REPLICA_SPECS[gi], _REPLICA_SENSOR, _REPLICA_ENSEMBLE,
                             REPLICA_PARAMS["t1"], rngs).counts
-    return counts.reshape(reps, -1).astype(bool)
-
-
-def _simulate_replica_tables(seed: int, reps: int, threads: int) -> np.ndarray:
-    """Outcomes of every (grid point, repetition) table: one bool stack of
-    shape (grid, reps, n_shots), each task filling one grid point's block."""
-    stack = np.empty((len(_REPLICA_SPECS), reps, _REPLICA_ENSEMBLE.n_shots), dtype=bool)
-
-    def fill(gi: int) -> None:
-        stack[gi] = _replica_block(seed, gi, reps)
-
-    _pmap(fill, range(len(_REPLICA_SPECS)), threads)
-    return stack
+    return counts.reshape(reps, -1)
 
 
 def _scan(p_hat: np.ndarray, sensor: SensorModel) -> tuple[BiasScan, GminEstimate]:
@@ -399,12 +389,16 @@ def run_experiment_replica(
     emulates the measured noise floor sitting above projection noise.
     """
     reps = REPLICA_PARAMS["repetitions"]
-    stack = _simulate_replica_tables(seed, reps, threads)
     sensor, ensemble = _REPLICA_SENSOR, _REPLICA_ENSEMBLE
 
-    est = estimate_population(stack, ensemble.m_sensors)
+    points = _pmap(lambda gi: estimate_population(_replica_block(seed, gi, reps),
+                                                  ensemble.m_sensors),
+                   range(len(_REPLICA_SPECS)), threads)
+    est = PopulationEstimate(np.stack([e.p_hat for e in points]),
+                             np.stack([e.std_err for e in points]),
+                             np.stack([e.qpn_err for e in points]))
     est_x = excess_noise_channel(
-        est, excess_factor, derive_stream(seed, _NS_REPLICA, 1, shape=stack.shape[:2]))
+        est, excess_factor, derive_stream(seed, _NS_REPLICA, 1, shape=est.p_hat.shape))
     scan_qpn, gmin_qpn = _scan(est.p_hat, sensor)
     scan_exc, gmin_exc = _scan(est_x.p_hat, sensor)
     p_models = [mean_population(spec, sensor, REPLICA_PARAMS["t1"]) for spec in _REPLICA_SPECS]
@@ -513,13 +507,9 @@ def run_fidelity_degradation(
     reps = repetitions
     sensor, ensemble = _REPLICA_SENSOR, _REPLICA_ENSEMBLE
     t1 = REPLICA_PARAMS["t1"]
-    decay = math.exp(-(t1**2) / (2 * sensor.t2**2))
-    base = np.empty((len(_REPLICA_SPECS), reps), dtype=np.int64)
-
-    def count(gi: int) -> None:
-        base[gi] = np.count_nonzero(_replica_block(seed, gi, reps), axis=-1)
-
-    _pmap(count, range(len(_REPLICA_SPECS)), threads)
+    decay = contrast(SensorModel(1.0, sensor.t2), t1)
+    base = np.stack(_pmap(lambda gi: np.count_nonzero(_replica_block(seed, gi, reps), axis=-1),
+                          range(len(_REPLICA_SPECS)), threads))
 
     deg_rows, est_tables = [], []
     for fi, flip in enumerate(flip_grid):
@@ -538,10 +528,10 @@ def run_fidelity_degradation(
         # re-measure the effective fidelity from the degraded baseline
         p0_mean = sum(p_hat[0].tolist()) / reps
         f_eff_measured = (1.0 - 2.0 * p0_mean) / decay
-        p0_model = 0.5 * (1.0 - f_eff_expected * decay)
+        p0_model = mean_population(_REPLICA_SPECS[0], sensor_eff, t1)
         sigma_f = 2.0 * math.sqrt(qpn_variance(p0_model, ensemble) / reps) / decay
 
-        c_eff = f_eff_expected * decay
+        c_eff = contrast(sensor_eff, t1)
         model_hz = gmin_at_optimum("intermittent", sensor_eff, ensemble,
                                    omega_s=REPLICA_PARAMS["omega_s"],
                                    sigma=REPLICA_PARAMS["sigma"]).g_min / TWO_PI

@@ -27,18 +27,18 @@ that holds a NaN phase or one beyond float32's range. The outcomes are
 therefore the bits of the exact comparison, and the stream is consumed
 exactly as without the screen.
 
-Many tables of one setting are simulated in one call, one stream per
-table, each taken only after the last is spent on its own table's phases
-and uniforms. The screen runs over 8192-shot blocks of the flat buffer
-that holds them all, so small tables pay the per-call cost of numpy once
-per block, not once per table. A study holds their counts as one stack of
-shape (..., N), one table per row. The population estimate reduces the
-last axis, and the excess-noise channel takes one table or a stack with
-one stream per table, in row order: row r draws only from its own stream
-and gets exactly the bits its table gets alone. The readout-flip channel
-acts on what a study keeps of a single-sensor table, its excited count:
-flipping each outcome with probability f takes a count k to
-k - Bin(k, f) + Bin(N - k, f), so it draws two binomials per table, all
+Many tables of one setting are simulated in one call, one stream per table,
+each taken only after the last is spent on its own table's phases and
+uniforms. The screen runs over 8192-shot blocks of the flat buffer that
+holds them all, so small tables pay the per-call cost of numpy once per
+block, not once per table. Reshaped to (R, N), or held in any stack of
+shape (..., N), the counts have one table per row. The population estimate
+reduces the last axis in one pass, and the excess-noise channel takes one
+table or a stack with one stream per table, in row order: row r draws only
+from its own stream and gets exactly the bits its table gets alone. The
+readout-flip channel acts on what a study keeps of a single-sensor table,
+its excited count: flipping each outcome with probability f takes a count k
+to k - Bin(k, f) + Bin(N - k, f), so it draws two binomials per table, all
 from one stream in row order, not one uniform per shot.
 """
 
@@ -65,12 +65,6 @@ __all__ = [
 
 # shots per uniform draw in simulate_shots: a 64 kB block stays in cache
 _BLOCK = 8192
-# values per block of the population estimate's row-wise pass: each block
-# costs a fixed number of numpy calls whatever its size, and the pass holds
-# one float buffer where the screen holds three, so a larger block (32 rows
-# of 1000 shots) pays fewer calls; every row is reduced on its own, so no
-# bit depends on the block size
-_ROW_BLOCK = 32768
 _F32_MAX = float(np.finfo(np.float32).max)
 # the usage errors of the streams the shot draw and the excess-noise channel take
 _ONE_OR_SIZED = "rng must be one stream or a sized iterable of streams"
@@ -180,13 +174,15 @@ def _decide(sensor, t_i, phi, u, out, x, d) -> None:
 def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
     """p_hat with its empirical error of the mean and the QPN prediction.
 
-    counts holds one table, shape (N,), or a stack of tables, shape
-    (..., N); the estimate reduces the last axis, so each row of a stack
-    gets the bits its table gets alone. The fields are floats for one table
-    and arrays of the leading shape for a stack. Rows are reduced a block at
-    a time, so a large stack costs no full-size float temporaries.
+    counts holds the integer (or bool) excited counts of one table, shape
+    (N,), or of a stack of tables, shape (..., N); the estimate reduces the
+    last axis, so each row of a stack gets the bits its table gets alone.
+    The fields are floats for one table and arrays of the leading shape for
+    a stack.
     """
     counts = np.asarray(counts)
+    if counts.dtype.kind not in "biu":
+        raise ValueError("counts must be integer (or bool) excited counts")
     if counts.ndim == 0 or counts.shape[-1] < 1:
         raise ValueError("counts need a last axis of at least one shot")
     if isinstance(m_sensors, bool) or not (isinstance(m_sensors, (int, np.integer))
@@ -195,15 +191,9 @@ def estimate_population(counts, m_sensors: int) -> PopulationEstimate:
     if counts.size and (counts.min() < 0 or counts.max() > m_sensors):
         raise ValueError("counts must lie in [0, m_sensors]")
     n, m = counts.shape[-1], int(m_sensors)
-    rows = counts.reshape(-1, n)
-    p_hat = np.empty(len(rows))
-    std = np.zeros(len(rows))
-    step = max(1, _ROW_BLOCK // n)
-    for lo in range(0, len(rows), step):
-        fractions = rows[lo:lo + step] / m
-        fractions.mean(axis=-1, out=p_hat[lo:lo + step])
-        if n > 1:
-            fractions.std(axis=-1, ddof=1, out=std[lo:lo + step])
+    fractions = counts.reshape(-1, n) / m
+    p_hat = fractions.mean(axis=-1)
+    std = fractions.std(axis=-1, ddof=1) if n > 1 else np.zeros(len(fractions))
     std_err = std / math.sqrt(n)
     qpn_err = np.sqrt(p_hat * (1.0 - p_hat) / (n * m))
     if counts.ndim == 1:

@@ -203,6 +203,18 @@ class TestReplica:
         write_report(run_experiment_replica(REPLICA_SEED), tmp_path / "again")
         assert written_bytes(tmp_path / "again") == written_bytes(tmp_path / "first")
 
+    def test_workers_estimate_disjoint_grid_points(self, replica_report, tmp_path):
+        # more workers than cores, switching threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_experiment_replica(REPLICA_SEED, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        write_report(replica_report, tmp_path / "serial")
+        write_report(threaded, tmp_path / "threaded")
+        assert written_bytes(tmp_path / "threaded") == written_bytes(tmp_path / "serial")
+
     def test_population_table_shape_and_domain(self, replica_report):
         table = replica_report.tables["population"]
         assert all(len(column) == 22 * 11 for column in table.values())
@@ -274,19 +286,6 @@ class TestDegradation:
         assert all(len(column) == 5 for column in deg.values())
         assert all(len(column) == 5 * 22 * 44 for column in est.values())
 
-    def test_workers_fill_disjoint_rows_of_the_table_stack(self):
-        # more workers than cores, switching threads as often as possible
-        serial = experiments._simulate_replica_tables(REPLICA_SEED, 3, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = experiments._simulate_replica_tables(REPLICA_SEED, 3, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial.shape == (len(experiments._REPLICA_SPECS), 3, 1000)
-        assert serial.dtype == bool
-        assert np.array_equal(threaded, serial)
-
     def test_one_stream_per_table_and_drawing_flip(self, monkeypatch):
         # one stream per simulated table, then one per grid point at each
         # flip > 0; a shaped call derives the key (*path, *index) of every index
@@ -303,13 +302,13 @@ class TestDegradation:
         assert sorted(p for p in paths if p[0] == 5) == [(5, 1, gi) for gi in range(22)]
 
     def test_estimates_equal_the_whole_stack_composition(self):
-        # the reference counts the whole (grid, reps) stack, flips each count
+        # the reference counts each grid point's block, flips each count
         # with two scalar binomials from its point's stream, (flip index,
         # grid point), and inverts the p_hat table
         seed, flips, reps = 11, (0.0, 0.05, 0.3), 3
         n = experiments.REPLICA_PARAMS["n_shots"]
-        base = np.count_nonzero(experiments._simulate_replica_tables(seed, reps, threads=1),
-                                axis=-1)
+        base = np.stack([np.count_nonzero(experiments._replica_block(seed, gi, reps), axis=-1)
+                         for gi in range(len(experiments._REPLICA_SPECS))])
         sensor = experiments._REPLICA_SENSOR
         g_hat_hz, status = [], []
         for fi, flip in enumerate(flips):
@@ -353,6 +352,18 @@ class TestDegradation:
         finally:
             tracemalloc.stop()
         assert peak < stack_bytes
+
+    def test_replica_peak_memory_stays_below_two_table_stacks(self):
+        # each point's block is estimated in its own task, so no (grid, reps, N)
+        # stack of outcomes is held: one of bools would alone take stack_bytes
+        stack_bytes = len(experiments._REPLICA_SPECS) * 11 * 1000
+        tracemalloc.start()
+        try:
+            run_experiment_replica(REPLICA_SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack_bytes
 
     def test_workers_count_disjoint_grid_points(self, tmp_path):
         # more workers than cores, switching threads as often as possible

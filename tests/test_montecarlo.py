@@ -253,6 +253,7 @@ class TestEstimatePopulation:
             (np.array([0, 1]), True),  # a bool is not an integer
             (np.array(1), 1),  # no shot axis
             (np.zeros((3, 0), dtype=bool), 1),  # no shots
+            (np.array([0.5, 1.0]), 1),  # not integer counts
         ):
             with pytest.raises(ValueError):
                 estimate_population(counts, m)
@@ -272,7 +273,7 @@ class TestEstimatePopulation:
            m=st.just(1) | st.integers(2, 9), dtype=st.sampled_from(["bool", "uint8", "int64"]),
            seed=st.integers(0, 2**32 - 1))
     def test_rows_of_a_stack_match_their_tables_bit_for_bit(self, rows, n, m, dtype, seed):
-        # stacks up to 40 rows of 1500 shots span several reduction blocks
+        # stacks up to 40 rows of 1500 shots, reduced in one pass
         if dtype == "bool":
             m = 1
         counts = np.random.default_rng(seed).integers(0, m + 1, size=(rows, n)).astype(dtype)
