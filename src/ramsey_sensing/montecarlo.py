@@ -45,6 +45,7 @@ from one stream in row order, not one uniform per shot.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Iterable, Iterator, Sized
@@ -271,8 +272,10 @@ def excess_noise_channel(
     order, and row r draws its one normal from its own stream.
     excess_factor=1 returns est itself and takes nothing from rngs.
     """
-    if not (excess_factor >= 1 and math.isfinite(excess_factor)):
-        raise ValueError("excess_factor must be finite and >= 1")
+    # the jitter's scale reads excess_factor^2, which must stay finite; a
+    # bound, unlike a product, holds for numpy floats and huge ints alike
+    if not 1 <= excess_factor <= math.sqrt(sys.float_info.max):
+        raise ValueError("excess_factor must be finite and >= 1, with excess_factor^2 finite")
     streams = _streams(rngs, _PER_TABLE)
     if excess_factor == 1.0:
         return est

@@ -7,11 +7,11 @@ independently of execution order and worker count.
 A stream is ``Generator(Philox(SeedSequence(master_seed, spawn_key=path)))``.
 Philox is counter-based, so its 128-bit key alone fixes the stream (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11); the key is the
-seed sequence's ``generate_state(2, np.uint64)``. ``_philox_keys`` ports that
-hash, O'Neill's ``seed_seq_fe`` (pcg-random.org, 2015, as numpy implements
-it), to uint32 arithmetic over a block of keys, mixing the words all keys
-share once and only the index words as arrays. A key reaches Philox as its
-``key=`` argument. A shaped call re-keys one generator's Philox to each
+seed sequence's ``generate_state(2, np.uint64)``. numpy's ``SeedSequence``
+mixes the seed and path; a shaped call then hashes only the index words of
+its keys, as arrays, with O'Neill's ``seed_seq_fe`` (pcg-random.org, 2015,
+as numpy implements it) ported to uint32 arithmetic. A key reaches Philox as
+its ``key=`` argument. A shaped call re-keys one generator's Philox to each
 index's fresh state through the public ``BitGenerator.state`` setter: a
 yield is valid until the iterator advances, as an ``itertools.groupby``
 group is. No derived generator can ``spawn``: a longer path derives a child
@@ -20,7 +20,6 @@ stream instead.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Iterator
@@ -46,54 +45,19 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """seed_seq_fe's hashmix of value under hash constant h, and the next constant."""
-    h_next = h * _MULT_A & _M32
-    value = (value ^ h) * h_next & _M32
-    return value ^ (value >> _XSHIFT), h_next
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ (r >> _XSHIFT)
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """The four pool words after the seed is mixed in, and the hash constant
-    that comes next. The seed fills the pool zero-padded, as two words if
-    it needs 64 bits."""
-    pool, h = [], _INIT_A
-    for word in (master_seed & _M32, master_seed >> 32, 0, 0):
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), h
-
-
-def _philox_keys(master_seed: int, path: list[int], shape: tuple[int, ...]) -> np.ndarray:
-    """The (prod(shape), 2) uint64 Philox keys of (master_seed, *path, *index),
-    one row per index in np.ndindex(shape) order.
-
-    Row k equals SeedSequence(master_seed, spawn_key=(*path, *index_k))
+def _index_keys(seq: np.random.SeedSequence, shape: tuple[int, ...]) -> np.ndarray:
+    """The (prod(shape), 2) uint64 Philox keys of seq's key extended by each
+    index of shape, one row per index in np.ndindex(shape) order: row k is
+    SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, *index_k))
     .generate_state(2, np.uint64).
     """
-    pool, h = _seed_pool(master_seed)
-    pool = list(pool)
-    for word in path:
-        for dst in range(_POOL):
-            value, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], value)
-
-    # An index word is hashed once per pool word, with hash constants that
-    # do not depend on the data: h_n xored in, h_{n+1} as multiplier, for
-    # the n-th hash. So the pool mixes each index word as one (4, K) step
-    # in uint32 arithmetic, which wraps as the C code does.
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    # The seed's four pool words, their twelve cross-mixes and four hashes
+    # per path word set the hash constant h. An index word is hashed once
+    # per pool word, with h_n xored in and h_{n+1} as multiplier for the
+    # n-th hash, whatever the data: so the pool mixes each index word as one
+    # (4, K) step in uint32 arithmetic, which wraps as the C code does.
+    h = _INIT_A * pow(_MULT_A, 16 + _POOL * len(seq.spawn_key), 2**32) & _M32
+    pool = seq.pool[:, None]
     consts = h * _A_POWERS  # h_n, ..., h_{n+4}
     xor, mul = consts[:-1, None], consts[1:, None]
     for word in np.indices(shape, dtype=np.uint32).reshape(len(shape), math.prod(shape)):
@@ -149,7 +113,9 @@ def derive_stream(
                                   and all(_is_int(d) and 0 <= d <= 2**32 for d in shape)):
         raise ValueError("shape must be a tuple of integers >= 0 whose indices fit in "
                          "32 unsigned bits")
-    keys = _philox_keys(int(master_seed), [int(p) for p in path],
-                        () if shape is None else tuple(int(d) for d in shape))
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=[int(p) for p in path])
+    if shape is None:
+        return np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
+    keys = _index_keys(seq, tuple(int(d) for d in shape))
     first = np.random.Generator(np.random.Philox(key=keys[0])) if len(keys) else None
-    return first if shape is None else _Family(first, keys)
+    return _Family(first, keys)

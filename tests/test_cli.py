@@ -546,6 +546,13 @@ class TestReplicaCommand:
         assert rc == 2
         assert "repetitions must be an integer >= 2" in capsys.readouterr().err
 
+    def test_excess_whose_square_overflows_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "replica"
+        rc = run_cli(["replica", "--excess", "1e160", "--out", str(out)])
+        assert rc == 2
+        assert "with excess_factor^2 finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_excess_rejected_on_degrade(self, capsys):
         rc = run_cli(["replica", "degrade", "--excess", "2.0"])
         assert rc == 2

@@ -465,7 +465,8 @@ class TestExcessNoiseChannel:
 
     def test_non_finite_factor_rejected(self):
         est = estimate_population(_constant_table(n=10, seed_path=(41, 29)).counts, 1)
-        for bad in (math.nan, math.inf):
+        # 1e160 squares past the float range, whatever its type
+        for bad in (math.nan, math.inf, 1e160, np.float64(1e160), 10**200):
             with pytest.raises(ValueError):
                 excess_noise_channel(est, bad, [derive_stream(41, 30)])
 

@@ -114,9 +114,9 @@ def test_a_family_re_keys_one_generator_to_a_fresh_state():
 def test_a_family_generator_cannot_spawn():
     family = derive_stream(5, 1, shape=(2, 2))
     next(family)
-    g = next(family)
-    with pytest.raises(TypeError):
-        g.spawn(1)
+    for g in (next(family), derive_stream(5, 1)):  # a family's, and a single key's
+        with pytest.raises(TypeError):
+            g.spawn(1)
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
