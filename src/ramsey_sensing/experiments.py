@@ -38,6 +38,7 @@ from .estimators import (
 from .io_utils import write_csv, write_json
 from .montecarlo import (
     PopulationEstimate,
+    _check_excess_factor,
     apply_readout_degradation,
     estimate_population,
     excess_noise_channel,
@@ -388,6 +389,7 @@ def run_experiment_replica(
     excess_factor > 1 a second scan adds matching population jitter, which
     emulates the measured noise floor sitting above projection noise.
     """
+    _check_excess_factor(excess_factor)  # before any table is simulated
     reps = REPLICA_PARAMS["repetitions"]
     sensor, ensemble = _REPLICA_SENSOR, _REPLICA_ENSEMBLE
 

@@ -45,7 +45,6 @@ from one stream in row order, not one uniform per shot.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Iterable, Iterator, Sized
@@ -53,7 +52,7 @@ from typing import Iterable, Iterator, Sized
 import numpy as np
 
 from .sensor import EnsembleConfig, SensorModel, contrast, excitation_probability
-from .signals import SignalSpec, _fill_phases, _phase_scale
+from .signals import _SQUARE_MAX, SignalSpec, _fill_phases, _phase_scale
 
 __all__ = [
     "ShotTable",
@@ -260,6 +259,11 @@ def apply_readout_degradation(
     return k - x[..., 0] + x[..., 1]
 
 
+def _check_excess_factor(excess_factor: float) -> None:
+    if not 1 <= excess_factor <= _SQUARE_MAX:
+        raise ValueError("excess_factor must be finite and >= 1, with excess_factor^2 finite")
+
+
 def excess_noise_channel(
     est: PopulationEstimate, excess_factor: float, rngs: Iterable[np.random.Generator]
 ) -> PopulationEstimate:
@@ -272,10 +276,7 @@ def excess_noise_channel(
     order, and row r draws its one normal from its own stream.
     excess_factor=1 returns est itself and takes nothing from rngs.
     """
-    # the jitter's scale reads excess_factor^2, which must stay finite; a
-    # bound, unlike a product, holds for numpy floats and huge ints alike
-    if not 1 <= excess_factor <= math.sqrt(sys.float_info.max):
-        raise ValueError("excess_factor must be finite and >= 1, with excess_factor^2 finite")
+    _check_excess_factor(excess_factor)
     streams = _streams(rngs, _PER_TABLE)
     if excess_factor == 1.0:
         return est

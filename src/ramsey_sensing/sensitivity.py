@@ -12,10 +12,9 @@ search to 1e-7 T2. The count is the kernel inverse `_kernel_nm` =
 `_floor_nm` + 2/x: `compensation_threshold` is the ratio of two such counts
 at finite N, F over unity fidelity, so F = 1 gives 1 by construction, and
 `excess_sensors` the ratio of two of their NM -> infinity limits. Only the
-tests call the references that back the closed forms: the exact-SNR
-root-finder `root_found_gmin` (by the in-package Brent solver `brentq`, with
-no small-signal expansion), `gmin_continuous_two_tone`, and the Monte-Carlo
-crossing `mc_gmin_crossing`.
+tests and the benchmark call the references that back the closed forms: the
+exact-SNR root-finder `root_found_gmin` (by the in-package Brent solver
+`brentq`, with no small-signal expansion) and `gmin_continuous_two_tone`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "exact_snr",
     "root_found_gmin",
     "mc_snr",
-    "mc_gmin_crossing",
     "snr_curve",
     "optimal_integration_time",
     "compensation_threshold",
@@ -56,7 +54,7 @@ VALIDITY_LIMIT = 0.1  # small-signal assumption: (g t)^2 or kappa g^2 below this
 @dataclass(frozen=True)
 class SensitivityResult:
     g_min: float  # rad/s
-    method: str  # closed_form | root_found | monte_carlo
+    method: str  # closed_form | root_found
     validity: bool  # False when the small-signal assumption fails at g_min
     t_i: float  # s, the integration time at which g_min holds
 
@@ -203,10 +201,6 @@ def gmin_variance(sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> 
     return _closed_form(g, kappa * g * g, t_i)
 
 
-def _with_g(spec: SignalSpec, g: float) -> SignalSpec:
-    return replace(spec, g=g)
-
-
 def _snr(p: float, p_0: float, ensemble: EnsembleConfig) -> float:
     """Signed SNR (p - p_0) / sqrt(QPN at p) of a population against its baseline."""
     var = qpn_variance(p, ensemble)
@@ -218,7 +212,7 @@ def _snr(p: float, p_0: float, ensemble: EnsembleConfig) -> float:
 def exact_snr(spec: SignalSpec, sensor: SensorModel, ensemble: EnsembleConfig, t_i: float) -> float:
     """|mean_population(g) - mean_population(0)| / sqrt(QPN at g), no expansion:
     what root_found_gmin solves and tests/test_sensitivity.py::TestSnrCurve checks."""
-    p_0 = mean_population(_with_g(spec, 0.0), sensor, t_i)
+    p_0 = mean_population(replace(spec, g=0.0), sensor, t_i)
     return abs(_snr(mean_population(spec, sensor, t_i), p_0, ensemble))
 
 
@@ -240,7 +234,7 @@ def root_found_gmin(
     """
     if not (0 < t_i < math.inf):
         raise ValueError("t_i must be finite and > 0")
-    f = lambda g: exact_snr(_with_g(spec, g), sensor, ensemble, t_i) - 1.0
+    f = lambda g: exact_snr(replace(spec, g=g), sensor, ensemble, t_i) - 1.0
     g_upper = math.pi / (2 * t_i) if isinstance(spec, Constant) else math.inf
     hi = min(1.0 / (t_i * math.sqrt(ensemble.total)), g_upper)
     for _ in range(200):
@@ -270,41 +264,7 @@ def mc_snr(
     probe = EnsembleConfig(n_shots, ensemble.m_sensors)
     table = simulate_shots(spec, sensor, probe, t_i, rng)
     p_hat = float(table.counts.mean()) / ensemble.m_sensors
-    return _snr(p_hat, mean_population(_with_g(spec, 0.0), sensor, t_i), ensemble)
-
-
-def mc_gmin_crossing(
-    spec: SignalSpec,
-    sensor: SensorModel,
-    ensemble: EnsembleConfig,
-    t_i: float,
-    rng,
-    bracket_center: float,
-    n_shots: int = 100_000,
-    n_avg: int = 3,
-) -> SensitivityResult:
-    """Monte-Carlo SNR=1 crossing by geometric bisection.
-
-    Starts from a [center/5, 5*center] bracket, bisects until hi/lo is
-    within 1.01, and averages n_avg independent bisections
-    geometrically to beat the shot noise of single runs. Backs the constant
-    closed form in tests/test_sensitivity.py::TestRootFinder and
-    tests/test_acceptance.py.
-    """
-    if not (0 < bracket_center < math.inf):
-        raise ValueError("bracket_center must be finite and > 0")
-    crossings = []
-    for _ in range(n_avg):
-        lo, hi = bracket_center / 5.0, bracket_center * 5.0
-        while hi / lo > 1.01:
-            mid = math.sqrt(lo * hi)
-            if mc_snr(_with_g(spec, mid), sensor, ensemble, t_i, rng, n_shots) >= 1.0:
-                hi = mid
-            else:
-                lo = mid
-        crossings.append(math.sqrt(lo * hi))
-    g = math.exp(sum(math.log(c) for c in crossings) / len(crossings))
-    return SensitivityResult(g, "monte_carlo", True, t_i)
+    return _snr(p_hat, mean_population(replace(spec, g=0.0), sensor, t_i), ensemble)
 
 
 def snr_curve(
@@ -321,7 +281,7 @@ def snr_curve(
     curve dips below zero there. The Monte-Carlo counterpart is mc_snr,
     called per point.
     """
-    spec_g, spec_0 = _with_g(spec, g), _with_g(spec, 0.0)
+    spec_g, spec_0 = replace(spec, g=g), replace(spec, g=0.0)
     return [
         (t_i, _snr(mean_population(spec_g, sensor, t_i),
                    mean_population(spec_0, sensor, t_i), ensemble))

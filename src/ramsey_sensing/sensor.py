@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
+    _FLOAT_MAX,
+    _SQUARE_MAX,
     Constant,
     IntermittentTwoTone,
     SignalSpec,
@@ -44,9 +46,9 @@ class SensorModel:
         if not (0 < self.fidelity <= 1):
             raise ValueError("fidelity must be in (0, 1]")
         # contrast divides by 2 t2^2, which must neither overflow nor underflow to 0
-        if not (self.t2 > 0 and 0 < self.t2 * self.t2 < math.inf):
+        if not (0 < self.t2 <= _SQUARE_MAX and self.t2 * self.t2 > 0):
             raise ValueError("t2 must be finite and > 0, with t2^2 finite and nonzero")
-        if not math.isfinite(self.theta):
+        if not abs(self.theta) <= _FLOAT_MAX:
             raise ValueError("theta must be finite")
 
 
@@ -69,7 +71,7 @@ class EnsembleConfig:
 
 def contrast(sensor: SensorModel, t: float) -> float:
     """Fringe contrast F * exp(-t^2/(2 T2^2)) at integration time t."""
-    if not (t >= 0 and t * t < math.inf):
+    if not 0 <= t <= _SQUARE_MAX:
         raise ValueError("t must be finite and >= 0, with t^2 finite")
     return sensor.fidelity * math.exp(-(t**2) / (2 * sensor.t2**2))
 

@@ -9,15 +9,15 @@ variant. The sensed quantity is always the accrued phase
 evaluated in closed form. Stochastic amplitudes are frozen within a shot and
 redrawn between shots, so phi is an exactly Gaussian variable for the
 two-tone classes and its variance has a closed form too. The shot engine
-therefore draws phi directly, one normal per shot, as `sample_phases` does;
-`sample_realizations` and `accrued_phases` build the same phase from the
-four amplitudes, and `signal_value` evaluates the waveform of one
-coefficient row; they serve as its reference.
+therefore draws phi directly, one normal per shot, as `sample_phases` does.
+Fields and t_i are bounded by the float range (by its square root where
+squared), so an oversized value, even a huge int, raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +28,19 @@ __all__ = [
     "TwoToneStochastic",
     "IntermittentTwoTone",
     "tone_angular_frequencies",
-    "sample_realizations",
-    "signal_value",
-    "accrued_phases",
     "sample_phases",
     "phase_variance_exact",
     "small_g_curvature",
 ]
 
+# bounds of a value and of a value that is squared: unlike math.isfinite or
+# x * x < inf, they hold for numpy floats and for ints past the float range
+_FLOAT_MAX = sys.float_info.max
+_SQUARE_MAX = math.sqrt(_FLOAT_MAX)
+
 # numpy's standard normals stay below 14 in magnitude (the ziggurat's tail
 # on 53-bit uniforms), so a phase can overflow only at a scale above this
-_UNCHECKED_SCALE = float(np.finfo(np.float64).max) / 2.0**10
+_UNCHECKED_SCALE = _FLOAT_MAX / 2.0**10
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class Constant:
     g: float  # rad/s
 
     def __post_init__(self) -> None:
-        if not (self.g >= 0 and math.isfinite(self.g)):
+        if not 0 <= self.g <= _FLOAT_MAX:
             raise ValueError("g must be finite and >= 0")
 
 
@@ -60,7 +62,7 @@ class StochasticAmplitude:
 
     def __post_init__(self) -> None:
         # the mean population's damping reads g^2, which must stay finite
-        if not (self.g >= 0 and self.g * self.g < math.inf):
+        if not 0 <= self.g <= _SQUARE_MAX:
             raise ValueError("g must be finite and >= 0, with g^2 finite")
 
 
@@ -81,12 +83,12 @@ class TwoToneStochastic:
     sigma: float  # rad/s, std of each quadrature amplitude
 
     def __post_init__(self) -> None:
-        if not (self.omega_s > 0 and math.isfinite(self.omega_s)):
+        if not 0 < self.omega_s <= _FLOAT_MAX:
             raise ValueError("omega_s must be finite and > 0")
         # the phase variance scales as sigma^2, which must stay finite
-        if not (self.sigma > 0 and self.sigma * self.sigma < math.inf):
+        if not 0 < self.sigma <= _SQUARE_MAX:
             raise ValueError("sigma must be finite and > 0, with sigma^2 finite")
-        if not (self.g >= 0 and math.isfinite(self.g)):
+        if not 0 <= self.g <= _FLOAT_MAX:
             raise ValueError("g must be finite and >= 0")
 
 
@@ -118,38 +120,6 @@ def tone_angular_frequencies(spec: TwoToneStochastic | IntermittentTwoTone) -> t
     return spec.omega_s + spec.g, spec.omega_s - spec.g
 
 
-def sample_realizations(spec: SignalSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n realizations, frozen within a shot and independent across shots.
-
-    Rows are coefficient vectors: empty for Constant, [B_s] for
-    StochasticAmplitude, [A1, B1, A2, B2] for the two-tone classes. The
-    four-amplitude oracle of tests/test_signals.py::TestSamplePhases.
-    """
-    if isinstance(spec, Constant):
-        return np.empty((n, 0))
-    if isinstance(spec, StochasticAmplitude):
-        return rng.normal(0.0, spec.g, size=(n, 1))
-    return rng.normal(0.0, spec.sigma, size=(n, 4))
-
-
-def signal_value(spec: SignalSpec, c: np.ndarray, t: float) -> float:
-    """B(t) for one coefficient row, defined only inside a burst; the
-    waveform that tests/test_signals.py::TestAccruedPhase integrates."""
-    if isinstance(spec, Constant):
-        return spec.g
-    if isinstance(spec, StochasticAmplitude):
-        return float(c[0])
-    if isinstance(spec, IntermittentTwoTone) and t > spec.t_sig:
-        raise ValueError("signal does not exist beyond the burst")
-    w1, w2 = tone_angular_frequencies(spec)
-    return float(
-        c[0] * math.sin(w1 * t)
-        + c[1] * math.cos(w1 * t)
-        + c[2] * math.sin(w2 * t)
-        + c[3] * math.cos(w2 * t)
-    )
-
-
 def _phase_weights(spec: TwoToneStochastic | IntermittentTwoTone, t_i: float) -> np.ndarray:
     """Weights w with phi = coefficients . w, from integrating each quadrature.
 
@@ -170,21 +140,10 @@ def _phase_weights(spec: TwoToneStochastic | IntermittentTwoTone, t_i: float) ->
 
 
 def _check_ti(spec: SignalSpec, t_i: float) -> None:
-    if not (t_i > 0 and math.isfinite(t_i)):
+    if not 0 < t_i <= _FLOAT_MAX:
         raise ValueError("t_i must be finite and > 0")
     if isinstance(spec, IntermittentTwoTone) and t_i > spec.t_sig:
         raise ValueError("t_i exceeds the burst duration t_sig")
-
-
-def accrued_phases(spec: SignalSpec, coefficients: np.ndarray, t_i: float) -> np.ndarray:
-    """Exact phi = integral of B over [0, t_i] for each realization row; the
-    reference of tests/test_signals.py::TestSamplePhases and TestPhaseVariance."""
-    _check_ti(spec, t_i)
-    if isinstance(spec, Constant):
-        return np.full(len(coefficients), spec.g * t_i)
-    if isinstance(spec, StochasticAmplitude):
-        return coefficients[:, 0] * t_i
-    return coefficients @ _phase_weights(spec, t_i)
 
 
 def phase_variance_exact(spec: TwoToneStochastic | IntermittentTwoTone, t_i: float) -> float:
@@ -220,8 +179,7 @@ def _phase_scale(spec: SignalSpec, t_i: float) -> float:
 def sample_phases(spec: SignalSpec, n: int, t_i: float, rng: np.random.Generator) -> np.ndarray:
     """Draw the accrued phases of n independent shots over [0, t_i].
 
-    Same distribution as accrued_phases(spec, sample_realizations(spec, n,
-    rng), t_i), with at most one normal per shot: g*t_i for Constant (no
+    At most one normal per shot: g*t_i for Constant (no
     draw), N(0, (g*t_i)^2) for StochasticAmplitude, and
     N(0, phase_variance_exact) for the two-tone classes, whose phase is a
     fixed linear combination of four i.i.d. normal amplitudes.

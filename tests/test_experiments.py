@@ -244,6 +244,15 @@ class TestReplica:
         # with no excess noise both scans are the same data
         assert summary["with_excess"][0] == summary["qpn_limited"][0]
 
+    @pytest.mark.parametrize("factor", [math.nan, 0.5, 1e160])
+    def test_rejects_a_bad_excess_factor_before_simulating(self, monkeypatch, factor):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("simulated a table before checking the inputs")
+
+        monkeypatch.setattr(experiments, "_replica_block", no_tables)
+        with pytest.raises(ValueError, match="excess_factor"):
+            run_experiment_replica(REPLICA_SEED, excess_factor=factor)
+
 
 class TestDegradation:
     def test_all_checks_pass(self, degrade_report):

@@ -35,7 +35,6 @@ from ramsey_sensing.sensitivity import (
     gmin_continuous_two_tone,
     gmin_gaussian_kernel,
     gmin_variance,
-    mc_gmin_crossing,
     mc_snr,
     optimal_integration_time,
     root_found_gmin,
@@ -48,6 +47,7 @@ from ramsey_sensing.signals import (
     small_g_curvature,
 )
 from ramsey_sensing.streams import derive_stream
+from reference import mc_gmin_crossing
 
 TWO_PI = 2 * math.pi
 

@@ -39,12 +39,11 @@ class TestSensorModel:
                 SensorModel(bad, 1.0)
 
     def test_t2_and_theta_validation(self):
-        with pytest.raises(ValueError):
-            SensorModel(0.9, 0.0)
-        with pytest.raises(ValueError):
-            SensorModel(0.9, math.inf)
-        with pytest.raises(ValueError):
-            SensorModel(0.9, 1.0, theta=math.nan)
+        # an int past the float range is rejected as its float would be
+        for t2, theta in ((0.0, 0.0), (math.inf, 0.0), (10**200, 0.0),
+                          (1.0, math.nan), (1e-2, 10**400)):
+            with pytest.raises(ValueError):
+                SensorModel(0.9, t2, theta)
 
     def test_ensemble_counts_positive(self):
         assert EnsembleConfig(1000, 4).total == 4000
@@ -81,6 +80,11 @@ class TestContrast:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             contrast(SensorModel(0.9, 1.0), -1e-6)
+
+    def test_a_time_whose_square_leaves_the_float_range_is_rejected(self):
+        for t in (math.inf, 1e155, 10**200):
+            with pytest.raises(ValueError):
+                contrast(SensorModel(0.9, 1.0), t)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):

@@ -1,9 +1,10 @@
 """Signal classes, the accrued-phase functional, and its exact variance.
 
-The accrued phase is checked against direct numerical integration of the
-waveform, and the closed-form variance against a Monte-Carlo variance and an
-independently coded tone-sum formula. The one-draw phase sampler is checked
-against the closed-form variance and the four-amplitude construction.
+The four-amplitude accrued phase of tests/reference.py is checked against
+direct numerical integration of the waveform, and the closed-form variance
+against its Monte-Carlo variance and an independently coded tone-sum
+formula. The one-draw phase sampler is checked against the closed-form
+variance and the four-amplitude construction.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from ramsey_sensing.signals import (
     IntermittentTwoTone,
     StochasticAmplitude,
     TwoToneStochastic,
-    accrued_phases,
     phase_variance_exact,
     sample_phases,
-    sample_realizations,
-    signal_value,
     small_g_curvature,
     tone_angular_frequencies,
 )
 from ramsey_sensing.streams import derive_stream
+from reference import accrued_phases, sample_realizations, signal_value
 
 TWO_PI = 2 * math.pi
 
@@ -38,11 +37,13 @@ class TestSpecValidation:
             Constant(-1.0)
         with pytest.raises(ValueError):
             Constant(math.nan)
+        with pytest.raises(ValueError):
+            Constant(10**400)  # an int past the float range
 
     def test_stochastic_amplitude_needs_a_finite_square(self):
         # the mean population's damping reads g^2
         StochasticAmplitude(1e154)
-        for bad in (-1.0, math.nan, math.inf, 1e155, 1e160):
+        for bad in (-1.0, math.nan, math.inf, 1e155, 1e160, np.float64(1e160), 10**200):
             with pytest.raises(ValueError):
                 StochasticAmplitude(bad)
 
@@ -53,6 +54,11 @@ class TestSpecValidation:
             TwoToneStochastic(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             TwoToneStochastic(1.0, -1.0, 1.0)
+        # ints past the float range, or whose square is
+        with pytest.raises(ValueError):
+            TwoToneStochastic(10**400, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            TwoToneStochastic(1000.0, 1.0, 10**200)
 
     def test_burst_duration_window(self):
         omega = TWO_PI * 1000.0
